@@ -1,14 +1,15 @@
 """Exact spatial quantum dynamics of high-gain parametric down-conversion
 accompanied by cascaded up-conversion in a finite nonlinear crystal.
 
-The package solves the four coupled mode systems exactly (closed form and an
-independent adaptive ODE integrator), classifies generation regimes from the
+The package solves the four coupled mode systems exactly (a rotating-frame
+matrix exponential, with the paper's closed form and an independent adaptive
+ODE integrator as references), classifies generation regimes from the
 characteristic quartic, evaluates photon numbers and quadrature squeezing,
 and scans parameter grids deterministically.
 """
 
 from .analytic import MultipleRootsError, f_kernel, full_matrix, \
-    solve_branch_one, solve_branch_two
+    solve_branch_one, solve_branch_two, transfer_matrix
 from .bogoliubov import BogoliubovMatrix, branches_coincide
 from .characteristic import (Area, QuarticRoots, Regime, classify,
                              classify_degenerate, classify_general,

@@ -1,4 +1,5 @@
-"""Closed-form evaluation of the 16 Bogoliubov transfer functions.
+"""The 16 Bogoliubov transfer functions: the production propagator and the
+paper's closed form.
 
 The coupled mode equations split into four independent linear systems of the
 generic form
@@ -8,23 +9,37 @@ generic form
     Y3' =  i b e^{-i D2 z} Y1
     Y4' = -i c* e^{i D3 z} Y2
 
-For distinct characteristic roots lambda_k, Y1 is a sum of four exponentials
-exp(alpha_k z) with alpha_k = lambda_k + i(2 D1 + D2 - D3)/4; the expansion
-coefficients follow from a 4x4 Vandermonde system in the alpha_k, and Y2..Y4
-are explicit combinations involving the integral kernel
+In the rotating frame Y_k = e^{i theta_k z} X_k, theta = (0, -D1, -D2,
+D3 - D1), each becomes X' = G X with the constant generator
+
+    X1' =  i a X2 + i b* X3
+    X2' = -i a* X1 + i D1 X2 - i c X4
+    X3' =  i b X1 + i D2 X3
+    X4' = -i c* X2 - i (D3 - D1) X4
+
+so X(z) = exp(G z) X(0).  :func:`transfer_matrix` evaluates the two
+exponentials (direct and signal/idler-swapped mapping) by [13/13] Pade
+scaling and squaring; it needs no characteristic roots and holds in every
+regime, multiple roots included.  This is the production solver.
+
+:func:`full_matrix` is the paper's closed form, kept as an independent
+reference.  For distinct characteristic roots lambda_k, Y1 is a sum of four
+exponentials exp(alpha_k z) with alpha_k = lambda_k + i(2 D1 + D2 - D3)/4;
+the expansion coefficients follow from a 4x4 Vandermonde system in the
+alpha_k, and Y2..Y4 are explicit combinations involving the integral kernel
 
     F(z, g) = (e^{g z} - 1) / g.
 
 Every 1/xi occurrence in the printed combinations has a removable
 singularity; it is routed through F-kernel divided differences so xi -> 0
 stays finite.  Near-multiple roots make the Vandermonde system
-ill-conditioned, in which case MultipleRootsError is raised and the caller
-must use the ODE oracle instead.
+ill-conditioned, in which case MultipleRootsError is raised.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
@@ -227,19 +242,77 @@ def full_matrix(params: ModelParams, z: float) -> BogoliubovMatrix:
         return _branch_functions(a, b, c, params.delta_tilde, d2, d3,
                                  lam_set, z, second)
 
-    y = run(params.eta_s, params.eta_i, params.delta_s, params.delta_i, lams, False)
-    U_s, V_i, K_s, L_i = y[0], np.conj(y[1]), y[2], np.conj(y[3])
-    y = run(params.eta_s, params.eta_i, params.delta_s, params.delta_i, lams, True)
-    W_s, Q_i, M_s, N_i = y[0], np.conj(y[1]), y[2], np.conj(y[3])
-    y = run(params.eta_i, params.eta_s, params.delta_i, params.delta_s, lams_sw, False)
-    U_i, V_s, K_i, L_s = y[0], np.conj(y[1]), y[2], np.conj(y[3])
-    y = run(params.eta_i, params.eta_s, params.delta_i, params.delta_s, lams_sw, True)
-    W_i, Q_s, M_i, N_s = y[0], np.conj(y[1]), y[2], np.conj(y[3])
+    es, ei, ds, di = params.eta_s, params.eta_i, params.delta_s, params.delta_i
+    return BogoliubovMatrix.from_branches(
+        z,
+        run(es, ei, ds, di, lams, False), run(es, ei, ds, di, lams, True),
+        run(ei, es, di, ds, lams_sw, False), run(ei, es, di, ds, lams_sw, True))
 
-    return BogoliubovMatrix(
-        z=z,
-        U_s=complex(U_s), V_s=complex(V_s), W_s=complex(W_s), Q_s=complex(Q_s),
-        K_s=complex(K_s), L_s=complex(L_s), M_s=complex(M_s), N_s=complex(N_s),
-        U_i=complex(U_i), V_i=complex(V_i), W_i=complex(W_i), Q_i=complex(Q_i),
-        K_i=complex(K_i), L_i=complex(L_i), M_i=complex(M_i), N_i=complex(N_i),
-    )
+
+#: [13/13] Pade coefficients b_0..b_13 and the largest 1-norm for which that
+#: approximant of exp is accurate to double precision (Higham, SIAM J. Matrix
+#: Anal. Appl. 26(4), 2005)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+           16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+#: the Pade approximant is (V - U)^-1 (V + U) with U odd and V even in A;
+#: rows: the coefficients of (I, A^2, A^4, A^6) in the two sums that A^6
+#: multiplies, then in the two sums added to those products
+_PADE13_TERMS = np.array([
+    [0.0, _PADE13[9], _PADE13[11], _PADE13[13]],
+    [0.0, _PADE13[8], _PADE13[10], _PADE13[12]],
+    [_PADE13[1], _PADE13[3], _PADE13[5], _PADE13[7]],
+    [_PADE13[0], _PADE13[2], _PADE13[4], _PADE13[6]],
+])
+
+
+def _expm(g: np.ndarray) -> np.ndarray:
+    """exp of each matrix in a stack (k, n, n), by [13/13] Pade scaling and
+    squaring with one scaling for the whole stack."""
+    norm = float(np.abs(g).sum(axis=-2).max())
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
+    a = g * 0.5**s
+    powers = np.empty((4,) + g.shape, dtype=complex)
+    powers[0] = np.eye(g.shape[-1])
+    np.matmul(a, a, out=powers[1])
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[2], powers[1], out=powers[3])
+    terms = (_PADE13_TERMS @ powers.reshape(4, -1)).reshape(powers.shape)
+    u_inner, v = powers[3] @ terms[:2] + terms[2:]
+    u = a @ u_inner
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def _generator(a: complex, b: complex, c: complex,
+               d1: float, d2: float, d3: float) -> list:
+    return [[0, 1j * a, 1j * b.conjugate(), 0],
+            [-1j * a.conjugate(), 1j * d1, 0, -1j * c],
+            [1j * b, 0, 1j * d2, 0],
+            [0, -1j * c.conjugate(), 0, -1j * (d3 - d1)]]
+
+
+def transfer_matrix(params: ModelParams, z: float) -> BogoliubovMatrix:
+    """All 16 Bogoliubov functions at z from the rotating-frame matrix
+    exponential, valid in every regime.
+
+    Raises OverflowError when an entry exceeds double precision.
+    """
+    a, es, ei = params.kappa, params.eta_s, params.eta_i
+    d1, ds, di = params.delta_tilde, params.delta_s, params.delta_i
+    g = np.array([_generator(a, es, ei, d1, ds, di),
+                  _generator(a, ei, es, d1, di, ds)], dtype=complex)
+    theta = np.array([[0.0, -d1, -ds, di - d1], [0.0, -d1, -di, ds - d1]])
+    # columns e1 and e3 are the two initial conditions of each branch pair
+    y = np.exp(1j * z * theta)[:, :, None] * _expm(g * z)[:, :, ::2]
+    if not np.isfinite(y).all():
+        raise OverflowError("transfer matrix entries exceed double precision")
+    (direct_one, direct_two), (swapped_one, swapped_two) = \
+        y.transpose(0, 2, 1).tolist()
+    return BogoliubovMatrix.from_branches(z, direct_one, direct_two,
+                                          swapped_one, swapped_two)

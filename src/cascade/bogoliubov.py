@@ -49,6 +49,29 @@ class BogoliubovMatrix:
         e.update(U_s=1 + 0j, M_s=1 + 0j, U_i=1 + 0j, M_i=1 + 0j)
         return cls(z=z, **e)
 
+    @classmethod
+    def from_branches(cls, z: float, direct_one, direct_two, swapped_one,
+                      swapped_two) -> "BogoliubovMatrix":
+        """Assemble the 16 entries from the solution vectors (Y1, Y2, Y3, Y4)
+        of the four branch systems: the direct parameter mapping started from
+        (1, 0, 0, 0) and (0, 0, 1, 0), then the signal/idler-swapped mapping
+        from the same two initial conditions.  Y2 and Y4 hold conjugated
+        entries."""
+        def conj(v) -> complex:
+            return complex(v).conjugate()
+
+        U_s, V_i, K_s, L_i = direct_one
+        W_s, Q_i, M_s, N_i = direct_two
+        U_i, V_s, K_i, L_s = swapped_one
+        W_i, Q_s, M_i, N_s = swapped_two
+        return cls(
+            z=z,
+            U_s=complex(U_s), V_s=conj(V_s), W_s=complex(W_s), Q_s=conj(Q_s),
+            K_s=complex(K_s), L_s=conj(L_s), M_s=complex(M_s), N_s=conj(N_s),
+            U_i=complex(U_i), V_i=conj(V_i), W_i=complex(W_i), Q_i=conj(Q_i),
+            K_i=complex(K_i), L_i=conj(L_i), M_i=complex(M_i), N_i=conj(N_i),
+        )
+
     def entries(self) -> dict:
         return {name: getattr(self, name) for name in ENTRY_NAMES}
 

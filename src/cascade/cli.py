@@ -4,8 +4,12 @@ Commands: solve, classify, scan, sweep-gain, compare.  Complex couplings are
 entered as magnitude plus phase.  Runs are reproducible: identical flags
 produce identical output bytes.
 
-Exit codes: 0 success, 2 invalid input, 3 multiple characteristic roots with
-the oracle fallback disabled, 4 strict-mode cross-check failure.
+The analytic solver is the rotating-frame matrix exponential, valid in every
+regime; `solve --no-fallback` uses the paper's closed form alone instead.
+
+Exit codes: 0 success, 2 invalid input, 3 multiple characteristic roots
+under --no-fallback (the closed form does not hold there), 4 strict-mode
+cross-check failure.
 """
 
 from __future__ import annotations
@@ -196,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=["analytic", "oracle", "averaged"],
                    default="analytic", help="solution method [dimensionless]")
     p.add_argument("--no-fallback", action="store_true",
-                   help="fail with exit 3 at multiple roots instead of "
-                        "falling back to the ODE oracle")
+                   help="analytic solver: use the paper's closed form only, "
+                        "which fails with exit 3 at multiple roots")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("classify", parents=[common_out],

@@ -93,13 +93,14 @@ def correlators(m: BogoliubovMatrix) -> Correlators:
     )
 
 
-def _stable_min_variance(x1: complex, x2: complex, y1: complex, y2: complex) -> float:
+def _stable_min_variance(x1, x2, y1, y2):
     """1 + 2N - 2|F| for N = |y1|^2 + |y2|^2, F = x1 y1 + x2 y2, evaluated
     through the cancellation-free Lagrange-identity form (x1, x2 are the
-    annihilation-row entries, y1, y2 the creation-row entries)."""
+    annihilation-row entries, y1, y2 the creation-row entries).  Takes
+    complex scalars or arrays of them."""
     n = abs(y1) ** 2 + abs(y2) ** 2
     f = x1 * y1 + x2 * y2
-    gap = abs(x1 * np.conj(y2) - x2 * np.conj(y1)) ** 2
+    gap = abs(x1 * y2.conjugate() - x2 * y1.conjugate()) ** 2
     return (1.0 + 4.0 * gap) / (1.0 + 2.0 * n + 2.0 * abs(f))
 
 
@@ -130,23 +131,25 @@ def collective_min_variance(m: BogoliubovMatrix) -> SqueezingReport:
     """Minimal quadrature variance of the balanced collective mode
     (a + e^{i delta} b)/sqrt(2) of a degenerate matrix.
 
-    At fixed relative phase the theta minimum is closed form,
-
-        1 + N_a + N_b + 2 Re[G e^{i d}] - |F_a + F_b e^{2 i d} + 2 F_ab e^{i d}|,
-
-    and the phase minimum is located on a 1024-point grid over [0, 2 pi)
+    At fixed relative phase the theta minimum is the single-mode one of the
+    collective mode's rows x = (x_a + e^{i d} x_b)/sqrt(2) and
+    y = (y_a + e^{i d} y_b)/sqrt(2), evaluated in the cancellation-free form
+    (the expanded 1 + N_a + N_b + 2 Re[G e^{i d}] - |F(d)| cancels at high
+    gain).  The phase minimum is located on a 1024-point grid over [0, 2 pi)
     followed by golden-section refinement to 1e-10.  Since the report
     minimizes over the phase, bare carrier wavevectors (which only shift it)
     never enter.
     """
     _require_degenerate(m)
-    n = photon_numbers(m)
-    c = correlators(m)
-    base = 1.0 + n.n_as + n.n_bs
+    r = math.sqrt(0.5)
+    rows = [(r * xa, r * xb) for xa, xb in
+            ((m.U_s, m.K_s), (m.W_s, m.M_s), (m.V_s, m.L_s), (m.Q_s, m.N_s))]
 
-    def theta_min(e: complex | np.ndarray):
-        return (base + 2.0 * np.real(c.g_ab * e)
-                - np.abs(c.f_a + c.f_b * e * e + 2.0 * c.f_ab * e))
+    def collective(e):
+        return [xa + e * xb for xa, xb in rows]
+
+    def theta_min(e):
+        return _stable_min_variance(*collective(e))
 
     values = theta_min(_E1)
     k = int(np.argmin(values))
@@ -156,23 +159,24 @@ def collective_min_variance(m: BogoliubovMatrix) -> SqueezingReport:
     a, b = lo, hi
     x1 = b - ratio * (b - a)
     x2 = a + ratio * (b - a)
-    f1 = float(theta_min(cmath.exp(1j * x1)))
-    f2 = float(theta_min(cmath.exp(1j * x2)))
+    f1 = theta_min(cmath.exp(1j * x1))
+    f2 = theta_min(cmath.exp(1j * x2))
     while b - a > 1e-10:
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - ratio * (b - a)
-            f1 = float(theta_min(cmath.exp(1j * x1)))
+            f1 = theta_min(cmath.exp(1j * x1))
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + ratio * (b - a)
-            f2 = float(theta_min(cmath.exp(1j * x2)))
+            f2 = theta_min(cmath.exp(1j * x2))
     d_opt = (a + b) / 2
     e_opt = cmath.exp(1j * d_opt)
-    f_tot = c.f_a + c.f_b * e_opt * e_opt + 2.0 * c.f_ab * e_opt
+    x1, x2, y1, y2 = collective(e_opt)
+    f_tot = x1 * y1 + x2 * y2
     theta = (math.pi - cmath.phase(f_tot)) / 2 if f_tot != 0 else math.pi / 2
     return SqueezingReport(
-        min_variance=float(theta_min(e_opt)),
+        min_variance=float(_stable_min_variance(x1, x2, y1, y2)),
         theta_opt=theta,
         delta_opt=d_opt % (2.0 * math.pi),
     )

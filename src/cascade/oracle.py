@@ -1,7 +1,7 @@
 """Direct numerical integration of the Bogoliubov-function mode equations.
 
-This module is the independent ground truth for the closed-form solver and
-the only solver at multiple characteristic roots.  It integrates a literal
+This module is the independent ground truth for the production propagator
+and for the paper's closed form.  It integrates a literal
 transcription of the four coupled linear systems, oscillatory phase factors
 exp(i Delta z) evaluated exactly at every stage point (no rotating-frame
 transformation), with an adaptive high-order embedded Runge-Kutta scheme.
@@ -13,7 +13,6 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .bogoliubov import BogoliubovMatrix
 from .params import ModelParams
@@ -75,22 +74,6 @@ def _rhs(params: ModelParams):
     return rhs
 
 
-def _matrix_from_state(y: np.ndarray, z: float) -> BogoliubovMatrix:
-    # system state vectors hold (Y1, Y2, Y3, Y4) where Y2, Y4 are the
-    # conjugated Bogoliubov entries
-    return BogoliubovMatrix(
-        z=z,
-        U_s=complex(y[0]), V_i=complex(np.conj(y[1])),
-        K_s=complex(y[2]), L_i=complex(np.conj(y[3])),
-        W_s=complex(y[4]), Q_i=complex(np.conj(y[5])),
-        M_s=complex(y[6]), N_i=complex(np.conj(y[7])),
-        U_i=complex(y[8]), V_s=complex(np.conj(y[9])),
-        K_i=complex(y[10]), L_s=complex(np.conj(y[11])),
-        W_i=complex(y[12]), Q_s=complex(np.conj(y[13])),
-        M_i=complex(y[14]), N_s=complex(np.conj(y[15])),
-    )
-
-
 def integrate(params: ModelParams, z_grid=None,
               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> Trajectory:
     """Integrate all four 4-dimensional systems (stacked into one
@@ -118,6 +101,9 @@ def integrate(params: ModelParams, z_grid=None,
         mats = tuple(BogoliubovMatrix.identity(0.0) for _ in z_grid)
         return Trajectory(z_grid=tuple(z_grid), matrices=mats, estimated_error=0.0)
 
+    # imported here so that importing the package does not load scipy
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(_rhs(params), (0.0, float(z_grid[-1])), y0,
                     method="DOP853", t_eval=z_grid, rtol=rtol, atol=atol)
     if sol.status == -1:
@@ -125,7 +111,9 @@ def integrate(params: ModelParams, z_grid=None,
     if sol.status != 0:
         raise RuntimeError(f"integration failed: {sol.message}")
 
-    mats = tuple(_matrix_from_state(sol.y[:, j], float(z_grid[j]))
+    # the stacked state holds the four systems' (Y1, Y2, Y3, Y4) in turn
+    mats = tuple(BogoliubovMatrix.from_branches(float(z_grid[j]),
+                                                *sol.y[:, j].reshape(4, 4))
                  for j in range(len(z_grid)))
     peak = max(m.max_abs() for m in mats)
     resid = max(max(canonical_residuals(m)) for m in mats)

@@ -31,12 +31,6 @@ MAGNITUDE_AXES = ("kappa_abs", "eta_s_abs", "eta_i_abs")
 
 SOLVERS = ("analytic", "oracle", "averaged")
 
-#: tolerances of the ODE fallback used when the closed form hits multiple
-#: roots; tighter than the oracle defaults so fallback points keep the
-#: accuracy of the analytic path
-FALLBACK_RTOL = 1e-12
-FALLBACK_ATOL = 1e-14
-
 CROSS_CHECK_RTOL = 1e-5
 CROSS_CHECK_FRACTION = 0.05
 
@@ -141,10 +135,11 @@ def solve_point(params: ModelParams, z: float | None = None,
                 solver: str = "analytic", fallback: bool = True) -> BogoliubovMatrix:
     """Bogoliubov matrix at z (default: the crystal output z = length).
 
-    solver="analytic" uses the closed form and, when fallback is enabled,
-    silently switches to a tight-tolerance ODE integration at multiple
-    characteristic roots.  solver="oracle" always integrates.
-    solver="averaged" applies the sinc-averaged parameter map first.
+    solver="analytic" uses the rotating-frame matrix exponential, valid in
+    every regime; with fallback=False it uses the paper's closed form alone,
+    which raises MultipleRootsError at multiple characteristic roots.
+    solver="oracle" always integrates.  solver="averaged" applies the
+    sinc-averaged parameter map first.
     """
     validate(params)
     if z is None:
@@ -156,12 +151,9 @@ def solve_point(params: ModelParams, z: float | None = None,
         return oracle.matrix_at(params, z)
     if solver != "analytic":
         raise ValueError(f"unknown solver {solver!r}")
-    try:
+    if not fallback:
         return analytic.full_matrix(params, z)
-    except analytic.MultipleRootsError:
-        if not fallback:
-            raise
-        return oracle.matrix_at(params, z, rtol=FALLBACK_RTOL, atol=FALLBACK_ATOL)
+    return analytic.transfer_matrix(params, z)
 
 
 def evaluate_quantities(params: ModelParams, quantities, solver: str) -> dict:

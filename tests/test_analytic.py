@@ -3,13 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascade.analytic import (MultipleRootsError, f_kernel, full_matrix,
-                              solve_branch_one, solve_branch_two)
+                              solve_branch_one, solve_branch_two,
+                              transfer_matrix)
 from cascade.bogoliubov import ENTRY_NAMES, BogoliubovMatrix, branches_coincide
 from cascade.characteristic import solve_quartic
-from cascade.oracle import canonical_residuals, matrix_at
-from cascade.params import ModelParams, degenerate_params, derive, validate
+from cascade.observables import pdc_only_reference, photon_numbers
+from cascade.oracle import (canonical_residuals, canonical_residuals_scaled,
+                            matrix_at)
+from cascade.params import (ModelParams, degenerate_params, derive,
+                            three_mode_params, validate)
 
 
 def make(kappa=0j, eta_s=0j, eta_i=0j, dt=0.0, ds=0.0, di=0.0, L=1.0):
@@ -197,3 +203,90 @@ class TestFullMatrix:
     def test_propagates_multiple_roots(self):
         with pytest.raises(MultipleRootsError):
             full_matrix(make(kappa=3 + 0j), 1.0)
+
+
+def propagator_sets(rng):
+    """Random parameter sets plus those the closed form cannot take: no
+    pump, phase-matched plain PDC and near-multiple characteristic roots."""
+    sets = [random_params(rng) for _ in range(20)]
+    sets += [make(eta_s=complex(*rng.uniform(-4, 4, 2)),
+                  eta_i=complex(*rng.uniform(-4, 4, 2)),
+                  dt=rng.uniform(-10, 10), ds=rng.uniform(-10, 10),
+                  di=rng.uniform(-10, 10), L=rng.uniform(0.2, 2.5))
+             for _ in range(4)]
+    sets += [make(kappa=3 + 0j, L=1.0), make(kappa=3 + 0j, L=2.0)]
+    for u in (2, 3, 4):
+        ph = np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
+        sets.append(degenerate_params(3 * ph[0], 10.0**-u * ph[1], 0, 0, 1.5))
+        k = rng.uniform(1, 4)
+        sets.append(three_mode_params(k * ph[0], k * (1 + 10.0**(-2 * u)) * ph[1],
+                                      0, 0, 1.2))
+    return sets
+
+
+class TestTransferMatrix:
+    def test_agrees_with_tight_oracle(self):
+        sets = propagator_sets(np.random.default_rng(2))
+        seps = [solve_quartic(derive(p)).min_root_separation for p in sets]
+        assert min(seps) <= 1e-3
+        assert any(p.kappa == 0 for p in sets)
+        for p in sets:
+            m = transfer_matrix(p, p.length)
+            ref = matrix_at(p, p.length, rtol=1e-13, atol=1e-15)
+            err = max(abs(getattr(m, k) - getattr(ref, k)) for k in ENTRY_NAMES)
+            assert err <= 1e-11 * max(1.0, ref.max_abs())
+
+    def test_scaled_canonical_residuals(self):
+        rng = np.random.default_rng(5)
+        for p in propagator_sets(rng):
+            for z in rng.uniform(0, p.length, 4):
+                m = transfer_matrix(p, z)
+                assert max(canonical_residuals_scaled(m)) <= 1e-12
+
+    def test_identity_at_input_face(self):
+        m = transfer_matrix(random_params(np.random.default_rng(4)), 0.0)
+        ref = BogoliubovMatrix.identity(0.0)
+        for k in ENTRY_NAMES:
+            assert abs(getattr(m, k) - getattr(ref, k)) <= 1e-15
+
+    @pytest.mark.parametrize("dt", [0.0, 4.0])
+    def test_weak_pump_matches_plain_pdc(self, dt):
+        # the closed form cannot take these points: its roots collide as
+        # kappa -> 0, and it divides by kappa after a cancellation
+        for phase in (0.0, 2.1):
+            p = make(kappa=1e-8 * cmath.exp(1j * phase), dt=dt, L=1.5)
+            n_ref, _ = pdc_only_reference(p.kappa, dt, p.length)
+            n = photon_numbers(transfer_matrix(p, p.length))
+            assert n.n_as == pytest.approx(n_ref, rel=1e-12)
+            assert n.n_bs == 0
+
+    def test_branches_coincide_exactly_when_degenerate(self):
+        m = transfer_matrix(degenerate_params(3, 1.5 + 0.5j, 0.7, 2.5, 2), 1.1)
+        assert branches_coincide(m, tol=0.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered",
+                                "ignore:invalid value encountered")
+    def test_high_gain_overflow_is_named(self):
+        with pytest.raises(OverflowError):
+            transfer_matrix(degenerate_params(400, 1, 0, 3, 2), 2.0)
+
+
+_MAGNITUDE = st.floats(-10.0, 2.0).map(lambda e: 10.0**e)
+_PHASE = st.floats(0.0, 2 * math.pi)
+_MISMATCH = st.one_of(st.just(0.0), st.tuples(_MAGNITUDE, st.sampled_from((-1, 1)))
+                      .map(lambda t: t[0] * t[1]))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(mags=st.tuples(_MAGNITUDE, _MAGNITUDE, _MAGNITUDE),
+       phases=st.tuples(_PHASE, _PHASE, _PHASE),
+       mismatches=st.tuples(_MISMATCH, _MISMATCH, _MISMATCH),
+       length=st.floats(0.1, 2.0))
+def test_transfer_matrix_is_canonical_over_magnitudes(mags, phases, mismatches,
+                                                      length):
+    # |kappa| L stays below 200, far from the double-precision overflow
+    k, es, ei = (m * cmath.exp(1j * ph) for m, ph in zip(mags, phases))
+    p = make(kappa=k, eta_s=es, eta_i=ei, dt=mismatches[0], ds=mismatches[1],
+             di=mismatches[2], L=length)
+    m = transfer_matrix(p, length)
+    assert max(canonical_residuals_scaled(m)) <= 1e-12

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cascade
 from cascade.cli import main
 
 
@@ -171,3 +176,17 @@ class TestScanAndSweep:
             assert "--help" in text
             if cmd in ("solve", "classify", "compare"):
                 assert "cm^-1" in text and "[cm]" in text
+
+
+def test_solve_does_not_load_scipy():
+    # scipy is needed by the ODE oracle only; a cold `cascade solve` must not
+    # pay for importing it
+    code = ("import sys, cascade, cascade.cli\n"
+            "cascade.cli.main(['solve', '--kappa', '3', '--eta-s', '1',\n"
+            "                  '--delta-s', '3', '--degenerate', '--length', '2',\n"
+            "                  '--output', sys.argv[1]])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cascade.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, os.devnull], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -164,6 +164,50 @@ class TestCollectiveVariance:
                                                    + 2 * c.f_ab * e)
             assert r.min_variance <= v + 1e-12
 
+    def test_high_gain_against_high_precision(self):
+        # kappa L = 20: the expanded 1 + N_a + N_b + 2 Re(G e^{id}) - |F|
+        # cancels from ~1e17 to ~0.4; the reference minimizes it at 60
+        # digits over an independent exponential of the rotating-frame
+        # generator
+        import mpmath
+
+        kappa, eta, ds, L = 10, 1, 3.0, 2.0
+        with mpmath.workdps(60):
+            i = mpmath.mpc(0, 1)
+            g = mpmath.matrix([[0, i * kappa, i * eta, 0],
+                               [-i * kappa, 0, 0, -i * eta],
+                               [i * eta, 0, i * ds, 0],
+                               [0, -i * eta, 0, -i * ds]])
+            x = mpmath.expm(g * L)
+            phase = [1, 1, mpmath.exp(-i * ds * L), mpmath.exp(i * ds * L)]
+            y = [[phase[r] * x[r, col] for col in (0, 2)] for r in range(4)]
+            (u, w), (k, mm) = y[0], y[2]
+            v, q = (mpmath.conj(t) for t in y[1])
+            lb, n = (mpmath.conj(t) for t in y[3])
+
+            def variance(d):
+                e = mpmath.exp(i * d)
+                x1, x2 = (u + e * k) / mpmath.sqrt(2), (w + e * mm) / mpmath.sqrt(2)
+                y1, y2 = (v + e * lb) / mpmath.sqrt(2), (q + e * n) / mpmath.sqrt(2)
+                return (1 + 2 * (abs(y1) ** 2 + abs(y2) ** 2)
+                        - 2 * abs(x1 * y1 + x2 * y2))
+
+            step = 2 * mpmath.pi / 256
+            d0 = min((j * step for j in range(256)), key=variance)
+            lo, hi = d0 - step, d0 + step
+            ratio = (mpmath.sqrt(5) - 1) / 2
+            for _ in range(120):
+                d1, d2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+                if variance(d1) < variance(d2):
+                    hi = d2
+                else:
+                    lo = d1
+            ref = float(variance((lo + hi) / 2))
+        m = solve_point(degenerate_params(kappa, eta, 0, ds, L))
+        # rounding the entries to double alone moves this minimum by up to
+        # 4e-8 relative
+        assert collective_min_variance(m).min_variance == pytest.approx(ref, rel=2e-7)
+
 
 class TestPdcOnlyReference:
     def test_phase_matched(self):
