@@ -48,7 +48,7 @@ from .characteristic import QuarticRoots, solve_quartic
 from .params import ModelParams, derive
 
 #: estimated relative forward error above which the Vandermonde solve is
-#: considered unusable and the ODE oracle must take over
+#: considered unusable (MultipleRootsError)
 FORWARD_ERROR_LIMIT = 1e-6
 
 _EPS = float(np.finfo(float).eps)
@@ -161,7 +161,8 @@ def _branch_functions(a: complex, b: complex, c: complex,
     if not np.isfinite(cond) or cond * _EPS > FORWARD_ERROR_LIMIT:
         raise MultipleRootsError(
             f"Vandermonde system too ill-conditioned (cond ~ {cond:.2e}); "
-            "roots are effectively multiple, use the ODE oracle")
+            "roots are effectively multiple; drop --no-fallback "
+            "(fallback=False) or use the ODE oracle")
     coef = np.linalg.solve(vand, rhs)
 
     delta3 = d2 - d1
@@ -196,7 +197,8 @@ def _check_roots(params: ModelParams, roots: QuarticRoots) -> np.ndarray:
     if roots.near_multiple:
         raise MultipleRootsError(
             f"characteristic roots separated by {roots.min_root_separation:.3e}; "
-            "closed-form solution invalid, use the ODE oracle")
+            "closed-form solution invalid; drop --no-fallback "
+            "(fallback=False) or use the ODE oracle")
     return np.array(roots.roots, dtype=complex)
 
 
@@ -238,15 +240,15 @@ def full_matrix(params: ModelParams, z: float) -> BogoliubovMatrix:
     lams = _check_roots(params, roots)
     lams_sw = np.conj(lams)
 
-    def run(b, c, d2, d3, lam_set, second):
-        return _branch_functions(a, b, c, params.delta_tilde, d2, d3,
-                                 lam_set, z, second)
+    def pair(b, c, d2, d3, lam_set):
+        # columns: the solutions from (1, 0, 0, 0) and from (0, 0, 1, 0)
+        return np.transpose([_branch_functions(a, b, c, params.delta_tilde, d2,
+                                               d3, lam_set, z, second)
+                             for second in (False, True)])
 
     es, ei, ds, di = params.eta_s, params.eta_i, params.delta_s, params.delta_i
-    return BogoliubovMatrix.from_branches(
-        z,
-        run(es, ei, ds, di, lams, False), run(es, ei, ds, di, lams, True),
-        run(ei, es, di, ds, lams_sw, False), run(ei, es, di, ds, lams_sw, True))
+    return BogoliubovMatrix.from_branches(z, pair(es, ei, ds, di, lams),
+                                          pair(ei, es, di, ds, lams_sw))
 
 
 #: [13/13] Pade coefficients b_0..b_13 and the largest 1-norm for which that
@@ -312,7 +314,4 @@ def transfer_matrix(params: ModelParams, z: float) -> BogoliubovMatrix:
     y = np.exp(1j * z * theta)[:, :, None] * _expm(g * z)[:, :, ::2]
     if not np.isfinite(y).all():
         raise OverflowError("transfer matrix entries exceed double precision")
-    (direct_one, direct_two), (swapped_one, swapped_two) = \
-        y.transpose(0, 2, 1).tolist()
-    return BogoliubovMatrix.from_branches(z, direct_one, direct_two,
-                                          swapped_one, swapped_two)
+    return BogoliubovMatrix.from_branches(z, *y)

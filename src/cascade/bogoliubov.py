@@ -1,4 +1,4 @@
-"""Container for the 16 Bogoliubov transfer functions.
+"""The Bogoliubov map of the four modes as one 4x4 transfer matrix.
 
 The slowly-varying annihilation operators at position z are a linear
 canonical (Bogoliubov) map of the input operators:
@@ -7,117 +7,123 @@ canonical (Bogoliubov) map of the input operators:
     beta_s(z)  = K_s alpha_s(0) + L_s alpha_i+(0) + M_s beta_s(0) + N_s beta_i+(0)
 
 and the same with s <-> i.  alpha refers to the PDC modes, beta to the
-up-converted modes.  Fast carrier phases exp(i k z) are never materialized;
-all observables implemented downstream are insensitive to them.
+up-converted modes.  On the mode vector v = (alpha_s, alpha_i+, beta_s,
+beta_i+) the map is v(z) = T v(0) with
+
+        | U_s   V_s   W_s   Q_s  |
+    T = | V_i*  U_i*  Q_i*  W_i* |
+        | K_s   L_s   M_s   N_s  |
+        | L_i*  K_i*  N_i*  M_i* |
+
+and since [v_j, v_k+] = J_jk with J = diag(1, -1, 1, -1), preserving the
+commutators means T J T^H = J.  This module is the only one that knows
+which named transfer function sits where in T.  Fast carrier phases
+exp(i k z) are never materialized; all observables implemented downstream
+are insensitive to them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+#: name -> (row, column, stored conjugated) of each entry of T; the order is
+#: the serialization order
+_LAYOUT = {
+    "U_s": (0, 0, False), "V_s": (0, 1, False), "W_s": (0, 2, False), "Q_s": (0, 3, False),
+    "K_s": (2, 0, False), "L_s": (2, 1, False), "M_s": (2, 2, False), "N_s": (2, 3, False),
+    "U_i": (1, 1, True), "V_i": (1, 0, True), "W_i": (1, 3, True), "Q_i": (1, 2, True),
+    "K_i": (3, 1, True), "L_i": (3, 0, True), "M_i": (3, 3, True), "N_i": (3, 2, True),
+}
+
 #: serialization order of the complex entries
-ENTRY_NAMES = ("U_s", "V_s", "W_s", "Q_s", "K_s", "L_s", "M_s", "N_s",
-               "U_i", "V_i", "W_i", "Q_i", "K_i", "L_i", "M_i", "N_i")
+ENTRY_NAMES = tuple(_LAYOUT)
+
+#: the columns of the idler rows 1 and 3 that hold, conjugated, the entries
+#: that columns 0, 1, 2, 3 of the signal rows 0 and 2 hold (U, V, W, Q and
+#: K, L, M, N)
+_SWAP = [1, 0, 3, 2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BogoliubovMatrix:
+    """The transfer matrix t = T at position z.  The named transfer
+    functions read as attributes (m.U_s); ``rows`` holds T as nested lists
+    of Python complex numbers for scalar arithmetic."""
+
     z: float
-    U_s: complex
-    V_s: complex
-    W_s: complex
-    Q_s: complex
-    K_s: complex
-    L_s: complex
-    M_s: complex
-    N_s: complex
-    U_i: complex
-    V_i: complex
-    W_i: complex
-    Q_i: complex
-    K_i: complex
-    L_i: complex
-    M_i: complex
-    N_i: complex
+    t: np.ndarray
+    rows: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        t = np.array(self.t, dtype=complex)
+        if t.shape != (4, 4):
+            raise ValueError(f"transfer matrix must be 4x4, got shape {t.shape}")
+        t.setflags(write=False)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "rows", t.tolist())
+
+    def __getattr__(self, name: str) -> complex:
+        if name not in _LAYOUT:
+            raise AttributeError(name)
+        row, col, conj = _LAYOUT[name]
+        v = self.rows[row][col]
+        return v.conjugate() if conj else v
 
     @classmethod
     def identity(cls, z: float = 0.0) -> "BogoliubovMatrix":
-        """The z = 0 transfer matrix: U = M = 1 on both branches, rest 0."""
-        e = {name: 0j for name in ENTRY_NAMES}
-        e.update(U_s=1 + 0j, M_s=1 + 0j, U_i=1 + 0j, M_i=1 + 0j)
-        return cls(z=z, **e)
+        """The z = 0 transfer matrix T = I."""
+        t = np.eye(4, dtype=complex)
+        t[1::2] = t[1::2].conj()  # stored conjugated, so the entries read +0j
+        return cls(z, t)
 
     @classmethod
-    def from_branches(cls, z: float, direct_one, direct_two, swapped_one,
-                      swapped_two) -> "BogoliubovMatrix":
-        """Assemble the 16 entries from the solution vectors (Y1, Y2, Y3, Y4)
-        of the four branch systems: the direct parameter mapping started from
-        (1, 0, 0, 0) and (0, 0, 1, 0), then the signal/idler-swapped mapping
-        from the same two initial conditions.  Y2 and Y4 hold conjugated
-        entries."""
-        def conj(v) -> complex:
-            return complex(v).conjugate()
-
-        U_s, V_i, K_s, L_i = direct_one
-        W_s, Q_i, M_s, N_i = direct_two
-        U_i, V_s, K_i, L_s = swapped_one
-        W_i, Q_s, M_i, N_s = swapped_two
-        return cls(
-            z=z,
-            U_s=complex(U_s), V_s=conj(V_s), W_s=complex(W_s), Q_s=conj(Q_s),
-            K_s=complex(K_s), L_s=conj(L_s), M_s=complex(M_s), N_s=conj(N_s),
-            U_i=complex(U_i), V_i=conj(V_i), W_i=complex(W_i), Q_i=conj(Q_i),
-            K_i=complex(K_i), L_i=conj(L_i), M_i=complex(M_i), N_i=conj(N_i),
-        )
-
-    def entries(self) -> dict:
-        return {name: getattr(self, name) for name in ENTRY_NAMES}
+    def from_branches(cls, z: float, direct, swapped) -> "BogoliubovMatrix":
+        """Assemble T from the solutions (Y1, Y2, Y3, Y4) of the branch
+        systems, as the two columns of a 4x2 array for each mapping: the
+        direct parameter mapping and the signal/idler-swapped one, each
+        started from (1, 0, 0, 0) and from (0, 0, 1, 0).  The direct pair is
+        columns 0 and 2 of T; the swapped pair, conjugated and with its
+        signal and idler rows exchanged, is columns 1 and 3."""
+        t = np.empty((4, 4), dtype=complex)
+        t[:, ::2] = direct
+        t[:, 1::2] = np.conj(swapped)[_SWAP]
+        return cls(z, t)
 
     def max_abs(self) -> float:
-        return max(abs(getattr(self, name)) for name in ENTRY_NAMES)
+        return max(abs(v) for row in self.rows for v in row)
 
     def ab_blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """The (A, B) blocks of the canonical transformation written on the
         mode vector (alpha_s, alpha_i, beta_s, beta_i): annihilation part A,
         creation part B."""
-        m = self
-        A = np.array([
-            [m.U_s, 0, m.W_s, 0],
-            [0, m.U_i, 0, m.W_i],
-            [m.K_s, 0, m.M_s, 0],
-            [0, m.K_i, 0, m.M_i],
-        ], dtype=complex)
-        B = np.array([
-            [0, m.V_s, 0, m.Q_s],
-            [m.V_i, 0, m.Q_i, 0],
-            [0, m.L_s, 0, m.N_s],
-            [m.L_i, 0, m.N_i, 0],
-        ], dtype=complex)
-        return A, B
+        s = self.t.copy()
+        s[1::2] = s[1::2].conj()
+        creation = np.add.outer(range(4), range(4)) % 2 == 1
+        return np.where(creation, 0, s), np.where(creation, s, 0)
 
     def to_dict(self) -> dict:
         out = {"z": self.z}
-        for name in ENTRY_NAMES:
-            v = getattr(self, name)
-            out[name] = [v.real, v.imag]
+        for name, (row, col, conj) in _LAYOUT.items():
+            v = self.rows[row][col]
+            out[name] = [v.real, -v.imag if conj else v.imag]
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "BogoliubovMatrix":
-        kw = {"z": float(data["z"])}
-        for name in ENTRY_NAMES:
-            re, im = data[name]
-            kw[name] = complex(re, im)
-        return cls(**kw)
+        t = np.empty((4, 4), dtype=complex)
+        for name, (row, col, conj) in _LAYOUT.items():
+            v = complex(*data[name])
+            t[row, col] = v.conjugate() if conj else v
+        return cls(float(data["z"]), t)
 
 
 def branches_coincide(m: BogoliubovMatrix, tol: float = 1e-6) -> bool:
     """True when the signal and idler branches agree entry by entry, as they
     do for degenerate parameters (eta_i = eta_s, delta_i = delta_s)."""
-    scale = max(1.0, m.max_abs())
-    return all(
-        abs(getattr(m, f"{k}_s") - getattr(m, f"{k}_i")) <= tol * scale
-        for k in ("U", "V", "W", "Q", "K", "L", "M", "N")
-    )
+    bound = tol * max(1.0, m.max_abs())
+    s_alpha, i_alpha, s_beta, i_beta = m.rows
+    return all(abs(s[k] - i[j].conjugate()) <= bound
+               for s, i in ((s_alpha, i_alpha), (s_beta, i_beta))
+               for k, j in enumerate(_SWAP))

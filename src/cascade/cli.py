@@ -7,8 +7,9 @@ produce identical output bytes.
 The analytic solver is the rotating-frame matrix exponential, valid in every
 regime; `solve --no-fallback` uses the paper's closed form alone instead.
 
-Exit codes: 0 success, 2 invalid input, 3 multiple characteristic roots
-under --no-fallback (the closed form does not hold there), 4 strict-mode
+Exit codes: 0 success, 2 invalid input, including inputs whose solution
+leaves double precision, 3 multiple characteristic roots under
+--no-fallback (the closed form does not hold there), 4 strict-mode
 cross-check failure.
 """
 
@@ -253,6 +254,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: solution leaves double precision: {exc}", file=sys.stderr)
         return 2
 
 

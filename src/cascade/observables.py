@@ -67,12 +67,15 @@ class SqueezingReport:
 
 def photon_numbers(m: BogoliubovMatrix) -> PhotonNumbers:
     """Vacuum expectation of the mode occupations: each mode collects the
-    squared magnitudes of its creation-operator coefficients."""
+    squared magnitudes of its creation-operator coefficients: the entries of
+    its row of T (alpha_s, alpha_i+, beta_s, beta_i+) in the columns of the
+    other parity."""
+    (_, v_s, _, q_s), (v_i, _, q_i, _), (_, l_s, _, n_s), (l_i, _, n_i, _) = m.rows
     return PhotonNumbers(
-        n_as=abs(m.V_s) ** 2 + abs(m.Q_s) ** 2,
-        n_ai=abs(m.V_i) ** 2 + abs(m.Q_i) ** 2,
-        n_bs=abs(m.L_s) ** 2 + abs(m.N_s) ** 2,
-        n_bi=abs(m.L_i) ** 2 + abs(m.N_i) ** 2,
+        n_as=abs(v_s) ** 2 + abs(q_s) ** 2,
+        n_ai=abs(v_i) ** 2 + abs(q_i) ** 2,
+        n_bs=abs(l_s) ** 2 + abs(n_s) ** 2,
+        n_bi=abs(l_i) ** 2 + abs(n_i) ** 2,
     )
 
 
@@ -83,13 +86,14 @@ def _require_degenerate(m: BogoliubovMatrix) -> None:
 
 
 def correlators(m: BogoliubovMatrix) -> Correlators:
-    """Degenerate-case correlators built from the signal branch."""
+    """Degenerate-case correlators built from the signal rows of T."""
     _require_degenerate(m)
+    (u, v, w, q), _, (k, l, mm, n), _ = m.rows
     return Correlators(
-        f_a=m.U_s * m.V_s + m.W_s * m.Q_s,
-        f_b=m.K_s * m.L_s + m.M_s * m.N_s,
-        f_ab=m.U_s * m.L_s + m.W_s * m.N_s,
-        g_ab=np.conj(m.V_s) * m.L_s + np.conj(m.Q_s) * m.N_s,
+        f_a=u * v + w * q,
+        f_b=k * l + mm * n,
+        f_ab=u * l + w * n,
+        g_ab=v.conjugate() * l + q.conjugate() * n,
     )
 
 
@@ -108,14 +112,11 @@ def single_mode_min_variance(m: BogoliubovMatrix, mode: str) -> SqueezingReport:
     """Minimal single-mode quadrature variance for the PDC mode ("a") or the
     up-converted mode ("b") of a degenerate matrix."""
     _require_degenerate(m)
-    if mode == "a":
-        x1, x2, y1, y2 = m.U_s, m.W_s, m.V_s, m.Q_s
-        f = m.U_s * m.V_s + m.W_s * m.Q_s
-    elif mode == "b":
-        x1, x2, y1, y2 = m.K_s, m.M_s, m.L_s, m.N_s
-        f = m.K_s * m.L_s + m.M_s * m.N_s
-    else:
+    if mode not in ("a", "b"):
         raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
+    # the mode's signal row of T: annihilation entries x, creation entries y
+    x1, y1, x2, y2 = m.rows[0 if mode == "a" else 2]
+    f = x1 * y1 + x2 * y2
     theta = (math.pi - cmath.phase(f)) / 2 if f != 0 else math.pi / 2
     return SqueezingReport(
         min_variance=_stable_min_variance(x1, x2, y1, y2),
@@ -142,8 +143,9 @@ def collective_min_variance(m: BogoliubovMatrix) -> SqueezingReport:
     """
     _require_degenerate(m)
     r = math.sqrt(0.5)
-    rows = [(r * xa, r * xb) for xa, xb in
-            ((m.U_s, m.K_s), (m.W_s, m.M_s), (m.V_s, m.L_s), (m.Q_s, m.N_s))]
+    a_row, _, b_row, _ = m.rows
+    # (x1, x2, y1, y2) order of _stable_min_variance: columns 0, 2, 1, 3
+    rows = [(r * a_row[j], r * b_row[j]) for j in (0, 2, 1, 3)]
 
     def collective(e):
         return [xa + e * xb for xa, xb in rows]

@@ -190,3 +190,18 @@ def test_solve_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code, os.devnull], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("kappa", ["100", "400"])
+def test_solve_beyond_double_precision_exits_2(kappa):
+    # at kappa = 100 the squeezing minimum's terms overflow, at 400 the
+    # transfer matrix itself: both are a documented exit 2, not a traceback
+    argv = ["solve", "--kappa", kappa, "--eta-s", "1", "--delta-s", "3",
+            "--degenerate", "--length", "2"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cascade.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "cascade.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("error:")
+    assert "inf" not in proc.stdout

@@ -65,8 +65,9 @@ def test_canonical_residuals_identity_matrix():
 
 def test_canonical_residuals_flag_broken_matrix():
     m = matrix_at(make(kappa=2 + 0j, dt=3.0, L=1.0), 1.0)
-    bad = BogoliubovMatrix(**{**{k: getattr(m, k) for k in ENTRY_NAMES},
-                              "z": m.z, "U_s": 2 * m.U_s})
+    data = m.to_dict()
+    data["U_s"] = [2 * m.U_s.real, 2 * m.U_s.imag]
+    bad = BogoliubovMatrix.from_dict(data)
     res = canonical_residuals(bad)
     assert res[0] == pytest.approx(3 * abs(m.U_s) ** 2, rel=1e-12)
 
