@@ -25,8 +25,8 @@ from .oracle import StepSizeUnderflow, Trajectory, canonical_residuals, \
 from .params import (DerivedParams, ModelParams, degenerate_params, derive,
                      is_degenerate, is_three_mode, params_from_dict,
                      params_to_dict, three_mode_params, validate)
-from .scan import (AxisSpec, ScanResult, ScanSpec, degenerate_diagram_spec,
-                   emit, four_mode_diagram_spec, run_scan, solve_point,
-                   sweep_gain)
+from .scan import (AxisSpec, ScanResult, ScanSpec, compare_point,
+                   degenerate_diagram_spec, emit, four_mode_diagram_spec,
+                   run_scan, solve_point, sweep_gain)
 
 __version__ = "0.1.0"

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -161,8 +162,8 @@ def _branch_functions(a: complex, b: complex, c: complex,
     if not np.isfinite(cond) or cond * _EPS > FORWARD_ERROR_LIMIT:
         raise MultipleRootsError(
             f"Vandermonde system too ill-conditioned (cond ~ {cond:.2e}); "
-            "roots are effectively multiple; drop --no-fallback "
-            "(fallback=False) or use the ODE oracle")
+            "roots are effectively multiple; use transfer_matrix or the "
+            "ODE oracle")
     coef = np.linalg.solve(vand, rhs)
 
     delta3 = d2 - d1
@@ -197,8 +198,8 @@ def _check_roots(params: ModelParams, roots: QuarticRoots) -> np.ndarray:
     if roots.near_multiple:
         raise MultipleRootsError(
             f"characteristic roots separated by {roots.min_root_separation:.3e}; "
-            "closed-form solution invalid; drop --no-fallback "
-            "(fallback=False) or use the ODE oracle")
+            "closed-form solution invalid; use transfer_matrix or the ODE "
+            "oracle")
     return np.array(roots.roots, dtype=complex)
 
 
@@ -260,6 +261,11 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            16380.0, 182.0, 1.0)
 _THETA13 = 5.371920351148152
 
+#: 1-norm of A up to which exp(A) cannot overflow, since |exp(A)| <= exp(|A|)
+#: and the largest double is about exp(709.8); above it the squaring may
+#: overflow, which transfer_matrix reports as OverflowError, not as warnings
+_EXP_SAFE_NORM = 700.0
+
 #: the Pade approximant is (V - U)^-1 (V + U) with U odd and V even in A;
 #: rows: the coefficients of (I, A^2, A^4, A^6) in the two sums that A^6
 #: multiplies, then in the two sums added to those products
@@ -286,8 +292,10 @@ def _expm(g: np.ndarray) -> np.ndarray:
     u_inner, v = powers[3] @ terms[:2] + terms[2:]
     u = a @ u_inner
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
+    with (np.errstate(over="ignore", invalid="ignore")
+          if norm > _EXP_SAFE_NORM else nullcontext()):
+        for _ in range(s):
+            r = r @ r
     return r
 
 

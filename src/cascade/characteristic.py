@@ -183,9 +183,9 @@ def classify_three_mode(params: ModelParams) -> tuple[Regime, complex]:
     """
     if not is_three_mode(params):
         raise ValueError("classify_three_mode requires eta_i = 0 and delta_i = 0")
+    d = derive(params)
     a2 = abs(params.kappa) ** 2
-    gs2 = abs(params.eta_s) ** 2 + params.delta_s**2 / 4
-    phi = params.delta_tilde - params.delta_s / 2
+    gs2, phi = d.g_s_sq, d.phi
     p3 = gs2 - a2 + phi**2 / 3
     q3 = params.delta_s / 2 * a2 - 2 * phi / 3 * (gs2 + a2 / 2 - phi**2 / 9)
     d3 = 27 * q3**2 - 4 * p3**3

@@ -5,12 +5,11 @@ entered as magnitude plus phase.  Runs are reproducible: identical flags
 produce identical output bytes.
 
 The analytic solver is the rotating-frame matrix exponential, valid in every
-regime; `solve --no-fallback` uses the paper's closed form alone instead.
+regime.  `compare` prints :func:`cascade.scan.compare_point`, the comparison
+that `sweep-gain` tabulates over the parametric gain.
 
 Exit codes: 0 success, 2 invalid input, including inputs whose solution
-leaves double precision, 3 multiple characteristic roots under
---no-fallback (the closed form does not hold there), 4 strict-mode
-cross-check failure.
+leaves double precision, 4 strict-mode cross-check failure.
 """
 
 from __future__ import annotations
@@ -21,13 +20,12 @@ import json
 import os
 import sys
 
-from .analytic import MultipleRootsError
 from .characteristic import classify, roots_to_json, solve_quartic
-from .observables import observables_summary, photon_numbers, \
-    pdc_only_reference, single_mode_min_variance
+from .observables import observables_summary
 from .params import (ModelParams, derive, params_from_dict, params_to_dict,
                      validate)
-from .scan import ScanSpec, emit, run_scan, solve_point, sweep_gain
+from .scan import (SOLVERS, ScanSpec, compare_point, emit, run_scan,
+                   solve_point, sweep_gain)
 
 _PARAM_FLAGS = (
     ("kappa", "PDC coupling magnitude [cm^-1]"),
@@ -109,12 +107,7 @@ def _json_bytes(obj) -> bytes:
 def _cmd_solve(args) -> int:
     params = _build_params(args)
     z = args.z if args.z is not None else params.length
-    try:
-        m = solve_point(params, z=z, solver=args.solver,
-                        fallback=not args.no_fallback)
-    except MultipleRootsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    m = solve_point(params, z=z, solver=args.solver)
     doc = {
         "params": params_to_dict(params),
         "regime": classify(params).label.value,
@@ -165,19 +158,7 @@ def _cmd_sweep_gain(args) -> int:
 
 def _cmd_compare(args) -> int:
     params = _build_params(args)
-    m_exact = solve_point(params, solver="analytic")
-    m_avg = solve_point(params, solver="averaged")
-    n_ex = photon_numbers(m_exact)
-    n_av = photon_numbers(m_avg)
-    pdc_n, pdc_mv = pdc_only_reference(params.kappa, 0.0, params.length)
-    doc = {
-        "params": params_to_dict(params),
-        "exact": {"n_a": n_ex.n_as, "n_b": n_ex.n_bs,
-                  "minvar_a": single_mode_min_variance(m_exact, "a").min_variance},
-        "averaged": {"n_a": n_av.n_as, "n_b": n_av.n_bs,
-                     "minvar_a": single_mode_min_variance(m_avg, "a").min_variance},
-        "pdc_only": {"n_a": pdc_n, "n_b": 0.0, "minvar_a": pdc_mv},
-    }
+    doc = {"params": params_to_dict(params), **compare_point(params)}
     _write(args, _json_bytes(doc))
     return 0
 
@@ -198,11 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
     p.add_argument("--z", type=float, default=None,
                    help="evaluation position [cm] (default: crystal length)")
-    p.add_argument("--solver", choices=["analytic", "oracle", "averaged"],
+    p.add_argument("--solver", choices=SOLVERS,
                    default="analytic", help="solution method [dimensionless]")
-    p.add_argument("--no-fallback", action="store_true",
-                   help="analytic solver: use the paper's closed form only, "
-                        "which fails with exit 3 at multiple roots")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("classify", parents=[common_out],
@@ -216,8 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON scan specification file")
     p.add_argument("--format", choices=["csv", "json"], default="csv",
                    help="output format")
+    # a string default is converted by `type` only when `scan` runs, so a
+    # bad CASCADE_THREADS is a usage error of `scan`, not of every command
     p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("CASCADE_THREADS", "1")),
+                   default=os.environ.get("CASCADE_THREADS", "1"),
                    help="worker processes (env CASCADE_THREADS)")
     p.add_argument("--strict", action="store_true",
                    help="fail (exit 4) when the oracle cross-check disagrees")

@@ -1,9 +1,10 @@
 """Parameter-grid evaluation of classification and observables.
 
-Grid points are independent; the engine parallelizes over them with a
-process pool and gathers results by index, so output is deterministic and
-byte-identical regardless of the worker count.  Per-point errors are
-recorded as failure rows and never abort a scan.
+One engine evaluates every point: scans map it over their grid, in grid
+order, with the built-in ``map`` or a process pool's ordered ``map``, so
+output is deterministic and byte-identical regardless of the worker count;
+gain sweeps and ``cascade compare`` share :func:`compare_point`.  Per-point
+errors are recorded as failure rows and never abort a scan or a sweep.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import cmath
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -64,6 +67,13 @@ class ScanSpec:
     solver: str = "analytic"
     degenerate: bool = False
 
+    def __post_init__(self):
+        for q in self.quantities:
+            if q not in QUANTITIES:
+                raise ValueError(f"unknown quantity {q!r}")
+        if self.solver not in SOLVERS:
+            raise ValueError(f"unknown solver {self.solver!r}")
+
     def to_dict(self) -> dict:
         from .params import params_to_dict
 
@@ -88,19 +98,12 @@ class ScanSpec:
             return AxisSpec(name=a["name"], min=float(a["min"]),
                             max=float(a["max"]), count=int(a["count"]))
 
-        quantities = tuple(data.get("quantities", ["regime"]))
-        for q in quantities:
-            if q not in QUANTITIES:
-                raise ValueError(f"unknown quantity {q!r}")
-        solver = data.get("solver", "analytic")
-        if solver not in SOLVERS:
-            raise ValueError(f"unknown solver {solver!r}")
         return cls(
             base=params_from_dict(data["base"]),
             axis1=_axis(data["axis1"]),
             axis2=_axis(data["axis2"]) if data.get("axis2") else None,
-            quantities=quantities,
-            solver=solver,
+            quantities=tuple(data.get("quantities", ["regime"])),
+            solver=data.get("solver", "analytic"),
             degenerate=bool(data.get("degenerate", False)),
         )
 
@@ -132,41 +135,36 @@ def point_params(spec: ScanSpec, v1: float, v2: float | None) -> ModelParams:
 
 
 def solve_point(params: ModelParams, z: float | None = None,
-                solver: str = "analytic", fallback: bool = True) -> BogoliubovMatrix:
+                solver: str = "analytic") -> BogoliubovMatrix:
     """Bogoliubov matrix at z (default: the crystal output z = length).
 
     solver="analytic" uses the rotating-frame matrix exponential, valid in
-    every regime; with fallback=False it uses the paper's closed form alone,
-    which raises MultipleRootsError at multiple characteristic roots.
-    solver="oracle" always integrates.  solver="averaged" applies the
-    sinc-averaged parameter map first.
+    every regime; solver="oracle" integrates the mode equations;
+    solver="averaged" applies the sinc-averaged parameter map first.
     """
     validate(params)
     if z is None:
         z = params.length
     if solver == "averaged":
-        params = averaged_model(params)
-        solver = "analytic"
+        params, solver = averaged_model(params), "analytic"
     if solver == "oracle":
         return oracle.matrix_at(params, z)
     if solver != "analytic":
         raise ValueError(f"unknown solver {solver!r}")
-    if not fallback:
-        return analytic.full_matrix(params, z)
     return analytic.transfer_matrix(params, z)
 
 
 def evaluate_quantities(params: ModelParams, quantities, solver: str) -> dict:
     """One grid point: classification and/or matrix-derived observables."""
+    if solver == "averaged":
+        params, solver = averaged_model(params), "analytic"
     out = {}
-    wants_matrix = any(q.startswith(("n_", "minvar")) for q in quantities)
-    class_params = averaged_model(params) if solver == "averaged" else params
     if "regime" in quantities:
-        out["regime"] = classify(class_params).label.value
+        out["regime"] = classify(params).label.value
     if "growth_rate" in quantities:
-        roots = solve_quartic(derive(class_params))
+        roots = solve_quartic(derive(params))
         out["growth_rate"] = max(r.real for r in roots.roots)
-    if wants_matrix:
+    if any(q.startswith(("n_", "minvar")) for q in quantities):
         m = solve_point(params, solver=solver)
         n = photon_numbers(m)
         for q in quantities:
@@ -181,97 +179,106 @@ def evaluate_quantities(params: ModelParams, quantities, solver: str) -> dict:
     return {q: out[q] for q in quantities}
 
 
-_WORKER_SPEC: ScanSpec | None = None
-
-
-def _init_worker(spec_dict: dict) -> None:
-    global _WORKER_SPEC
-    _WORKER_SPEC = ScanSpec.from_dict(spec_dict)
-
-
-def _eval_index(args) -> tuple[int, dict | None, str | None]:
-    idx, v1, v2 = args
-    spec = _WORKER_SPEC
-    try:
-        p = point_params(spec, v1, v2)
-        validate(p)
-        vals = evaluate_quantities(p, spec.quantities, spec.solver)
-        return idx, vals, None
-    except Exception as exc:  # per-point failure, recorded not raised
-        return idx, None, type(exc).__name__
-
-
-def _grid(spec: ScanSpec):
-    """Deterministic row order: axis2 outer, axis1 inner."""
-    v1s = spec.axis1.values()
-    if spec.axis2 is None:
-        return [(i, float(v), None) for i, v in enumerate(v1s)]
-    v2s = spec.axis2.values()
-    out = []
-    idx = 0
-    for v2 in v2s:
-        for v1 in v1s:
-            out.append((idx, float(v1), float(v2)))
-            idx += 1
+def compare_point(params: ModelParams) -> dict:
+    """Exact, sinc-averaged and plain phase-matched PDC photon numbers and
+    signal squeezing at one point: {"exact", "averaged", "pdc_only"}, each
+    {"n_a", "n_b", "minvar_a"}."""
+    matrices = {"exact": solve_point(params, solver="analytic"),
+                "averaged": solve_point(params, solver="averaged")}
+    out = {}
+    for tag, m in matrices.items():
+        n = photon_numbers(m)
+        out[tag] = {"n_a": n.n_as, "n_b": n.n_bs,
+                    "minvar_a": single_mode_min_variance(m, "a").min_variance}
+    pdc_n, pdc_mv = pdc_only_reference(params.kappa, 0.0, params.length)
+    out["pdc_only"] = {"n_a": pdc_n, "n_b": 0.0, "minvar_a": pdc_mv}
     return out
+
+
+def _captured(fn, *args) -> tuple[dict | None, str | None]:
+    """(fn(*args), None), or (None, the exception's class name): the
+    per-point failure capture of scans and sweeps."""
+    try:
+        return fn(*args), None
+    except Exception as exc:  # per-point failure, recorded not raised
+        return None, type(exc).__name__
+
+
+def _tabulate(axes: list, results: list) -> tuple[list, list]:
+    """Rows and failure rows from each point's axis values and result."""
+    rows, failures = [], []
+    for ax, (vals, err) in zip(axes, results):
+        if err is None:
+            rows.append({**ax, **vals})
+        else:
+            failures.append({**ax, "error": err})
+    return rows, failures
+
+
+def _scan_values(spec: ScanSpec, point: tuple) -> dict:
+    p = validate(point_params(spec, *point))
+    return evaluate_quantities(p, spec.quantities, spec.solver)
+
+
+def _oracle_values(spec: ScanSpec, quantities: list, point: tuple) -> dict:
+    p = point_params(spec, *point)
+    if spec.solver == "averaged":
+        p = averaged_model(p)
+    return evaluate_quantities(p, quantities, "oracle")
+
+
+def _ordered_map(pool, workers: int, fn, items: list) -> list:
+    """fn over items, in input order; on the pool when there is one, in
+    chunks sized from len(items) so that a short list splits too."""
+    if pool is None:
+        return list(map(fn, items))
+    return list(pool.map(fn, items, chunksize=max(1, len(items) // (workers * 8))))
+
+
+def _grid(spec: ScanSpec) -> list:
+    """Deterministic point order (v1, v2): axis2 outer, axis1 inner."""
+    v1s = [float(v) for v in spec.axis1.values()]
+    if spec.axis2 is None:
+        return [(v1, None) for v1 in v1s]
+    return [(v1, float(v2)) for v2 in spec.axis2.values() for v1 in v1s]
 
 
 def run_scan(spec: ScanSpec, workers: int = 1, strict: bool = False,
              cross_check: bool = False, seed: int = 0) -> ScanResult:
-    """Evaluate every grid point; gather by index for deterministic output.
+    """Evaluate every grid point, in grid order.
 
     With cross_check enabled (implied by strict), a seeded 5% sample of the
     successful analytic/averaged points is re-solved with the ODE oracle and
     observables are compared at 1e-5 relative; disagreements are reported in
     cross_check_violations and raise RuntimeError in strict mode.
     """
-    tasks = _grid(spec)
-    spec_dict = spec.to_dict()
-    results: list = [None] * len(tasks)
-    if workers <= 1:
-        _init_worker(spec_dict)
-        for t in tasks:
-            results[t[0]] = _eval_index(t)
-    else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(spec_dict,)) as pool:
-            chunk = max(1, len(tasks) // (workers * 8))
-            for idx, vals, err in pool.map(_eval_index, tasks, chunksize=chunk):
-                results[idx] = (idx, vals, err)
-
-    axis_names = [spec.axis1.name] + ([spec.axis2.name] if spec.axis2 else [])
-    rows, failures = [], []
-    for (idx, vals, err), (_, v1, v2) in zip(results, tasks):
-        axes = {axis_names[0]: v1}
-        if spec.axis2 is not None:
-            axes[axis_names[1]] = v2
-        if err is None:
-            rows.append({**axes, **vals})
-        else:
-            failures.append({**axes, "error": err})
-
-    violations: list = []
-    if (cross_check or strict) and spec.solver in ("analytic", "averaged"):
-        numeric = [q for q in spec.quantities if q != "regime"]
-        rng = np.random.default_rng(seed)
-        sampled = [t for t in tasks if rng.random() < CROSS_CHECK_FRACTION]
-        for idx, v1, v2 in sampled:
-            if results[idx][2] is not None:
-                continue
-            p = point_params(spec, v1, v2)
-            if spec.solver == "averaged":
-                p = averaged_model(p)
-            ref = evaluate_quantities(p, numeric, "oracle")
-            got = results[idx][1]
-            for q in numeric:
-                denom = max(abs(ref[q]), 1e-8 / CROSS_CHECK_RTOL)
-                if abs(got[q] - ref[q]) > CROSS_CHECK_RTOL * denom:
-                    violations.append({"index": idx, "quantity": q,
-                                       "value": got[q], "oracle": ref[q]})
+    grid = _grid(spec)
+    checked = (cross_check or strict) and spec.solver in ("analytic", "averaged")
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        results = _ordered_map(pool, workers,
+                               partial(_captured, _scan_values, spec), grid)
+        violations: list = []
+        if checked:
+            numeric = [q for q in spec.quantities if q != "regime"]
+            rng = np.random.default_rng(seed)
+            sampled = [i for i in range(len(grid))
+                       if rng.random() < CROSS_CHECK_FRACTION and results[i][1] is None]
+            refs = _ordered_map(pool, workers, partial(_oracle_values, spec, numeric),
+                                [grid[i] for i in sampled])
+            for idx, ref in zip(sampled, refs):
+                got = results[idx][0]
+                for q in numeric:
+                    denom = max(abs(ref[q]), 1e-8 / CROSS_CHECK_RTOL)
+                    if abs(got[q] - ref[q]) > CROSS_CHECK_RTOL * denom:
+                        violations.append({"index": idx, "quantity": q,
+                                           "value": got[q], "oracle": ref[q]})
     if strict and violations:
         raise RuntimeError(f"strict cross-check failed at {len(violations)} point(s)")
 
-    return ScanResult(spec=spec_dict, rows=rows, failures=failures,
+    names = [spec.axis1.name] + ([spec.axis2.name] if spec.axis2 else [])
+    axes = [dict(zip(names, point)) for point in grid]
+    rows, failures = _tabulate(axes, results)
+    return ScanResult(spec=spec.to_dict(), rows=rows, failures=failures,
                       cross_check_violations=violations)
 
 
@@ -321,36 +328,30 @@ SWEEP_QUANTITIES = ("exact_n_a", "exact_n_b", "exact_minvar_a",
 SWEEP_LENGTH = 1.0
 
 
+def _sweep_values(params: ModelParams) -> dict:
+    c = compare_point(params)
+    return dict(zip(SWEEP_QUANTITIES,
+                    (v for model in c.values() for v in model.values())))
+
+
 def sweep_gain(delta_s_times_length: float, ratio_r: float,
                gamma_max: float, points: int) -> ScanResult:
     """Degenerate phase-matched-PDC gain sweep: for each parametric gain
-    G = |kappa| L in [0, gamma_max], solve the exact, averaged and plain-PDC
-    models at |eta_s| = r |kappa| and fixed delta_s L."""
+    G = |kappa| L in [0, gamma_max], :func:`compare_point` at
+    |eta_s| = r |kappa| and fixed delta_s L, flattened into SWEEP_QUANTITIES."""
     if points < 2:
         raise ValueError("points must be >= 2")
     L = SWEEP_LENGTH
     ds = delta_s_times_length / L
-    rows, failures = [], []
-    for g in np.linspace(0.0, gamma_max, points):
+    gammas = [float(g) for g in np.linspace(0.0, gamma_max, points)]
+    results = []
+    for g in gammas:
         ka = g / L
         p = validate(ModelParams(kappa=ka + 0j, eta_s=ratio_r * ka + 0j,
                                  eta_i=ratio_r * ka + 0j, delta_tilde=0.0,
                                  delta_s=ds, delta_i=ds, length=L))
-        try:
-            row = {"gamma": float(g)}
-            for tag, solver in (("exact", "analytic"), ("averaged", "averaged")):
-                m = solve_point(p, solver=solver)
-                n = photon_numbers(m)
-                row[f"{tag}_n_a"] = n.n_as
-                row[f"{tag}_n_b"] = n.n_bs
-                row[f"{tag}_minvar_a"] = single_mode_min_variance(m, "a").min_variance
-            n_pdc, mv_pdc = pdc_only_reference(p.kappa, 0.0, L)
-            row["pdc_n_a"] = n_pdc
-            row["pdc_n_b"] = 0.0
-            row["pdc_minvar_a"] = mv_pdc
-            rows.append(row)
-        except Exception as exc:
-            failures.append({"gamma": float(g), "error": type(exc).__name__})
+        results.append(_captured(_sweep_values, p))
+    rows, failures = _tabulate([{"gamma": g} for g in gammas], results)
     spec = {"sweep_gain": {"delta_s_times_length": delta_s_times_length,
                            "ratio_r": ratio_r, "gamma_max": gamma_max,
                            "points": points, "length": L}}

@@ -9,6 +9,7 @@ import pytest
 
 import cascade
 from cascade.cli import main
+from cascade.scan import SWEEP_LENGTH, SWEEP_QUANTITIES, sweep_gain
 
 
 def run(capsys, *argv):
@@ -51,12 +52,6 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--length", "-1")
         assert code == 2
         assert "length" in err
-
-    def test_no_fallback_exit_3(self, capsys):
-        # phase-matched plain PDC sits on the multiple-root curve
-        code, _, err = run(capsys, "solve", "--kappa", "3", "--no-fallback")
-        assert code == 3
-        assert "oracle" in err
 
     def test_fallback_solves_multiple_root_point(self, capsys):
         code, out, _ = run(capsys, "solve", "--kappa", "3", "--length", "1")
@@ -137,6 +132,22 @@ class TestCompare:
         doc = json.loads(out)
         assert 0.1 < doc["exact"]["n_a"] / doc["pdc_only"]["n_a"] < 10
 
+    def test_equals_sweep_gain_row(self, capsys):
+        # one comparison behind both commands: the same point gives the
+        # same numbers, bit for bit
+        ratio, ds_l = 1.0, 47.12
+        row = sweep_gain(ds_l, ratio, 6.0, 61).rows[40]
+        gamma = row["gamma"]
+        code, out, _ = run(capsys, "compare", "--kappa", repr(gamma),
+                           "--eta-s", repr(ratio * gamma), "--delta-s",
+                           repr(ds_l / SWEEP_LENGTH), "--degenerate",
+                           "--length", repr(SWEEP_LENGTH))
+        assert code == 0
+        doc = json.loads(out)
+        flat = [doc[model][q] for model in ("exact", "averaged", "pdc_only")
+                for q in ("n_a", "n_b", "minvar_a")]
+        assert flat == [row[q] for q in SWEEP_QUANTITIES]
+
 
 class TestScanAndSweep:
     def test_scan_csv(self, capsys, tmp_path):
@@ -205,3 +216,30 @@ def test_solve_beyond_double_precision_exits_2(kappa):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("error:")
     assert "inf" not in proc.stdout
+
+
+def test_solve_beyond_double_precision_stderr_is_one_line():
+    # the overflowing squaring of the matrix exponential prints no numpy
+    # warnings ahead of the error line
+    argv = ["solve", "--kappa", "400", "--eta-s", "1", "--delta-s", "3",
+            "--degenerate", "--length", "2"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cascade.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "cascade.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: solution leaves double precision: "
+        "transfer matrix entries exceed double precision"]
+
+
+def test_bad_cascade_threads_fails_scan_only(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("CASCADE_THREADS", "abc")
+    code, out, _ = run(capsys, "classify", "--kappa", "3")
+    assert code == 0
+    assert json.loads(out)["regime"] == "V"
+    spec = tmp_path / "spec.json"
+    spec.write_text("{}")
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--spec", str(spec)])
+    assert exc.value.code == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cascade.observables import photon_numbers, single_mode_min_variance
+from cascade import scan
 from cascade.params import ModelParams, degenerate_params, params_to_dict, validate
 from cascade.scan import (AxisSpec, ScanSpec, emit, evaluate_quantities,
                           point_params, run_scan, solve_point, sweep_gain)
@@ -69,6 +70,12 @@ class TestGridMechanics:
                                           "max": 1, "count": 2},
                                 "quantities": ["nope"]})
 
+    def test_spec_checked_at_construction(self):
+        with pytest.raises(ValueError, match="quantity"):
+            deg_spec(quantities=("nope",))
+        with pytest.raises(ValueError, match="solver"):
+            deg_spec(solver="nope")
+
     def test_reference_points_regimes(self):
         spec = deg_spec(axis1=AxisSpec("delta_s", 0.0, 10.0, 2),
                         axis2=AxisSpec("eta_s_abs", 1.0, 4.0, 2),
@@ -117,6 +124,19 @@ class TestDeterminismAndParallel:
                         quantities=("n_as", "minvar_a"))
         res = run_scan(spec, strict=True, seed=3)
         assert res.cross_check_violations == []
+
+    def test_cross_check_violations_reported(self, monkeypatch):
+        # the oracle re-solve runs on the pool too: a tolerance no solver
+        # meets gives the same violations for any worker count
+        monkeypatch.setattr(scan, "CROSS_CHECK_RTOL", 1e-16)
+        spec = deg_spec(axis1=AxisSpec("delta_s", 2.0, 12.0, 40), axis2=None,
+                        quantities=("n_as", "minvar_a"))
+        one = run_scan(spec, cross_check=True, seed=3).cross_check_violations
+        two = run_scan(spec, workers=2, cross_check=True,
+                       seed=3).cross_check_violations
+        assert one and one == two
+        with pytest.raises(RuntimeError):
+            run_scan(spec, strict=True, seed=3)
 
 
 class TestEmit:
