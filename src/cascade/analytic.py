@@ -39,12 +39,11 @@ ill-conditioned, in which case MultipleRootsError is raised.
 from __future__ import annotations
 
 import cmath
-import math
 from contextlib import nullcontext
 
 import numpy as np
 
-from .bogoliubov import BogoliubovMatrix
+from .bogoliubov import BogoliubovMatrix, _gather
 from .characteristic import QuarticRoots, solve_quartic
 from .params import ModelParams, derive
 
@@ -248,8 +247,8 @@ def full_matrix(params: ModelParams, z: float) -> BogoliubovMatrix:
                              for second in (False, True)])
 
     es, ei, ds, di = params.eta_s, params.eta_i, params.delta_s, params.delta_i
-    return BogoliubovMatrix.from_branches(z, pair(es, ei, ds, di, lams),
-                                          pair(ei, es, di, ds, lams_sw))
+    return BogoliubovMatrix.from_branches(z, [pair(es, ei, ds, di, lams),
+                                              pair(ei, es, di, ds, lams_sw)])
 
 
 #: [13/13] Pade coefficients b_0..b_13 and the largest 1-norm for which that
@@ -263,48 +262,102 @@ _THETA13 = 5.371920351148152
 
 #: 1-norm of A up to which exp(A) cannot overflow, since |exp(A)| <= exp(|A|)
 #: and the largest double is about exp(709.8); above it the squaring may
-#: overflow, which transfer_matrix reports as OverflowError, not as warnings
+#: overflow, which the callers report as OverflowError, not as warnings
 _EXP_SAFE_NORM = 700.0
 
 #: the Pade approximant is (V - U)^-1 (V + U) with U odd and V even in A;
-#: rows: the coefficients of (I, A^2, A^4, A^6) in the two sums that A^6
-#: multiplies, then in the two sums added to those products
+#: rows: the coefficients of (A^2, A^4, A^6) in the two sums that A^6
+#: multiplies, then in the two sums added to those products;
+#: _PADE13_IDENTITY holds the four sums' identity terms as the 4x4 blocks of
+#: a 16 x 4 matrix
 _PADE13_TERMS = np.array([
-    [0.0, _PADE13[9], _PADE13[11], _PADE13[13]],
-    [0.0, _PADE13[8], _PADE13[10], _PADE13[12]],
-    [_PADE13[1], _PADE13[3], _PADE13[5], _PADE13[7]],
-    [_PADE13[0], _PADE13[2], _PADE13[4], _PADE13[6]],
-])
+    [_PADE13[9], _PADE13[11], _PADE13[13]],
+    [_PADE13[8], _PADE13[10], _PADE13[12]],
+    [_PADE13[3], _PADE13[5], _PADE13[7]],
+    [_PADE13[2], _PADE13[4], _PADE13[6]],
+], dtype=complex)
+_PADE13_IDENTITY = np.concatenate([c * np.identity(4) for c in
+                                   (0.0, 0.0, _PADE13[1], _PADE13[0])])
 
 
-def _expm(g: np.ndarray) -> np.ndarray:
-    """exp of each matrix in a stack (k, n, n), by [13/13] Pade scaling and
-    squaring with one scaling for the whole stack."""
-    norm = float(np.abs(g).sum(axis=-2).max())
-    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
-    a = g * 0.5**s
-    powers = np.empty((4,) + g.shape, dtype=complex)
-    powers[0] = np.eye(g.shape[-1])
-    np.matmul(a, a, out=powers[1])
-    np.matmul(powers[1], powers[1], out=powers[2])
-    np.matmul(powers[2], powers[1], out=powers[3])
-    terms = (_PADE13_TERMS @ powers.reshape(4, -1)).reshape(powers.shape)
-    u_inner, v = powers[3] @ terms[:2] + terms[2:]
-    u = a @ u_inner
-    r = np.linalg.solve(v - u, v + u)
-    with (np.errstate(over="ignore", invalid="ignore")
-          if norm > _EXP_SAFE_NORM else nullcontext()):
-        for _ in range(s):
-            r = r @ r
-    return r
+def _expm(g: np.ndarray) -> tuple[np.ndarray, bool]:
+    """exp of each matrix in a stack (m, 4, 4), by [13/13] Pade scaling and
+    squaring with one scaling exponent per matrix, so that a small matrix is
+    not overscaled by a large stack-mate (Al-Mohy & Higham, SIAM J. Matrix
+    Anal. Appl. 31(3), 2009).  Every product is one matrix's, and the extra
+    squarings run only on the matrices that need them, so no result depends
+    on the rest of the stack.  Returns the stack and whether the 1-norms add
+    up to less than _EXP_SAFE_NORM (false for NaN), so that no entry can
+    have overflowed."""
+    m, n = g.shape[0], g.shape[-1]
+    norm = np.abs(g).sum(axis=-2, keepdims=True).max(axis=-1, keepdims=True)
+    safe = sum(norm.ravel().tolist()) < _EXP_SAFE_NORM
+    with nullcontext() if safe else np.errstate(over="ignore", invalid="ignore"):
+        # s: the smallest s >= 0 with |g|_1 / 2^s < theta, shaped (m, 1, 1);
+        # x = mant 2^s exactly, so mant / x = 2^-s
+        x = np.maximum(norm / _THETA13, 0.5)
+        mant, s = np.frexp(x)
+        a = g * (mant / x)
+        powers = np.empty((3,) + g.shape, dtype=complex)
+        np.matmul(a, a, out=powers[0])
+        np.matmul(powers[0], powers[0], out=powers[1])
+        np.matmul(powers[1], powers[0], out=powers[2])
+        # the sums (u2, v2, u1, v1) stacked as the rows of one 4n x n matrix;
+        # the first two are multiplied by A^6, with which they commute
+        terms = (_PADE13_TERMS @ powers.reshape(3, m, n * n).swapaxes(0, 1)
+                 ).reshape(m, 4 * n, n) + _PADE13_IDENTITY
+        uv = terms[:, :2 * n] @ powers[2] + terms[:, 2 * n:]
+        u = a @ uv[:, :n]
+        v = uv[:, n:]
+        r = np.linalg.solve(v - u, v + u)
+        s = s.ravel()
+        exponents = s.tolist()
+        common = min(exponents)
+        for k in range(max(exponents)):
+            if k < common:
+                r = r @ r
+            else:
+                sel = s > k
+                q = r[sel]
+                r[sel] = q @ q
+    return r, safe
 
 
-def _generator(a: complex, b: complex, c: complex,
-               d1: float, d2: float, d3: float) -> list:
-    return [[0, 1j * a, 1j * b.conjugate(), 0],
-            [-1j * a.conjugate(), 1j * d1, 0, -1j * c],
-            [1j * b, 0, 1j * d2, 0],
-            [0, -1j * c.conjugate(), 0, -1j * (d3 - d1)]]
+def _generator(a, b, c, d1, d2, d3) -> list:
+    """The rotating-frame generator G, its 16 entries row by row; the
+    arguments are scalars or arrays of one shape, and so are the entries."""
+    zero = 0.0 * abs(a)
+    return [zero, 1j * a, 1j * b.conjugate(), zero,
+            -1j * a.conjugate(), 1j * d1, zero, -1j * c,
+            1j * b, zero, 1j * d2, zero,
+            zero, -1j * c.conjugate(), zero, -1j * (d3 - d1)]
+
+
+def _generators(params: ModelParams, z) -> tuple:
+    """The rotating-frame phases e^{i theta z}, (..., 2, 4, 1), and the
+    generators times z, (..., 2, 4, 4), of the direct and the
+    signal/idler-swapped mapping.  The fields of params are scalars or
+    arrays of one shape (...), a batch of points; z is a scalar or an array
+    of shape (..., 1, 1, 1)."""
+    a, es, ei = params.kappa, params.eta_s, params.eta_i
+    d1, ds, di = params.delta_tilde, params.delta_s, params.delta_i
+    g = np.array(_generator(a, es, ei, d1, ds, di)
+                 + _generator(a, ei, es, d1, di, ds), dtype=complex)
+    if g.ndim > 1:  # a batch: its axes go first
+        g = np.moveaxis(g, 0, -1).copy()
+    gz = g.reshape(g.shape[:-1] + (2, 4, 4)) * z
+    # Y_k = e^{i theta_k z} X_k, and diag(G) = -i theta
+    return np.exp(-gz.diagonal(axis1=-2, axis2=-1))[..., None], gz
+
+
+def _expm_pairs(g: np.ndarray, twins: np.ndarray) -> np.ndarray:
+    """exp of each matrix of a stack of pairs (m, 2, 4, 4), where a pair
+    flagged in twins holds two equal matrices and is exponentiated once."""
+    r, _ = _expm(np.concatenate((g[:, 0], g[~twins, 1])))
+    x = np.empty_like(g)
+    x[:, 0] = x[:, 1] = r[:len(g)]
+    x[~twins, 1] = r[len(g):]
+    return x
 
 
 def transfer_matrix(params: ModelParams, z: float) -> BogoliubovMatrix:
@@ -313,13 +366,24 @@ def transfer_matrix(params: ModelParams, z: float) -> BogoliubovMatrix:
 
     Raises OverflowError when an entry exceeds double precision.
     """
-    a, es, ei = params.kappa, params.eta_s, params.eta_i
-    d1, ds, di = params.delta_tilde, params.delta_s, params.delta_i
-    g = np.array([_generator(a, es, ei, d1, ds, di),
-                  _generator(a, ei, es, d1, di, ds)], dtype=complex)
-    theta = np.array([[0.0, -d1, -ds, di - d1], [0.0, -d1, -di, ds - d1]])
+    phase, gz = _generators(params, z)
+    # a degenerate point's two generators are equal: one exponential serves
+    twins = params.eta_s == params.eta_i and params.delta_s == params.delta_i
+    r, safe = _expm(gz[:1] if twins else gz)
     # columns e1 and e3 are the two initial conditions of each branch pair
-    y = np.exp(1j * z * theta)[:, :, None] * _expm(g * z)[:, :, ::2]
-    if not np.isfinite(y).all():
+    x = r[..., ::2]
+    if not (safe or np.isfinite(x).all()):
         raise OverflowError("transfer matrix entries exceed double precision")
-    return BogoliubovMatrix.from_branches(z, *y)
+    return BogoliubovMatrix.from_branches(z, phase * x)
+
+
+def transfer_matrices(params: ModelParams, z) -> np.ndarray:
+    """The transfer matrices T (..., 4, 4) of a batch: params' fields and z
+    are arrays of one shape (...).  The same exponential as
+    :func:`transfer_matrix`; an entry beyond double precision comes back as
+    inf or NaN instead of raising, so call it under ``np.errstate``."""
+    phase, gz = _generators(params, np.asarray(z, dtype=float)[..., None, None, None])
+    # degenerate points have equal direct and swapped generators
+    twins = (params.eta_s == params.eta_i) & (params.delta_s == params.delta_i)
+    x = _expm_pairs(gz.reshape(-1, 2, 4, 4), twins.ravel()).reshape(gz.shape)
+    return _gather(phase * x[..., ::2])

@@ -45,6 +45,19 @@ ENTRY_NAMES = tuple(_LAYOUT)
 #: K, L, M, N)
 _SWAP = [1, 0, 3, 2]
 
+#: where each entry of T sits in a flattened (2, 4, 2) branch array followed
+#: by its conjugate: column 2c of row r is direct[r, c], column 2c + 1 is
+#: conj(swapped[_SWAP[r], c])
+_GATHER = np.array([[r * 2 + col // 2 if col % 2 == 0
+                     else 24 + _SWAP[r] * 2 + col // 2 for col in range(4)]
+                    for r in range(4)])
+
+
+def _gather(branches: np.ndarray) -> np.ndarray:
+    """T from a stacked branch array (..., 2, 4, 2), one index gather."""
+    w = branches.reshape(branches.shape[:-3] + (16,))
+    return np.concatenate((w, w.conj()), axis=-1).take(_GATHER, axis=-1)
+
 
 @dataclass(frozen=True, eq=False)
 class BogoliubovMatrix:
@@ -79,17 +92,14 @@ class BogoliubovMatrix:
         return cls(z, t)
 
     @classmethod
-    def from_branches(cls, z: float, direct, swapped) -> "BogoliubovMatrix":
+    def from_branches(cls, z: float, branches) -> "BogoliubovMatrix":
         """Assemble T from the solutions (Y1, Y2, Y3, Y4) of the branch
-        systems, as the two columns of a 4x2 array for each mapping: the
-        direct parameter mapping and the signal/idler-swapped one, each
-        started from (1, 0, 0, 0) and from (0, 0, 1, 0).  The direct pair is
-        columns 0 and 2 of T; the swapped pair, conjugated and with its
-        signal and idler rows exchanged, is columns 1 and 3."""
-        t = np.empty((4, 4), dtype=complex)
-        t[:, ::2] = direct
-        t[:, 1::2] = np.conj(swapped)[_SWAP]
-        return cls(z, t)
+        systems, stacked as a (2, 4, 2) array: the direct parameter mapping
+        and the signal/idler-swapped one, each with the solutions started
+        from (1, 0, 0, 0) and from (0, 0, 1, 0) as its two columns.  The
+        direct pair is columns 0 and 2 of T; the swapped pair, conjugated and
+        with its signal and idler rows exchanged, is columns 1 and 3."""
+        return cls(z, _gather(np.asarray(branches)))
 
     def max_abs(self) -> float:
         return max(abs(v) for row in self.rows for v in row)
@@ -127,3 +137,11 @@ def branches_coincide(m: BogoliubovMatrix, tol: float = 1e-6) -> bool:
     return all(abs(s[k] - i[j].conjugate()) <= bound
                for s, i in ((s_alpha, i_alpha), (s_beta, i_beta))
                for k, j in enumerate(_SWAP))
+
+
+def branches_coincide_stack(t: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+    """:func:`branches_coincide` of each transfer matrix in a stack
+    (..., 4, 4), as a boolean array (...)."""
+    bound = tol * np.maximum(1.0, np.abs(t).max(axis=(-2, -1)))
+    diff = np.abs(t[..., ::2, :] - t[..., 1::2, _SWAP].conj())
+    return (diff <= bound[..., None, None]).all(axis=(-2, -1))

@@ -28,11 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
-from .params import (DerivedParams, ModelParams, derive, is_degenerate,
-                     is_three_mode)
+from .params import (DerivedParams, ModelParams, _abs_sq, derive,
+                     is_degenerate, is_three_mode)
 
 #: roots closer than MULT_TOL * max(1, max|root|) are flagged as multiple
 MULT_TOL = 1e-6
@@ -68,10 +69,31 @@ class QuarticRoots:
     near_multiple: bool
 
 
-def _scale(p: float, q: float, r: float) -> float:
+def _max(*values):
+    """The largest of scalars, or the elementwise largest of arrays."""
+    if isinstance(values[-1], np.ndarray):
+        return reduce(np.maximum, values)
+    return max(values)
+
+
+def _scale(p, q, r):
     """Root-magnitude scale of the quartic: homogeneous degree-1 combination
     of the coefficients, floored at 1."""
-    return max(1.0, abs(p) ** 0.5, abs(q) ** (1 / 3), abs(r) ** 0.25)
+    return _max(1.0, abs(p) ** 0.5, abs(q) ** (1 / 3), abs(r) ** 0.25)
+
+
+def _lambdas(p, q, r) -> np.ndarray:
+    """Roots lambda (..., 4), unordered, of lambda^4 + P lambda^2 + i Q
+    lambda + R = 0 for coefficients that are scalars or arrays (...): the
+    eigenvalues mu of the companion matrix of mu^4 - P mu^2 + Q mu + R (the
+    matrix numpy.roots builds), mapped back by lambda = -i mu."""
+    c = np.zeros(np.shape(p) + (4, 4))
+    c[..., 0, 0] = -0.0
+    c[..., 0, 1] = p
+    c[..., 0, 2] = -q
+    c[..., 0, 3] = -r
+    c[..., 1, 0] = c[..., 2, 1] = c[..., 3, 2] = 1.0
+    return -1j * np.linalg.eigvals(c)
 
 
 def solve_quartic(d: DerivedParams) -> QuarticRoots:
@@ -81,10 +103,8 @@ def solve_quartic(d: DerivedParams) -> QuarticRoots:
     matrix eigenvalues (numerically robust near multiple roots, no explicit
     radical branch cuts), then mapped back by lambda = -i mu.
     """
-    p, q, r = d.p_coef, d.q_coef, d.r_coef
-    mu = np.roots([1.0, 0.0, -p, q, r])
-    lam = -1j * mu
-    lam = sorted(lam, key=lambda x: (-x.real, -x.imag))
+    lam = sorted(_lambdas(d.p_coef, d.q_coef, d.r_coef),
+                 key=lambda x: (-x.real, -x.imag))
     sep = min(abs(lam[i] - lam[j]) for i in range(4) for j in range(i + 1, 4))
     big = max(abs(x) for x in lam)
     return QuarticRoots(
@@ -104,12 +124,68 @@ def discriminant_general(d: DerivedParams) -> float:
     real or none real, D = 0 multiple roots.
     """
     p, q, r = d.p_coef, d.q_coef, d.r_coef
-    return (256 * r**3 - 128 * p**2 * r**2 - 144 * p * q**2 * r
-            - 27 * q**4 + 16 * p**4 * r + 4 * p**3 * q**2)
+    p2, q2, r2 = p * p, q * q, r * r
+    return (256 * r2 * r - 128 * p2 * r2 - 144 * p * q2 * r
+            - 27 * q2 * q2 + 16 * p2 * p2 * r + 4 * p2 * p * q2)
 
 
 def _max_growth(d: DerivedParams) -> float:
     return max(x.real for x in solve_quartic(d).roots)
+
+
+def growth_rates(d: DerivedParams) -> np.ndarray:
+    """The largest Re(lambda) of each point of a batch: d's fields are
+    arrays of one shape, from :func:`cascade.params.derive` of a batch.
+    NaN where a coefficient is not finite."""
+    coefficients = (d.p_coef, d.q_coef, d.r_coef)
+    finite = np.logical_and.reduce([np.isfinite(c) for c in coefficients])
+    lam = _lambdas(*(np.where(finite, c, 0.0) for c in coefficients))
+    return np.where(finite, lam.real.max(axis=-1), np.nan)
+
+
+def _label(cases: list, default: Area):
+    """The label of the first case whose condition holds, else default.
+    Conditions are bools, or boolean arrays of one shape; then the result
+    is an array of label strings."""
+    if isinstance(cases[0][1], np.ndarray):
+        return np.select([c for _, c in cases], [a.value for a, _ in cases],
+                         default.value)
+    for area, condition in cases:
+        if condition:
+            return area
+    return default
+
+
+def _general_label(d: DerivedParams):
+    p, q, r = d.p_coef, d.q_coef, d.r_coef
+    disc = discriminant_general(d)
+    return _label([(Area.V, abs(disc) <= CLASS_TOL * _scale(p, q, r) ** 12),
+                   (Area.II, disc < 0),
+                   (Area.I, (p > 0) & (r < p * p / 4))], Area.III)
+
+
+def _degenerate_label(d: DerivedParams):
+    p, r = d.p_coef, d.r_coef
+    tol = CLASS_TOL * _scale(p, 0.0, r) ** 4
+    quarter = p * p / 4
+    return _label([(Area.V, (abs(r) <= tol) | (abs(r - quarter) <= tol)),
+                   (Area.II, r < 0), (Area.III, r > quarter), (Area.I, p > 0)],
+                  Area.IV)
+
+
+def _three_mode_discriminant(params: ModelParams, d: DerivedParams):
+    """(P3, Q3, D3) of the three-mode cubic s^3 - P3 s + Q3 = 0."""
+    a2 = _abs_sq(params.kappa)
+    gs2, phi = d.g_s_sq, d.phi
+    p3 = gs2 - a2 + phi * phi / 3
+    q3 = params.delta_s / 2 * a2 - 2 * phi / 3 * (gs2 + a2 / 2 - phi * phi / 9)
+    return p3, q3, 27 * q3 * q3 - 4 * p3 * p3 * p3
+
+
+def _three_mode_label(params: ModelParams, d: DerivedParams):
+    p3, q3, d3 = _three_mode_discriminant(params, d)
+    tol = CLASS_TOL * _max(1.0, abs(p3) ** 0.5, abs(q3) ** (1 / 3)) ** 6
+    return _label([(Area.V, abs(d3) <= tol), (Area.II, d3 > 0)], Area.I)
 
 
 def classify_general(d: DerivedParams) -> Regime:
@@ -123,18 +199,7 @@ def classify_general(d: DerivedParams) -> Regime:
                                       max_growth_rate)
     D = 0 within tolerance   ->  V
     """
-    p, q, r = d.p_coef, d.q_coef, d.r_coef
-    disc = discriminant_general(d)
-    s = _scale(p, q, r)
-    if abs(disc) <= CLASS_TOL * s**12:
-        label = Area.V
-    elif disc < 0:
-        label = Area.II
-    elif p > 0 and r < p * p / 4:
-        label = Area.I
-    else:
-        label = Area.III
-    return Regime(label=label, max_growth_rate=_max_growth(d))
+    return Regime(label=_general_label(d), max_growth_rate=_max_growth(d))
 
 
 def classify_degenerate(params: ModelParams) -> Regime:
@@ -149,21 +214,10 @@ def classify_degenerate(params: ModelParams) -> Regime:
         raise ValueError("classify_degenerate requires eta_i = eta_s and delta_i = delta_s")
     d = derive(params)
     p, r = d.p_coef, d.r_coef
-    tol = CLASS_TOL * _scale(p, 0.0, r) ** 4
     s = complex(p * p - 4 * r) ** 0.5
     lam_sq = ((-p + s) / 2, (-p - s) / 2)
     growth = max(abs((l2**0.5).real) for l2 in lam_sq)
-    if abs(r) <= tol or abs(r - p * p / 4) <= tol:
-        label = Area.V
-    elif r < 0:
-        label = Area.II
-    elif r > p * p / 4:
-        label = Area.III
-    elif p > 0:
-        label = Area.I
-    else:
-        label = Area.IV
-    return Regime(label=label, max_growth_rate=float(growth))
+    return Regime(label=_degenerate_label(d), max_growth_rate=float(growth))
 
 
 def classify_three_mode(params: ModelParams) -> tuple[Regime, complex]:
@@ -184,23 +238,14 @@ def classify_three_mode(params: ModelParams) -> tuple[Regime, complex]:
     if not is_three_mode(params):
         raise ValueError("classify_three_mode requires eta_i = 0 and delta_i = 0")
     d = derive(params)
-    a2 = abs(params.kappa) ** 2
-    gs2, phi = d.g_s_sq, d.phi
-    p3 = gs2 - a2 + phi**2 / 3
-    q3 = params.delta_s / 2 * a2 - 2 * phi / 3 * (gs2 + a2 / 2 - phi**2 / 9)
-    d3 = 27 * q3**2 - 4 * p3**3
-    tol = CLASS_TOL * max(1.0, abs(p3) ** 0.5, abs(q3) ** (1 / 3)) ** 6
+    p3, q3, _ = _three_mode_discriminant(params, d)
+    phi = d.phi
     lam4 = 1j * phi / 2
     s_roots = np.roots([1.0, 0.0, -p3, q3])
     growth = max(((-1j) * (s + phi / 6)).real for s in s_roots)
     growth = max(growth, lam4.real)
-    if abs(d3) <= tol:
-        label = Area.V
-    elif d3 > 0:
-        label = Area.II
-    else:
-        label = Area.I
-    return Regime(label=label, max_growth_rate=float(growth)), lam4
+    return (Regime(label=_three_mode_label(params, d),
+                   max_growth_rate=float(growth)), lam4)
 
 
 def classify(params: ModelParams) -> Regime:
@@ -210,6 +255,16 @@ def classify(params: ModelParams) -> Regime:
     if is_three_mode(params):
         return classify_three_mode(params)[0]
     return classify_general(derive(params))
+
+
+def classify_batch(params: ModelParams) -> np.ndarray:
+    """The regime label strings ("I".."V") of a batch: params' fields are
+    arrays of one shape, and each point gets the label :func:`classify`
+    gives it, from the same masks on P, Q and R."""
+    d = derive(params)
+    return np.where(is_degenerate(params), _degenerate_label(d),
+                    np.where(is_three_mode(params), _three_mode_label(params, d),
+                             _general_label(d)))
 
 
 def roots_to_json(roots: QuarticRoots) -> list:

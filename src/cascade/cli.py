@@ -59,7 +59,10 @@ def _build_params(args: argparse.Namespace) -> ModelParams:
     }
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            base.update(json.load(fh))
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError("--config must hold a JSON object")
+        base.update(config)
     p = params_from_dict(base)
 
     def flag(name):

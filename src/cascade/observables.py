@@ -16,6 +16,18 @@ algebraically equivalent stable form
 
 exact for any matrix satisfying the canonical normalization.
 
+The balanced collective mode (a + e^{i delta} b)/sqrt(2) is minimized over
+the relative phase as well.  Its N, F and Lagrange-identity term are
+trigonometric polynomials of degree two in delta, so seven complex
+coefficients of T describe it at every phase (_collective_coefficients);
+the search refines the two lowest local minima of a 64-point phase grid
+by a fixed number of golden-section steps, to brackets below 1e-10 rad.
+
+Every formula takes Python complex values or numpy arrays: the
+single-point functions evaluate one matrix, and :func:`stack_observables`
+a stack of them with the same formulas and the same steps, so no element's
+result depends on the rest of the stack.
+
 Single-mode and collective squeezing metrics are defined for the degenerate
 configuration only (signal and idler branches coincide); four-mode scans
 report photon numbers alone.
@@ -65,18 +77,20 @@ class SqueezingReport:
     delta_opt: float | None = None
 
 
+def _occupations(rows) -> tuple:
+    """(n_as, n_ai, n_bs, n_bi) from the rows of T, whose entries are
+    scalars or arrays of one shape."""
+    (_, v_s, _, q_s), (v_i, _, q_i, _), (_, l_s, _, n_s), (l_i, _, n_i, _) = rows
+    return (abs(v_s) ** 2 + abs(q_s) ** 2, abs(v_i) ** 2 + abs(q_i) ** 2,
+            abs(l_s) ** 2 + abs(n_s) ** 2, abs(l_i) ** 2 + abs(n_i) ** 2)
+
+
 def photon_numbers(m: BogoliubovMatrix) -> PhotonNumbers:
     """Vacuum expectation of the mode occupations: each mode collects the
     squared magnitudes of its creation-operator coefficients: the entries of
     its row of T (alpha_s, alpha_i+, beta_s, beta_i+) in the columns of the
     other parity."""
-    (_, v_s, _, q_s), (v_i, _, q_i, _), (_, l_s, _, n_s), (l_i, _, n_i, _) = m.rows
-    return PhotonNumbers(
-        n_as=abs(v_s) ** 2 + abs(q_s) ** 2,
-        n_ai=abs(v_i) ** 2 + abs(q_i) ** 2,
-        n_bs=abs(l_s) ** 2 + abs(n_s) ** 2,
-        n_bi=abs(l_i) ** 2 + abs(n_i) ** 2,
-    )
+    return PhotonNumbers(*_occupations(m.rows))
 
 
 def _require_degenerate(m: BogoliubovMatrix) -> None:
@@ -124,8 +138,90 @@ def single_mode_min_variance(m: BogoliubovMatrix, mode: str) -> SqueezingReport:
     )
 
 
-_DELTA_GRID = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
-_E1 = np.exp(1j * _DELTA_GRID)
+#: the coarse phase grid of the collective minimum, each point's
+#: neighbours, and the fixed number of golden-section steps that shrink a
+#: bracket of two spacings below 1e-10 rad
+_GRID_POINTS = 64
+_STEP = 2.0 * math.pi / _GRID_POINTS
+_GRID = _STEP * np.arange(_GRID_POINTS)
+_PREVIOUS = np.roll(np.arange(_GRID_POINTS), 1)
+_NEXT = np.roll(np.arange(_GRID_POINTS), -1)
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = math.ceil(math.log(2.0 * _STEP / 1e-10) / -math.log(_GOLDEN))
+
+
+def _collective_coefficients(a_row, b_row) -> tuple:
+    """The collective mode (a + e b)/sqrt(2), e = e^{i delta}, as seven
+    complex numbers and a real one.  With the signal rows a, b of T (columns
+    0, 2 annihilation, 1, 3 creation entries), the mode's occupation N,
+    anomalous correlator F and Lagrange-identity term L are
+
+        1 + 2 N(delta) = m0 + Re(m1 e)
+        2 F(delta)     = f0 + f1 e + f2 e^2
+        2 L(delta)     = g0 + g1 e + g_{-1} e*
+
+    and its minimal variance is 1 + 2N - 2|F| = (1 + 4|L|^2) / (1 + 2N +
+    2|F|).  The entries are scalars or arrays of one shape, and so are the
+    coefficients (m0, m1, f0, f1, f2, g0, g1, g_{-1})."""
+    a0, a1, a2, a3 = a_row
+    b0, b1, b2, b3 = b_row
+    a1c, a3c, b1c, b3c = (v.conjugate() for v in (a1, a3, b1, b3))
+    return (1.0 + (abs(a1) ** 2 + abs(b1) ** 2 + abs(a3) ** 2 + abs(b3) ** 2),
+            2.0 * (a1c * b1 + a3c * b3),
+            a0 * a1 + a2 * a3,
+            a0 * b1 + b0 * a1 + a2 * b3 + b2 * a3,
+            b0 * b1 + b2 * b3,
+            a0 * a3c + b0 * b3c - a2 * a1c - b2 * b1c,
+            b0 * a3c - b2 * a1c,
+            a0 * b3c - a2 * b1c)
+
+
+def _collective_variance(c: tuple, exp):
+    """Minimal quadrature variance of the collective mode as a function of
+    the relative phase delta, from its coefficients c; exp is cmath.exp for
+    scalars or np.exp for arrays that broadcast against c."""
+    m0, m1, f0, f1, f2, g0, g1, gm1 = c
+
+    def variance(delta):
+        e = exp(1j * delta)
+        gap = abs(g0 + g1 * e + gm1 * e.conjugate()) ** 2
+        return (1.0 + gap) / (m0 + (m1 * e).real + abs(f0 + (f1 + f2 * e) * e))
+
+    return variance
+
+
+def _starts(values: np.ndarray) -> np.ndarray:
+    """Grid indices (..., 2) of the two lowest local minima of values
+    (..., _GRID_POINTS) on the periodic phase grid.  The objective often has
+    two deep, narrow minima about pi apart, and the coarse grid can rank
+    them wrongly, so both are refined.  A missing second minimum gives
+    another grid point, whose refinement only adds a candidate."""
+    local = (values < values[..., _PREVIOUS]) & (values <= values[..., _NEXT])
+    return np.where(local, values, np.inf).argsort(axis=-1)[..., :2]
+
+
+def _choose(cond, x, y):
+    return x if cond else y
+
+
+def _golden(f, lo, width: float, select):
+    """Minimum of f on [lo, lo + width] by _GOLDEN_STEPS golden-section
+    steps; the midpoint of the last bracket.  lo is a scalar with
+    select=_choose, or an array with select=np.where: every element takes
+    the same steps, so the bracket width stays one number."""
+    a = lo
+    inner = 1.0 - _GOLDEN  # = _GOLDEN^2: where the interior points sit
+    f1, f2 = f(a + inner * width), f(a + _GOLDEN * width)
+    for _ in range(_GOLDEN_STEPS):
+        # the minimum is in the left or the right _GOLDEN of the bracket;
+        # the interior point inside it is the new bracket's other one
+        left = f1 < f2
+        a = select(left, a, a + inner * width)
+        width *= _GOLDEN
+        kept = select(left, f1, f2)
+        new = f(a + select(left, inner, _GOLDEN) * width)
+        f1, f2 = select(left, new, kept), select(left, kept, new)
+    return a + width / 2
 
 
 def collective_min_variance(m: BogoliubovMatrix) -> SqueezingReport:
@@ -133,55 +229,55 @@ def collective_min_variance(m: BogoliubovMatrix) -> SqueezingReport:
     (a + e^{i delta} b)/sqrt(2) of a degenerate matrix.
 
     At fixed relative phase the theta minimum is the single-mode one of the
-    collective mode's rows x = (x_a + e^{i d} x_b)/sqrt(2) and
-    y = (y_a + e^{i d} y_b)/sqrt(2), evaluated in the cancellation-free form
-    (the expanded 1 + N_a + N_b + 2 Re[G e^{i d}] - |F(d)| cancels at high
-    gain).  The phase minimum is located on a 1024-point grid over [0, 2 pi)
-    followed by golden-section refinement to 1e-10.  Since the report
-    minimizes over the phase, bare carrier wavevectors (which only shift it)
-    never enter.
+    collective mode, evaluated in the cancellation-free form from seven
+    coefficients of T (see _collective_coefficients; the expanded
+    1 + N_a + N_b + 2 Re[G e^{i d}] - |F(d)| cancels at high gain).  The
+    two lowest local minima of a 64-point grid over [0, 2 pi) are each
+    refined by a fixed number of golden-section steps to a bracket below
+    1e-10 rad, and the lower one is reported: the same search
+    :func:`stack_observables` runs on arrays.  Since the report minimizes
+    over the phase, bare carrier wavevectors (which only shift it) never
+    enter.
     """
     _require_degenerate(m)
-    r = math.sqrt(0.5)
     a_row, _, b_row, _ = m.rows
-    # (x1, x2, y1, y2) order of _stable_min_variance: columns 0, 2, 1, 3
-    rows = [(r * a_row[j], r * b_row[j]) for j in (0, 2, 1, 3)]
-
-    def collective(e):
-        return [xa + e * xb for xa, xb in rows]
-
-    def theta_min(e):
-        return _stable_min_variance(*collective(e))
-
-    values = theta_min(_E1)
-    k = int(np.argmin(values))
-    lo = _DELTA_GRID[k] - 2.0 * np.pi / 1024
-    hi = _DELTA_GRID[k] + 2.0 * np.pi / 1024
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - ratio * (b - a)
-    x2 = a + ratio * (b - a)
-    f1 = theta_min(cmath.exp(1j * x1))
-    f2 = theta_min(cmath.exp(1j * x2))
-    while b - a > 1e-10:
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - ratio * (b - a)
-            f1 = theta_min(cmath.exp(1j * x1))
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + ratio * (b - a)
-            f2 = theta_min(cmath.exp(1j * x2))
-    d_opt = (a + b) / 2
-    e_opt = cmath.exp(1j * d_opt)
-    x1, x2, y1, y2 = collective(e_opt)
-    f_tot = x1 * y1 + x2 * y2
+    c = _collective_coefficients(a_row, b_row)
+    variance = _collective_variance(c, cmath.exp)
+    best = None
+    for k in _starts(_collective_variance(c, np.exp)(_GRID)).tolist():
+        centre = k * _STEP
+        d = _golden(variance, centre - _STEP, 2.0 * _STEP, _choose)
+        value = float(variance(d))
+        if best is None or value < best[0]:
+            best = value, d
+    value, d_opt = best
+    e = cmath.exp(1j * d_opt)
+    _, _, f0, f1, f2, _, _, _ = c
+    f_tot = f0 + (f1 + f2 * e) * e  # 2 F
     theta = (math.pi - cmath.phase(f_tot)) / 2 if f_tot != 0 else math.pi / 2
-    return SqueezingReport(
-        min_variance=float(_stable_min_variance(x1, x2, y1, y2)),
-        theta_opt=theta,
-        delta_opt=d_opt % (2.0 * math.pi),
-    )
+    return SqueezingReport(min_variance=value, theta_opt=theta,
+                           delta_opt=d_opt % (2.0 * math.pi))
+
+
+def stack_observables(t: np.ndarray, quantities) -> dict:
+    """Photon numbers of a stack of transfer matrices (n, 4, 4), always all
+    four ("n_as", "n_ai", "n_bs", "n_bi"), and the squeezing minima among
+    quantities ("minvar_a", "minvar_b", "minvar_c"), as arrays (n,): the
+    formulas and the phase search of the single-point functions.  The
+    minima assume degenerate matrices (see branches_coincide_stack)."""
+    rows = np.moveaxis(t, (-2, -1), (0, 1))
+    out = dict(zip(("n_as", "n_ai", "n_bs", "n_bi"), _occupations(rows)))
+    for q, row in (("minvar_a", rows[0]), ("minvar_b", rows[2])):
+        if q in quantities:
+            x1, y1, x2, y2 = row
+            out[q] = _stable_min_variance(x1, x2, y1, y2)
+    if "minvar_c" in quantities:
+        variance = _collective_variance(
+            [v[:, None] for v in _collective_coefficients(rows[0], rows[2])], np.exp)
+        centre = _starts(variance(_GRID)) * _STEP
+        d = _golden(variance, centre - _STEP, 2.0 * _STEP, np.where)
+        out["minvar_c"] = variance(d).min(axis=-1)
+    return out
 
 
 def _sinhc_sq(t: float, L: float) -> float:

@@ -114,7 +114,7 @@ def integrate(params: ModelParams, z_grid=None,
     # the stacked state holds the four systems' (Y1, Y2, Y3, Y4) in turn:
     # the direct pair, then the swapped pair
     mats = tuple(BogoliubovMatrix.from_branches(
-        float(z_grid[j]), *sol.y[:, j].reshape(2, 2, 4).swapaxes(1, 2))
+        float(z_grid[j]), sol.y[:, j].reshape(2, 2, 4).swapaxes(1, 2))
         for j in range(len(z_grid)))
     peak = max(m.max_abs() for m in mats)
     resid = max(max(canonical_residuals(m)) for m in mats)

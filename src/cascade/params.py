@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 
 def _finite(x: complex) -> bool:
     return math.isfinite(x.real) and math.isfinite(x.imag)
@@ -96,21 +98,45 @@ def validate(params: ModelParams) -> ModelParams:
     return params
 
 
+def _abs_sq(z):
+    """|z|^2 of a complex scalar or array, as re^2 + im^2."""
+    return z.real * z.real + z.imag * z.imag
+
+
+def validate_batch(params: ModelParams) -> list:
+    """:func:`validate` of every point of a batch, a ModelParams whose fields
+    are arrays of one shape (n,): for each point None, or the ValueError
+    validate raises for it."""
+    checks = [(~np.isfinite(getattr(params, name)), f"non-finite parameter: {name}")
+              for name in ("kappa", "eta_s", "eta_i", "delta_tilde", "delta_s",
+                           "delta_i", "length")]
+    checks.append((params.length < 0, "length must be nonnegative"))
+    errors: list = [None] * len(params.length)
+    for bad, message in checks:
+        for i in np.flatnonzero(bad):
+            if errors[i] is None:
+                errors[i] = ValueError(message)
+    return errors
+
+
 def derive(params: ModelParams) -> DerivedParams:
-    """Compute the characteristic-quartic coefficients and cascaded mismatches.
+    """Compute the characteristic-quartic coefficients and cascaded mismatches;
+    for a batch (fields that are arrays of one shape) every field is an array.
 
     P = g_s^2 + g_i^2 + phi^2/2 - |kappa|^2
     Q = phi (g_i^2 - g_s^2) - |kappa|^2 (delta_i - delta_s)/2
     R = (g_s^2 - phi^2/4)(g_i^2 - phi^2/4)
         - |kappa|^2/4 (phi - delta_s)(phi - delta_i)
     """
-    a2 = abs(params.kappa) ** 2
-    gs2 = abs(params.eta_s) ** 2 + params.delta_s**2 / 4
-    gi2 = abs(params.eta_i) ** 2 + params.delta_i**2 / 4
+    # squares as products: Python's ** and abs() and numpy's can round
+    # differently, and a batch must get the coefficients of single points
+    a2 = _abs_sq(params.kappa)
+    gs2 = _abs_sq(params.eta_s) + params.delta_s * params.delta_s / 4
+    gi2 = _abs_sq(params.eta_i) + params.delta_i * params.delta_i / 4
     phi = params.delta_tilde - (params.delta_s + params.delta_i) / 2
-    p = gs2 + gi2 + phi**2 / 2 - a2
+    p = gs2 + gi2 + phi * phi / 2 - a2
     q = phi * (gi2 - gs2) - a2 * (params.delta_i - params.delta_s) / 2
-    r = (gs2 - phi**2 / 4) * (gi2 - phi**2 / 4) \
+    r = (gs2 - phi * phi / 4) * (gi2 - phi * phi / 4) \
         - a2 / 4 * (phi - params.delta_s) * (phi - params.delta_i)
     return DerivedParams(
         g_s_sq=gs2, g_i_sq=gi2, phi=phi,
@@ -139,18 +165,28 @@ def three_mode_params(kappa: complex, eta_s: complex, delta_tilde: float,
                                 delta_s=delta_s, delta_i=0.0, length=length))
 
 
+def _within(x, tol: float, *scales):
+    """|x| <= tol * max(1, *scales), for scalars or arrays."""
+    bound = abs(x)
+    out = bound <= tol
+    for s in scales:
+        out = out | (bound <= tol * abs(s))
+    return out
+
+
 def is_degenerate(params: ModelParams, tol: float = 1e-12) -> bool:
-    """True when eta_i = eta_s and delta_i = delta_s within tolerance."""
-    scale = max(1.0, abs(params.eta_s), abs(params.eta_i))
-    dscale = max(1.0, abs(params.delta_s), abs(params.delta_i))
-    return (abs(params.eta_i - params.eta_s) <= tol * scale
-            and abs(params.delta_i - params.delta_s) <= tol * dscale)
+    """True when eta_i = eta_s and delta_i = delta_s within tolerance; a
+    boolean array for a batch (fields that are arrays)."""
+    return (_within(params.eta_i - params.eta_s, tol, params.eta_s, params.eta_i)
+            & _within(params.delta_i - params.delta_s, tol, params.delta_s,
+                      params.delta_i))
 
 
 def is_three_mode(params: ModelParams, tol: float = 1e-12) -> bool:
-    """True when eta_i = 0 and delta_i = 0 within tolerance."""
-    return (abs(params.eta_i) <= tol * max(1.0, abs(params.eta_s))
-            and abs(params.delta_i) <= tol * max(1.0, abs(params.delta_s)))
+    """True when eta_i = 0 and delta_i = 0 within tolerance; a boolean array
+    for a batch (fields that are arrays)."""
+    return (_within(params.eta_i, tol, params.eta_s)
+            & _within(params.delta_i, tol, params.delta_s))
 
 
 # JSON wire format: complex numbers as [re, im] pairs, field names fixed.
@@ -167,18 +203,31 @@ def params_to_dict(params: ModelParams) -> dict:
     }
 
 
-def params_from_dict(data: dict) -> ModelParams:
-    def _c(v) -> complex:
-        if isinstance(v, (list, tuple)):
-            return complex(v[0], v[1])
-        return complex(v)
+def _entry(data, key: str, what: str):
+    """data[key] of a decoded JSON object; ValueError naming the key when
+    data is not an object or lacks it."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    if key not in data:
+        raise ValueError(f"{what}: missing key {key!r}")
+    return data[key]
 
-    return validate(ModelParams(
-        kappa=_c(data["kappa"]),
-        eta_s=_c(data["eta_s"]),
-        eta_i=_c(data["eta_i"]),
-        delta_tilde=float(data["delta_tilde"]),
-        delta_s=float(data["delta_s"]),
-        delta_i=float(data["delta_i"]),
-        length=float(data["length"]),
-    ))
+
+def _convert(kind, value, key: str):
+    """kind(value) for a JSON value; ValueError naming the key when it does
+    not convert."""
+    try:
+        if kind is complex and isinstance(value, (list, tuple)):
+            return complex(value[0], value[1])
+        return kind(value)
+    except (TypeError, ValueError, IndexError, OverflowError):
+        raise ValueError(f"{key}: cannot read {value!r} as {kind.__name__}") from None
+
+
+def params_from_dict(data: dict) -> ModelParams:
+    """ModelParams from the JSON wire format; ValueError naming a missing
+    or malformed key."""
+    return validate(ModelParams(**{
+        name: _convert(complex if name in ("kappa", "eta_s", "eta_i") else float,
+                       _entry(data, name, "parameters"), name)
+        for name in ModelParams.__dataclass_fields__}))

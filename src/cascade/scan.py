@@ -1,10 +1,18 @@
 """Parameter-grid evaluation of classification and observables.
 
-One engine evaluates every point: scans map it over their grid, in grid
-order, with the built-in ``map`` or a process pool's ordered ``map``, so
-output is deterministic and byte-identical regardless of the worker count;
-gain sweeps and ``cascade compare`` share :func:`compare_point`.  Per-point
-errors are recorded as failure rows and never abort a scan or a sweep.
+One chunk engine, :func:`evaluate_points`, evaluates many points at once:
+every layer (validation, the regime masks, the growth rates, the transfer
+matrices, the photon numbers and squeezing minima) is an array expression
+over the points, and no point's arithmetic depends on its chunk-mates.
+Scans cut their grid into chunks of CHUNK_POINTS points and map the engine
+over them in grid order, with the built-in ``map`` or a process pool's
+ordered ``map``, so output is deterministic and byte-identical regardless
+of the worker count and the chunk size.  The oracle solver and the oracle
+cross-check solve each point with the ODE integrator and share the batched
+observables.  Gain sweeps and ``cascade compare`` share
+:func:`compare_point`.  Per-point errors, a value beyond double precision
+included (OverflowError), are recorded as failure rows and never abort a
+scan or a sweep.
 """
 
 from __future__ import annotations
@@ -13,18 +21,17 @@ import cmath
 import json
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from . import analytic, oracle
-from .bogoliubov import BogoliubovMatrix
-from .characteristic import classify, solve_quartic
-from .observables import (averaged_model, collective_min_variance,
-                          photon_numbers, pdc_only_reference,
-                          single_mode_min_variance)
-from .params import ModelParams, derive, validate
+from .bogoliubov import BogoliubovMatrix, branches_coincide_stack
+from .characteristic import classify_batch, growth_rates
+from .observables import (averaged_model, photon_numbers, pdc_only_reference,
+                          single_mode_min_variance, stack_observables)
+from .params import ModelParams, derive, validate, validate_batch
 
 QUANTITIES = ("regime", "n_as", "n_ai", "n_bs", "n_bi",
               "minvar_a", "minvar_b", "minvar_c", "growth_rate")
@@ -36,6 +43,14 @@ SOLVERS = ("analytic", "oracle", "averaged")
 
 CROSS_CHECK_RTOL = 1e-5
 CROSS_CHECK_FRACTION = 0.05
+
+#: grid points per chunk, the unit of work of a scan
+CHUNK_POINTS = 512
+
+_MATRIX_QUANTITIES = ("n_as", "n_ai", "n_bs", "n_bi",
+                      "minvar_a", "minvar_b", "minvar_c")
+_COUPLINGS = ("kappa", "eta_s", "eta_i")
+_FIELDS = _COUPLINGS + ("delta_tilde", "delta_s", "delta_i", "length")
 
 
 @dataclass(frozen=True)
@@ -92,17 +107,26 @@ class ScanSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScanSpec":
-        from .params import params_from_dict
+        """The spec of a decoded JSON document; ValueError naming a missing
+        or malformed key."""
+        from .params import _convert, _entry, params_from_dict
 
-        def _axis(a) -> AxisSpec:
-            return AxisSpec(name=a["name"], min=float(a["min"]),
-                            max=float(a["max"]), count=int(a["count"]))
+        def _axis(key: str) -> AxisSpec:
+            a = _entry(data, key, "scan spec")
+            return AxisSpec(name=_entry(a, "name", key),
+                            min=_convert(float, _entry(a, "min", key), f"{key}.min"),
+                            max=_convert(float, _entry(a, "max", key), f"{key}.max"),
+                            count=_convert(int, _entry(a, "count", key), f"{key}.count"))
 
+        base = params_from_dict(_entry(data, "base", "scan spec"))
+        quantities = data.get("quantities", ["regime"])
+        if not isinstance(quantities, list):
+            raise ValueError("scan spec: quantities must be a JSON list")
         return cls(
-            base=params_from_dict(data["base"]),
-            axis1=_axis(data["axis1"]),
-            axis2=_axis(data["axis2"]) if data.get("axis2") else None,
-            quantities=tuple(data.get("quantities", ["regime"])),
+            base=base,
+            axis1=_axis("axis1"),
+            axis2=_axis("axis2") if data.get("axis2") else None,
+            quantities=tuple(quantities),
             solver=data.get("solver", "analytic"),
             degenerate=bool(data.get("degenerate", False)),
         )
@@ -116,22 +140,27 @@ class ScanResult:
     cross_check_violations: list
 
 
-def _apply_axis(params: ModelParams, name: str, value: float) -> ModelParams:
+def _apply_axis(fields: dict, name: str, value) -> None:
     if name in SCALAR_AXES:
-        return replace(params, **{name: float(value)})
+        fields[name] = value if isinstance(value, np.ndarray) else float(value)
+        return
     field = {"kappa_abs": "kappa", "eta_s_abs": "eta_s", "eta_i_abs": "eta_i"}[name]
-    old = getattr(params, field)
+    old = fields[field]
     phase = cmath.exp(1j * cmath.phase(old)) if old != 0 else 1.0 + 0j
-    return replace(params, **{field: value * phase})
+    fields[field] = value * phase
 
 
-def point_params(spec: ScanSpec, v1: float, v2: float | None) -> ModelParams:
-    p = _apply_axis(spec.base, spec.axis1.name, v1)
+def point_params(spec: ScanSpec, v1, v2) -> ModelParams:
+    """The parameters at axis values (v1, v2), v2 None for one axis; arrays
+    of axis values give a batch, whose fields the axes do not set stay
+    scalars."""
+    fields = dict(vars(spec.base))
+    _apply_axis(fields, spec.axis1.name, v1)
     if spec.axis2 is not None and v2 is not None:
-        p = _apply_axis(p, spec.axis2.name, v2)
+        _apply_axis(fields, spec.axis2.name, v2)
     if spec.degenerate:
-        p = replace(p, eta_i=p.eta_s, delta_i=p.delta_s)
-    return p
+        fields["eta_i"], fields["delta_i"] = fields["eta_s"], fields["delta_s"]
+    return ModelParams(**fields)
 
 
 def solve_point(params: ModelParams, z: float | None = None,
@@ -154,29 +183,123 @@ def solve_point(params: ModelParams, z: float | None = None,
     return analytic.transfer_matrix(params, z)
 
 
-def evaluate_quantities(params: ModelParams, quantities, solver: str) -> dict:
-    """One grid point: classification and/or matrix-derived observables."""
+def _stack(points: list) -> ModelParams:
+    """One ModelParams whose fields are arrays over the points."""
+    return ModelParams(*(np.array([getattr(p, f) for p in points]) for f in _FIELDS))
+
+
+def _unstack(batch: ModelParams) -> list:
+    """The points of a batch as ModelParams of Python numbers."""
+    return [ModelParams(*values)
+            for values in zip(*(getattr(batch, f).tolist() for f in _FIELDS))]
+
+
+def _solved(fn, *args):
+    """fn(*args), or the exception it raises: the per-point failure capture
+    of oracle solves and sweeps."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # per-point failure, recorded not raised
+        return exc
+
+
+def _first(errors: list, mask, make) -> None:
+    """Record make() as the failure of every point in mask that has none."""
+    for i in np.flatnonzero(mask):
+        if errors[i] is None:
+            errors[i] = make()
+
+
+def evaluate_points(points: list, quantities, solver: str) -> list:
+    """The chunk engine: classification and matrix-derived observables of
+    many points at once.  Returns, for each point, {quantity: value} or the
+    exception that stops it, as the single-point functions would raise it.
+
+    Every layer is an array expression over the points: validation, the
+    regime masks on P, Q and R, the growth rates from one batch of
+    companion-matrix eigenvalues, the transfer matrices from one stacked
+    exponential (for solver="oracle", one ODE solve per point), and the
+    photon numbers and squeezing minima.  No point's arithmetic depends on
+    the other points.  A point with a non-finite value fails with
+    OverflowError."""
+    if not points:
+        return []
+    quantities = tuple(quantities)
+    errs, columns = _evaluate(_stack(points), quantities, solver)
+    rows = zip(*columns.values()) if quantities else [()] * len(errs)
+    return [e or dict(zip(quantities, row)) for e, row in zip(errs, rows)]
+
+
+def _evaluate(batch: ModelParams, quantities: tuple, solver: str,
+              matrices: list | None = None) -> tuple[list, dict]:
+    """:func:`evaluate_points` of a batch, a ModelParams whose fields are
+    scalars or arrays that broadcast to one shape (n,), and with matrices
+    (a BogoliubovMatrix or an exception per point) already solved: each
+    point's failure (None for none), and each quantity's values as a
+    list."""
+    fields = np.broadcast_arrays(*(
+        np.asarray(getattr(batch, f), dtype=complex if f in _COUPLINGS else float)
+        for f in _FIELDS))
+    batch = ModelParams(*(np.ravel(f) for f in fields))
+    errs = validate_batch(batch)
     if solver == "averaged":
-        params, solver = averaged_model(params), "analytic"
-    out = {}
-    if "regime" in quantities:
-        out["regime"] = classify(params).label.value
-    if "growth_rate" in quantities:
-        roots = solve_quartic(derive(params))
-        out["growth_rate"] = max(r.real for r in roots.roots)
-    if any(q.startswith(("n_", "minvar")) for q in quantities):
-        m = solve_point(params, solver=solver)
-        n = photon_numbers(m)
+        batch = _stack([p if e else averaged_model(p)
+                        for p, e in zip(_unstack(batch), errs)])
+        solver = "analytic"
+    values = {}
+    with np.errstate(all="ignore"):
+        if "regime" in quantities:
+            values["regime"] = classify_batch(batch)
+        if "growth_rate" in quantities:
+            values["growth_rate"] = growth_rates(derive(batch))
+            _first(errs, np.isnan(values["growth_rate"]), lambda: np.linalg.LinAlgError(
+                "Array must not contain infs or NaNs"))
+        if any(q in _MATRIX_QUANTITIES for q in quantities):
+            values.update(_matrix_values(batch, quantities, solver, errs, matrices))
         for q in quantities:
-            if q.startswith("n_"):
-                out[q] = getattr(n, q)
-        if "minvar_a" in quantities:
-            out["minvar_a"] = single_mode_min_variance(m, "a").min_variance
-        if "minvar_b" in quantities:
-            out["minvar_b"] = single_mode_min_variance(m, "b").min_variance
-        if "minvar_c" in quantities:
-            out["minvar_c"] = collective_min_variance(m).min_variance
-    return {q: out[q] for q in quantities}
+            if q != "regime":
+                _first(errs, ~np.isfinite(values[q]),
+                       lambda: OverflowError(f"{q} exceeds double precision"))
+    return errs, {q: values[q].tolist() for q in quantities}
+
+
+def _matrix_values(batch: ModelParams, quantities: tuple, solver: str,
+                   errs: list, matrices: list | None) -> dict:
+    """Photon numbers and squeezing minima of a batch; failures go to errs
+    in the order the single-point functions meet them: the solve, the
+    photon numbers, a non-degenerate matrix's squeezing."""
+    if matrices is None and solver == "oracle":
+        matrices = [e or _solved(_oracle_matrix, p)
+                    for p, e in zip(_unstack(batch), errs)]
+    if matrices is None:
+        t = analytic.transfer_matrices(batch, batch.length)
+    else:
+        t = np.broadcast_to(np.identity(4, dtype=complex), (len(errs), 4, 4)).copy()
+        for k, m in enumerate(matrices):
+            if isinstance(m, BogoliubovMatrix):
+                t[k] = m.t
+            elif errs[k] is None:
+                errs[k] = m
+    _first(errs, ~np.isfinite(t).all(axis=(-2, -1)),
+           lambda: OverflowError("transfer matrix entries exceed double precision"))
+    out = stack_observables(t, quantities)
+    photons = np.isfinite(np.stack([out[q] for q in ("n_as", "n_ai", "n_bs", "n_bi")]))
+    _first(errs, ~photons.all(axis=0),
+           lambda: OverflowError("photon number exceeds double precision"))
+    if any(q.startswith("minvar") for q in quantities):
+        _first(errs, ~branches_coincide_stack(t), lambda: ValueError(
+            "squeezing metrics are defined for degenerate matrices only "
+            "(signal branch != idler branch)"))
+    return {q: out[q] for q in quantities if q in out}
+
+
+def evaluate_quantities(params: ModelParams, quantities, solver: str) -> dict:
+    """One grid point: classification and/or matrix-derived observables;
+    :func:`evaluate_points` of one point, raising its failure."""
+    (out,) = evaluate_points([params], quantities, solver)
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def compare_point(params: ModelParams) -> dict:
@@ -195,36 +318,32 @@ def compare_point(params: ModelParams) -> dict:
     return out
 
 
-def _captured(fn, *args) -> tuple[dict | None, str | None]:
-    """(fn(*args), None), or (None, the exception's class name): the
-    per-point failure capture of scans and sweeps."""
-    try:
-        return fn(*args), None
-    except Exception as exc:  # per-point failure, recorded not raised
-        return None, type(exc).__name__
-
-
-def _tabulate(axes: list, results: list) -> tuple[list, list]:
-    """Rows and failure rows from each point's axis values and result."""
+def _tabulate(names: list, points: list, errors: list, columns: dict) -> tuple[list, list]:
+    """Rows and failure rows: each point's axis values (a tuple in the order
+    of names) with its failure class name, or with its values (one list per
+    quantity in columns)."""
+    keys = names + list(columns)
+    values = zip(*columns.values()) if columns else [()] * len(points)
     rows, failures = [], []
-    for ax, (vals, err) in zip(axes, results):
+    for axes, err, vals in zip(points, errors, values):
         if err is None:
-            rows.append({**ax, **vals})
+            rows.append(dict(zip(keys, axes + vals)))
         else:
-            failures.append({**ax, "error": err})
+            failures.append({**dict(zip(names, axes)), "error": err})
     return rows, failures
 
 
-def _scan_values(spec: ScanSpec, point: tuple) -> dict:
-    p = validate(point_params(spec, *point))
-    return evaluate_quantities(p, spec.quantities, spec.solver)
+def _scan_chunk(spec: ScanSpec, points: list) -> tuple[list, dict]:
+    """Each grid point's failure class name (None for none), and each
+    quantity's values as a list."""
+    v1, v2 = (np.array(v) for v in zip(*points))
+    batch = point_params(spec, v1, v2 if spec.axis2 is not None else None)
+    errs, columns = _evaluate(batch, spec.quantities, spec.solver)
+    return [e and type(e).__name__ for e in errs], columns
 
 
-def _oracle_values(spec: ScanSpec, quantities: list, point: tuple) -> dict:
-    p = point_params(spec, *point)
-    if spec.solver == "averaged":
-        p = averaged_model(p)
-    return evaluate_quantities(p, quantities, "oracle")
+def _oracle_matrix(params: ModelParams) -> BogoliubovMatrix:
+    return oracle.matrix_at(params, params.length)
 
 
 def _ordered_map(pool, workers: int, fn, items: list) -> list:
@@ -253,31 +372,40 @@ def run_scan(spec: ScanSpec, workers: int = 1, strict: bool = False,
     cross_check_violations and raise RuntimeError in strict mode.
     """
     grid = _grid(spec)
+    chunks = [grid[i:i + CHUNK_POINTS] for i in range(0, len(grid), CHUNK_POINTS)]
     checked = (cross_check or strict) and spec.solver in ("analytic", "averaged")
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        results = _ordered_map(pool, workers,
-                               partial(_captured, _scan_values, spec), grid)
+        parts = _ordered_map(pool, workers, partial(_scan_chunk, spec), chunks)
+        errors = [e for part, _ in parts for e in part]
+        columns = {q: [v for _, part in parts for v in part[q]]
+                   for q in spec.quantities}
         violations: list = []
         if checked:
             numeric = [q for q in spec.quantities if q != "regime"]
             rng = np.random.default_rng(seed)
             sampled = [i for i in range(len(grid))
-                       if rng.random() < CROSS_CHECK_FRACTION and results[i][1] is None]
-            refs = _ordered_map(pool, workers, partial(_oracle_values, spec, numeric),
-                                [grid[i] for i in sampled])
-            for idx, ref in zip(sampled, refs):
-                got = results[idx][0]
+                       if rng.random() < CROSS_CHECK_FRACTION and errors[i] is None]
+            sample = [point_params(spec, *grid[i]) for i in sampled]
+            if spec.solver == "averaged":
+                sample = [averaged_model(p) for p in sample]
+            matrices = _ordered_map(pool, workers, _oracle_matrix, sample)
+            ref_errors, refs = (_evaluate(_stack(sample), tuple(numeric), "oracle",
+                                          matrices) if sample else ([], {}))
+            for k, idx in enumerate(sampled):
+                if ref_errors[k] is not None:
+                    raise ref_errors[k]
                 for q in numeric:
-                    denom = max(abs(ref[q]), 1e-8 / CROSS_CHECK_RTOL)
-                    if abs(got[q] - ref[q]) > CROSS_CHECK_RTOL * denom:
+                    got, ref = columns[q][idx], refs[q][k]
+                    denom = max(abs(ref), 1e-8 / CROSS_CHECK_RTOL)
+                    if abs(got - ref) > CROSS_CHECK_RTOL * denom:
                         violations.append({"index": idx, "quantity": q,
-                                           "value": got[q], "oracle": ref[q]})
+                                           "value": got, "oracle": ref})
     if strict and violations:
         raise RuntimeError(f"strict cross-check failed at {len(violations)} point(s)")
 
     names = [spec.axis1.name] + ([spec.axis2.name] if spec.axis2 else [])
-    axes = [dict(zip(names, point)) for point in grid]
-    rows, failures = _tabulate(axes, results)
+    rows, failures = _tabulate(names, [pt[:len(names)] for pt in grid],
+                               errors, columns)
     return ScanResult(spec=spec.to_dict(), rows=rows, failures=failures,
                       cross_check_violations=violations)
 
@@ -350,8 +478,12 @@ def sweep_gain(delta_s_times_length: float, ratio_r: float,
         p = validate(ModelParams(kappa=ka + 0j, eta_s=ratio_r * ka + 0j,
                                  eta_i=ratio_r * ka + 0j, delta_tilde=0.0,
                                  delta_s=ds, delta_i=ds, length=L))
-        results.append(_captured(_sweep_values, p))
-    rows, failures = _tabulate([{"gamma": g} for g in gammas], results)
+        results.append(_solved(_sweep_values, p))
+    errors = [type(r).__name__ if isinstance(r, Exception) else None
+              for r in results]
+    columns = {q: [None if e else r[q] for r, e in zip(results, errors)]
+               for q in SWEEP_QUANTITIES}
+    rows, failures = _tabulate(["gamma"], [(g,) for g in gammas], errors, columns)
     spec = {"sweep_gain": {"delta_s_times_length": delta_s_times_length,
                            "ratio_r": ratio_r, "gamma_max": gamma_max,
                            "points": points, "length": L}}

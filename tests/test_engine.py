@@ -1,0 +1,244 @@
+"""The chunk engine of scan.py: batched rows against the single-point
+functions, chunk independence, regimes and failure rows against the
+per-point engine it replaced, and malformed scan specs."""
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cascade import scan
+from cascade.analytic import transfer_matrix
+from cascade.bogoliubov import branches_coincide
+from cascade.characteristic import classify, solve_quartic
+from cascade.cli import main
+from cascade.observables import (collective_min_variance, photon_numbers,
+                                 single_mode_min_variance)
+from cascade.params import ModelParams, degenerate_params, derive, params_to_dict
+from cascade.scan import (MAGNITUDE_AXES, QUANTITIES, SCALAR_AXES, AxisSpec,
+                          ScanSpec, emit, evaluate_points, run_scan)
+
+SETTINGS = dict(deadline=None, database=None, derandomize=True)
+
+
+def close(got, want, rtol=1e-12):
+    return abs(got - want) <= rtol * max(abs(got), abs(want))
+
+
+def single_point(p: ModelParams) -> dict:
+    """Every quantity from the public single-point functions, or the
+    exception class name a squeezing metric raises."""
+    out = {"regime": classify(p).label.value,
+           "growth_rate": max(r.real for r in solve_quartic(derive(p)).roots)}
+    m = transfer_matrix(p, p.length)
+    n = photon_numbers(m)
+    out.update(n_as=n.n_as, n_ai=n.n_ai, n_bs=n.n_bs, n_bi=n.n_bi)
+    if branches_coincide(m):
+        out["minvar_a"] = single_mode_min_variance(m, "a").min_variance
+        out["minvar_b"] = single_mode_min_variance(m, "b").min_variance
+        out["minvar_c"] = collective_min_variance(m).min_variance
+    return out
+
+
+_MAG = st.one_of(st.just(0.0), st.floats(0.05, 5.0))
+_PHASE = st.floats(0.0, 2 * math.pi)
+_DELTA = st.floats(-12.0, 12.0)
+
+
+@st.composite
+def points(draw):
+    config = draw(st.sampled_from(("degenerate", "three_mode", "general")))
+    length = draw(st.floats(0.2, 3.0))
+    k, es, ei = (draw(_MAG) * complex(math.cos(ph), math.sin(ph))
+                 for ph in (draw(_PHASE), draw(_PHASE), draw(_PHASE)))
+    dt, ds, di = draw(_DELTA), draw(_DELTA), draw(_DELTA)
+    if config == "degenerate":
+        ei, di = es, ds
+    elif config == "three_mode":
+        ei, di = 0j, 0.0
+    return ModelParams(kappa=k / length, eta_s=es, eta_i=ei, delta_tilde=dt,
+                       delta_s=ds, delta_i=di, length=length)
+
+
+# kappa = 0; eta = 0; area V (|kappa| = 2 |eta|, phase matched: a double root)
+_EDGES = [degenerate_params(0, 1.5, 0.5, 3, 1.2),
+          degenerate_params(2, 0, 0, 0, 1.5),
+          degenerate_params(3, 1.5, 0, 0, 2)]
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(st.lists(points(), min_size=1, max_size=12))
+@example(_EDGES)
+def test_batched_rows_equal_single_point_functions(batch):
+    rows = evaluate_points(batch, QUANTITIES, "analytic")
+    for p, row in zip(batch, rows):
+        want = single_point(p)
+        if "minvar_a" not in want:
+            assert isinstance(row, ValueError)  # squeezing off degeneracy
+            continue
+        assert row["regime"] == want.pop("regime")
+        for q, v in want.items():
+            assert close(row[q], v), (q, row[q], v, p)
+
+
+def test_edge_points_classify_as_expected():
+    regimes = [r["regime"] for r in evaluate_points(_EDGES, ("regime",), "analytic")]
+    assert regimes == [classify(p).label.value for p in _EDGES]
+    assert regimes[2] == "V"
+
+
+def test_collective_minimum_is_the_lower_of_two_narrow_minima():
+    # the collective variance has two narrow minima about pi apart whose
+    # 64-point grid values rank them wrongly (0.02376 is found first); a
+    # dense brute force over the collective rows gives the lower 0.023504
+    p = degenerate_params(3, 3.48, 0, -2.2, 2)
+    m = transfer_matrix(p, p.length)
+    a, _, b, _ = m.t
+    e = np.exp(1j * np.linspace(0.0, 2 * math.pi, 20000, endpoint=False))[:, None]
+    x1, y1, x2, y2 = ((a + e * b) / math.sqrt(2)).T
+    brute = ((1 + 4 * abs(x1 * y2.conj() - x2 * y1.conj()) ** 2)
+             / (1 + 2 * (abs(y1) ** 2 + abs(y2) ** 2) + 2 * abs(x1 * y1 + x2 * y2))).min()
+    (row,) = evaluate_points([p], ("minvar_c",), "analytic")
+    for got in (collective_min_variance(m).min_variance, row["minvar_c"]):
+        assert brute * (1 - 1e-4) <= got <= brute
+
+
+def _mixed_spec() -> ScanSpec:
+    # eta_i = eta_s: the diagonal delta_i = delta_s is degenerate, the rest
+    # is not, so chunks mix both kinds
+    base = ModelParams(kappa=2.5 + 0.5j, eta_s=1.5 + 0j, eta_i=1.5 + 0j,
+                       delta_tilde=3.0, delta_s=0.0, delta_i=0.0, length=1.5)
+    return ScanSpec(base=base, axis1=AxisSpec("delta_s", -6.0, 6.0, 9),
+                    axis2=AxisSpec("delta_i", -6.0, 6.0, 9),
+                    quantities=QUANTITIES)
+
+
+@pytest.mark.parametrize("spec", [
+    _mixed_spec(),
+    ScanSpec(base=degenerate_params(3, 1, 0, 0, 2),
+             axis1=AxisSpec("delta_s", -20.0, 20.0, 11),
+             axis2=AxisSpec("eta_s_abs", 0.0, 8.0, 11),
+             quantities=QUANTITIES, degenerate=True),
+], ids=["mixed", "degenerate"])
+def test_chunk_independence(monkeypatch, spec):
+    csv = {}
+    for size in (1, 7, scan.CHUNK_POINTS):
+        monkeypatch.setattr(scan, "CHUNK_POINTS", size)
+        csv[size] = emit(run_scan(spec), "csv")
+    assert csv[1] == csv[7] == csv[scan.CHUNK_POINTS]
+
+
+def _regime_digest(spec: ScanSpec) -> str:
+    labels = "".join(row["regime"] + "\n" for row in run_scan(spec).rows)
+    return hashlib.sha256(labels.encode()).hexdigest()
+
+
+def test_regime_columns_match_per_point_engine():
+    # sha256 of the regime column of each 41x41 diagram as the per-point
+    # engine (one classify call per point) wrote it
+    assert _regime_digest(scan.degenerate_diagram_spec(count=41)) == \
+        "f9714f9f0ed3f6eb5ab227304fdae6909f1930f202396368305d186c39eb3eac"
+    assert _regime_digest(scan.four_mode_diagram_spec(count=41)) == \
+        "683326d698278a5db4870713b248d56e5d3e24adab5209aac0dba89b6ea37c45"
+
+
+def test_regime_column_matches_classify_per_point():
+    spec = scan.four_mode_diagram_spec(count=15)
+    res = run_scan(spec)
+    for row in res.rows:
+        p = scan.point_params(spec, row["delta_s"], row["delta_i"])
+        assert row["regime"] == classify(p).label.value
+
+
+def test_overflow_becomes_failure_rows_without_warnings():
+    # |kappa| L from 2 to 800: the squeezing minima overflow from
+    # |kappa| = 100.75 on, the transfer matrix itself further up
+    spec = ScanSpec(base=degenerate_params(1, 1, 0, 3, 2),
+                    axis1=AxisSpec("kappa_abs", 1.0, 400.0, 41),
+                    quantities=("regime", "n_as", "n_bs", "minvar_a", "minvar_b",
+                                "minvar_c", "growth_rate"),
+                    degenerate=True)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run_scan(spec)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(res.rows) == 10
+    assert [(f["kappa_abs"], f["error"]) for f in res.failures] == \
+        [(float(v), "OverflowError") for v in np.linspace(1.0, 400.0, 41)[10:]]
+    for row in res.rows:
+        assert all(math.isfinite(row[q]) for q in spec.quantities if q != "regime")
+
+
+def test_invalid_points_fail_like_validate():
+    good = degenerate_params(3, 1, 0, 2, 1)
+    bad = ModelParams(kappa=3 + 0j, eta_s=1 + 0j, eta_i=1 + 0j, delta_tilde=0.0,
+                      delta_s=2.0, delta_i=2.0, length=-1.0)
+    rows = evaluate_points([good, bad, good], ("n_as",), "analytic")
+    assert rows[0] == rows[2]
+    assert isinstance(rows[1], ValueError) and "length" in str(rows[1])
+
+
+# malformed scan specs: every JSON document exits 0 or 2, never with a
+# traceback
+
+# numbers stay small: a junk axis count is still a grid size
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                  st.floats(-10.0, 10.0),
+                  st.sampled_from((math.nan, math.inf, -math.inf)),
+                  st.text(max_size=3), st.lists(st.integers(0, 2), max_size=3),
+                  st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2))
+
+
+def _valid_spec() -> dict:
+    return ScanSpec(base=degenerate_params(2, 1, 0, 1, 1),
+                    axis1=AxisSpec("delta_s", -1.0, 1.0, 2),
+                    axis2=AxisSpec("eta_s_abs", 0.0, 1.0, 2),
+                    quantities=("regime", "n_as", "minvar_a"),
+                    degenerate=True).to_dict()
+
+
+@st.composite
+def spec_documents(draw):
+    doc = _valid_spec()
+    # corrupt one to three places: a top-level key, a parameter or an axis
+    for _ in range(draw(st.integers(1, 3))):
+        where = draw(st.sampled_from(("top", "base", "axis1", "axis2")))
+        target = doc if where == "top" else doc.get(where)
+        if not isinstance(target, dict):
+            continue
+        keys = {"top": list(doc) + ["quantities", "solver"],
+                "base": list(params_to_dict(degenerate_params(1, 1, 0, 0, 1))),
+                "axis1": ["name", "min", "max", "count"],
+                "axis2": ["name", "min", "max", "count"]}[where]
+        key = draw(st.sampled_from(keys))
+        if draw(st.booleans()):
+            target.pop(key, None)
+        else:
+            target[key] = draw(st.one_of(
+                _JUNK, st.sampled_from(SCALAR_AXES + MAGNITUDE_AXES),
+                st.lists(st.sampled_from(QUANTITIES + ("bogus",)), max_size=3),
+                st.sampled_from(("analytic", "averaged", "nope"))))
+    return draw(st.one_of(st.just(doc), _JUNK))
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(spec_documents())
+@example({})
+@example({"base": {"kappa": [3, 0]}})
+def test_malformed_spec_exits_0_or_2(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("spec") / "spec.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["scan", "--spec", str(path), "--output",
+                     str(path.with_suffix(".csv"))])
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
