@@ -8,8 +8,7 @@ characteristic quartic, evaluates photon numbers and quadrature squeezing,
 and scans parameter grids deterministically.
 """
 
-from .analytic import MultipleRootsError, f_kernel, full_matrix, \
-    solve_branch_one, solve_branch_two, transfer_matrix
+from .analytic import MultipleRootsError, f_kernel, full_matrix, transfer_matrix
 from .bogoliubov import BogoliubovMatrix, branches_coincide
 from .characteristic import (Area, QuarticRoots, Regime, classify,
                              classify_degenerate, classify_general,

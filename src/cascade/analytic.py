@@ -202,36 +202,14 @@ def _check_roots(params: ModelParams, roots: QuarticRoots) -> np.ndarray:
     return np.array(roots.roots, dtype=complex)
 
 
-def solve_branch_one(params: ModelParams, roots: QuarticRoots,
-                     z: float) -> tuple[complex, complex, complex, complex]:
-    """First-branch functions (U_s, V_i*, K_s, L_i*) at z.
-
-    Parameter mapping a = kappa, b = eta_s, c = eta_i, D1 = delta_tilde,
-    D2 = delta_s, D3 = delta_i; initial condition U_s(0) = 1, others 0.
-    """
-    lams = _check_roots(params, roots)
-    y = _branch_functions(params.kappa, params.eta_s, params.eta_i,
-                          params.delta_tilde, params.delta_s, params.delta_i,
-                          lams, z, second=False)
-    return complex(y[0]), complex(y[1]), complex(y[2]), complex(y[3])
-
-
-def solve_branch_two(params: ModelParams, roots: QuarticRoots,
-                     z: float) -> tuple[complex, complex, complex, complex]:
-    """Second-branch functions (W_s, Q_i*, M_s, N_i*) at z; initial
-    condition M_s(0) = 1, others 0."""
-    lams = _check_roots(params, roots)
-    y = _branch_functions(params.kappa, params.eta_s, params.eta_i,
-                          params.delta_tilde, params.delta_s, params.delta_i,
-                          lams, z, second=True)
-    return complex(y[0]), complex(y[1]), complex(y[2]), complex(y[3])
-
-
 def full_matrix(params: ModelParams, z: float) -> BogoliubovMatrix:
     """All 16 Bogoliubov functions at z from the closed-form solution.
 
-    The two branch systems are solved twice: once with the direct parameter
-    mapping and once with the signal/idler roles swapped.  The swapped
+    The two branch systems are solved twice, once with the direct parameter
+    mapping (a = kappa, b = eta_s, c = eta_i, D1 = delta_tilde, D2 = delta_s,
+    D3 = delta_i) and once with the signal/idler roles swapped.  The direct
+    branches are columns 0 and 2 of T: (U_s, V_i*, K_s, L_i*) from
+    U_s(0) = 1 and (W_s, Q_i*, M_s, N_i*) from M_s(0) = 1.  The swapped
     system's characteristic roots are the complex conjugates of the direct
     ones, so the quartic is solved only once.
     """

@@ -201,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     # bad CASCADE_THREADS is a usage error of `scan`, not of every command
     p.add_argument("--threads", type=int,
                    default=os.environ.get("CASCADE_THREADS", "1"),
-                   help="worker processes (env CASCADE_THREADS)")
+                   help="worker processes for the ODE solves of the oracle "
+                        "solver and the cross-check, >= 1 (env CASCADE_THREADS)")
     p.add_argument("--strict", action="store_true",
                    help="fail (exit 4) when the oracle cross-check disagrees")
     p.add_argument("--cross-check", action="store_true",

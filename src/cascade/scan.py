@@ -4,15 +4,15 @@ One chunk engine, :func:`evaluate_points`, evaluates many points at once:
 every layer (validation, the regime masks, the growth rates, the transfer
 matrices, the photon numbers and squeezing minima) is an array expression
 over the points, and no point's arithmetic depends on its chunk-mates.
-Scans cut their grid into chunks of CHUNK_POINTS points and map the engine
-over them in grid order, with the built-in ``map`` or a process pool's
-ordered ``map``, so output is deterministic and byte-identical regardless
-of the worker count and the chunk size.  The oracle solver and the oracle
-cross-check solve each point with the ODE integrator and share the batched
-observables.  Gain sweeps and ``cascade compare`` share
-:func:`compare_point`.  Per-point errors, a value beyond double precision
-included (OverflowError), are recorded as failure rows and never abort a
-scan or a sweep.
+Scans evaluate their grid in grid order, one chunk of CHUNK_POINTS points
+at a time in the calling process; chunks only bound a batch's memory, and
+output is byte-identical for any chunk size and worker count.  Worker
+processes run ODE solves only: the oracle solver and the oracle
+cross-check solve their points through :func:`_oracle_matrices`, then
+evaluate the solved matrices with the same batched observables.  Gain
+sweeps and ``cascade compare`` share :func:`compare_point`.  Per-point
+errors, a value beyond double precision included (OverflowError), are
+recorded as failure rows and never abort a scan or a sweep.
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ from __future__ import annotations
 import cmath
 import json
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -44,7 +42,7 @@ SOLVERS = ("analytic", "oracle", "averaged")
 CROSS_CHECK_RTOL = 1e-5
 CROSS_CHECK_FRACTION = 0.05
 
-#: grid points per chunk, the unit of work of a scan
+#: grid points per chunk, the most a scan evaluates as one batch
 CHUNK_POINTS = 512
 
 _MATRIX_QUANTITIES = ("n_as", "n_ai", "n_bs", "n_bi",
@@ -86,6 +84,8 @@ class ScanSpec:
         for q in self.quantities:
             if q not in QUANTITIES:
                 raise ValueError(f"unknown quantity {q!r}")
+        if len(set(self.quantities)) != len(self.quantities):
+            raise ValueError(f"quantities: repeated entry in {list(self.quantities)}")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
 
@@ -113,22 +113,29 @@ class ScanSpec:
 
         def _axis(key: str) -> AxisSpec:
             a = _entry(data, key, "scan spec")
+            count = _entry(a, "count", key)
+            if _convert(int, count, f"{key}.count") != count:
+                raise ValueError(f"{key}.count: {count!r} is not an integer")
             return AxisSpec(name=_entry(a, "name", key),
                             min=_convert(float, _entry(a, "min", key), f"{key}.min"),
                             max=_convert(float, _entry(a, "max", key), f"{key}.max"),
-                            count=_convert(int, _entry(a, "count", key), f"{key}.count"))
+                            count=int(count))
 
         base = params_from_dict(_entry(data, "base", "scan spec"))
         quantities = data.get("quantities", ["regime"])
         if not isinstance(quantities, list):
             raise ValueError("scan spec: quantities must be a JSON list")
+        degenerate = data.get("degenerate", False)
+        if not isinstance(degenerate, bool):
+            raise ValueError(f"scan spec: degenerate must be a JSON boolean, "
+                             f"got {degenerate!r}")
         return cls(
             base=base,
             axis1=_axis("axis1"),
             axis2=_axis("axis2") if data.get("axis2") else None,
             quantities=tuple(quantities),
             solver=data.get("solver", "analytic"),
-            degenerate=bool(data.get("degenerate", False)),
+            degenerate=degenerate,
         )
 
 
@@ -203,6 +210,25 @@ def _solved(fn, *args):
         return exc
 
 
+def _oracle_matrix(params: ModelParams):
+    """The oracle matrix at the crystal length, or the exception that stops
+    it (a point that fails validation included)."""
+    return _solved(solve_point, params, None, "oracle")
+
+
+def _oracle_matrices(points: list, workers: int = 1) -> list:
+    """:func:`_oracle_matrix` of each point, in input order.  The one place
+    a scan starts worker processes: with more than one worker and more than
+    one point, the ODE solves run on a process pool of at most one process
+    per point."""
+    processes = min(workers, len(points))
+    if processes < 2:
+        return list(map(_oracle_matrix, points))
+    with ProcessPoolExecutor(processes) as pool:
+        return list(pool.map(_oracle_matrix, points,
+                             chunksize=max(1, len(points) // (processes * 8))))
+
+
 def _first(errors: list, mask, make) -> None:
     """Record make() as the failure of every point in mask that has none."""
     for i in np.flatnonzero(mask):
@@ -218,14 +244,16 @@ def evaluate_points(points: list, quantities, solver: str) -> list:
     Every layer is an array expression over the points: validation, the
     regime masks on P, Q and R, the growth rates from one batch of
     companion-matrix eigenvalues, the transfer matrices from one stacked
-    exponential (for solver="oracle", one ODE solve per point), and the
-    photon numbers and squeezing minima.  No point's arithmetic depends on
-    the other points.  A point with a non-finite value fails with
+    exponential (for solver="oracle", one ODE solve per point first), and
+    the photon numbers and squeezing minima.  No point's arithmetic depends
+    on the other points.  A point with a non-finite value fails with
     OverflowError."""
     if not points:
         return []
     quantities = tuple(quantities)
-    errs, columns = _evaluate(_stack(points), quantities, solver)
+    solves = solver == "oracle" and any(q in _MATRIX_QUANTITIES for q in quantities)
+    matrices = _oracle_matrices(points) if solves else None
+    errs, columns = _evaluate(_stack(points), quantities, solver, matrices)
     rows = zip(*columns.values()) if quantities else [()] * len(errs)
     return [e or dict(zip(quantities, row)) for e, row in zip(errs, rows)]
 
@@ -233,10 +261,11 @@ def evaluate_points(points: list, quantities, solver: str) -> list:
 def _evaluate(batch: ModelParams, quantities: tuple, solver: str,
               matrices: list | None = None) -> tuple[list, dict]:
     """:func:`evaluate_points` of a batch, a ModelParams whose fields are
-    scalars or arrays that broadcast to one shape (n,), and with matrices
-    (a BogoliubovMatrix or an exception per point) already solved: each
-    point's failure (None for none), and each quantity's values as a
-    list."""
+    scalars or arrays that broadcast to one shape (n,): each point's failure
+    (None for none), and each quantity's values as a list.  The transfer
+    matrices are the analytic ones unless matrices (a BogoliubovMatrix or an
+    exception per point, as :func:`_oracle_matrices` returns them) are
+    given, which solver="oracle" needs for any matrix quantity."""
     fields = np.broadcast_arrays(*(
         np.asarray(getattr(batch, f), dtype=complex if f in _COUPLINGS else float)
         for f in _FIELDS))
@@ -255,7 +284,7 @@ def _evaluate(batch: ModelParams, quantities: tuple, solver: str,
             _first(errs, np.isnan(values["growth_rate"]), lambda: np.linalg.LinAlgError(
                 "Array must not contain infs or NaNs"))
         if any(q in _MATRIX_QUANTITIES for q in quantities):
-            values.update(_matrix_values(batch, quantities, solver, errs, matrices))
+            values.update(_matrix_values(batch, quantities, errs, matrices))
         for q in quantities:
             if q != "regime":
                 _first(errs, ~np.isfinite(values[q]),
@@ -263,14 +292,11 @@ def _evaluate(batch: ModelParams, quantities: tuple, solver: str,
     return errs, {q: values[q].tolist() for q in quantities}
 
 
-def _matrix_values(batch: ModelParams, quantities: tuple, solver: str,
-                   errs: list, matrices: list | None) -> dict:
+def _matrix_values(batch: ModelParams, quantities: tuple, errs: list,
+                   matrices: list | None) -> dict:
     """Photon numbers and squeezing minima of a batch; failures go to errs
     in the order the single-point functions meet them: the solve, the
     photon numbers, a non-degenerate matrix's squeezing."""
-    if matrices is None and solver == "oracle":
-        matrices = [e or _solved(_oracle_matrix, p)
-                    for p, e in zip(_unstack(batch), errs)]
     if matrices is None:
         t = analytic.transfer_matrices(batch, batch.length)
     else:
@@ -333,27 +359,6 @@ def _tabulate(names: list, points: list, errors: list, columns: dict) -> tuple[l
     return rows, failures
 
 
-def _scan_chunk(spec: ScanSpec, points: list) -> tuple[list, dict]:
-    """Each grid point's failure class name (None for none), and each
-    quantity's values as a list."""
-    v1, v2 = (np.array(v) for v in zip(*points))
-    batch = point_params(spec, v1, v2 if spec.axis2 is not None else None)
-    errs, columns = _evaluate(batch, spec.quantities, spec.solver)
-    return [e and type(e).__name__ for e in errs], columns
-
-
-def _oracle_matrix(params: ModelParams) -> BogoliubovMatrix:
-    return oracle.matrix_at(params, params.length)
-
-
-def _ordered_map(pool, workers: int, fn, items: list) -> list:
-    """fn over items, in input order; on the pool when there is one, in
-    chunks sized from len(items) so that a short list splits too."""
-    if pool is None:
-        return list(map(fn, items))
-    return list(pool.map(fn, items, chunksize=max(1, len(items) // (workers * 8))))
-
-
 def _grid(spec: ScanSpec) -> list:
     """Deterministic point order (v1, v2): axis2 outer, axis1 inner."""
     v1s = [float(v) for v in spec.axis1.values()]
@@ -364,42 +369,52 @@ def _grid(spec: ScanSpec) -> list:
 
 def run_scan(spec: ScanSpec, workers: int = 1, strict: bool = False,
              cross_check: bool = False, seed: int = 0) -> ScanResult:
-    """Evaluate every grid point, in grid order.
+    """Evaluate every grid point, in grid order, one chunk of CHUNK_POINTS
+    points at a time in this process.  Worker processes (at most workers of
+    them) run the ODE solves of solver="oracle" and of the cross-check.
 
     With cross_check enabled (implied by strict), a seeded 5% sample of the
     successful analytic/averaged points is re-solved with the ODE oracle and
     observables are compared at 1e-5 relative; disagreements are reported in
     cross_check_violations and raise RuntimeError in strict mode.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     grid = _grid(spec)
-    chunks = [grid[i:i + CHUNK_POINTS] for i in range(0, len(grid), CHUNK_POINTS)]
-    checked = (cross_check or strict) and spec.solver in ("analytic", "averaged")
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        parts = _ordered_map(pool, workers, partial(_scan_chunk, spec), chunks)
-        errors = [e for part, _ in parts for e in part]
-        columns = {q: [v for _, part in parts for v in part[q]]
-                   for q in spec.quantities}
-        violations: list = []
-        if checked:
-            numeric = [q for q in spec.quantities if q != "regime"]
-            rng = np.random.default_rng(seed)
-            sampled = [i for i in range(len(grid))
-                       if rng.random() < CROSS_CHECK_FRACTION and errors[i] is None]
-            sample = [point_params(spec, *grid[i]) for i in sampled]
-            if spec.solver == "averaged":
-                sample = [averaged_model(p) for p in sample]
-            matrices = _ordered_map(pool, workers, _oracle_matrix, sample)
-            ref_errors, refs = (_evaluate(_stack(sample), tuple(numeric), "oracle",
-                                          matrices) if sample else ([], {}))
-            for k, idx in enumerate(sampled):
-                if ref_errors[k] is not None:
-                    raise ref_errors[k]
-                for q in numeric:
-                    got, ref = columns[q][idx], refs[q][k]
-                    denom = max(abs(ref), 1e-8 / CROSS_CHECK_RTOL)
-                    if abs(got - ref) > CROSS_CHECK_RTOL * denom:
-                        violations.append({"index": idx, "quantity": q,
-                                           "value": got, "oracle": ref})
+    solves = spec.solver == "oracle" and any(q in _MATRIX_QUANTITIES
+                                             for q in spec.quantities)
+    errors: list = []
+    columns: dict = {q: [] for q in spec.quantities}
+    for start in range(0, len(grid), CHUNK_POINTS):
+        chunk = grid[start:start + CHUNK_POINTS]
+        matrices = (_oracle_matrices([point_params(spec, *pt) for pt in chunk], workers)
+                    if solves else None)
+        batch = point_params(spec, *(np.array(v) for v in zip(*chunk)))
+        errs, part = _evaluate(batch, spec.quantities, spec.solver, matrices)
+        errors += [e and type(e).__name__ for e in errs]
+        for q, values in part.items():
+            columns[q] += values
+    violations: list = []
+    if (cross_check or strict) and spec.solver in ("analytic", "averaged"):
+        numeric = [q for q in spec.quantities if q != "regime"]
+        rng = np.random.default_rng(seed)
+        sampled = [i for i in range(len(grid))
+                   if rng.random() < CROSS_CHECK_FRACTION and errors[i] is None]
+        sample = [point_params(spec, *grid[i]) for i in sampled]
+        if spec.solver == "averaged":
+            sample = [averaged_model(p) for p in sample]
+        matrices = _oracle_matrices(sample, workers)
+        ref_errors, refs = (_evaluate(_stack(sample), tuple(numeric), "oracle",
+                                      matrices) if sample else ([], {}))
+        for k, idx in enumerate(sampled):
+            if ref_errors[k] is not None:
+                raise ref_errors[k]
+            for q in numeric:
+                got, ref = columns[q][idx], refs[q][k]
+                denom = max(abs(ref), 1e-8 / CROSS_CHECK_RTOL)
+                if abs(got - ref) > CROSS_CHECK_RTOL * denom:
+                    violations.append({"index": idx, "quantity": q,
+                                       "value": got, "oracle": ref})
     if strict and violations:
         raise RuntimeError(f"strict cross-check failed at {len(violations)} point(s)")
 

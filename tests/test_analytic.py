@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascade.analytic import (MultipleRootsError, f_kernel, full_matrix,
-                              solve_branch_one, solve_branch_two,
                               transfer_matrix)
 from cascade.bogoliubov import ENTRY_NAMES, BogoliubovMatrix, branches_coincide
 from cascade.characteristic import solve_quartic
@@ -67,17 +66,19 @@ class TestFKernel:
             assert f_kernel(z, g) == pytest.approx(complex(ref), rel=1e-13)
 
 
+def branch_one(p: ModelParams, z: float) -> tuple:
+    """(U_s, V_i*, K_s, L_i*): column 0 of the closed-form T, the direct
+    mapping's solution from U_s(0) = 1."""
+    return tuple(full_matrix(p, z).t[:, 0].tolist())
+
+
+def branch_two(p: ModelParams, z: float) -> tuple:
+    """(W_s, Q_i*, M_s, N_i*): column 2 of the closed-form T, the direct
+    mapping's solution from M_s(0) = 1."""
+    return tuple(full_matrix(p, z).t[:, 2].tolist())
+
+
 class TestBranchSolvers:
-    def test_zero_couplings_branch_one(self):
-        p = make()
-        r = solve_quartic(derive(p))
-        assert solve_branch_one(p, r, 1.3) == (1, 0, 0, 0)
-
-    def test_zero_couplings_branch_two(self):
-        p = make()
-        r = solve_quartic(derive(p))
-        assert solve_branch_two(p, r, 1.3) == (0, 0, 1, 0)
-
     def test_initial_conditions(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
@@ -85,10 +86,10 @@ class TestBranchSolvers:
             r = solve_quartic(derive(p))
             if r.near_multiple:
                 continue
-            u, v, k, l = solve_branch_one(p, r, 0.0)
+            u, v, k, l = branch_one(p, 0.0)
             assert abs(u - 1) < 1e-12 and abs(v) < 1e-12
             assert abs(k) < 1e-12 and abs(l) < 1e-12
-            w, q, m, n = solve_branch_two(p, r, 0.0)
+            w, q, m, n = branch_two(p, 0.0)
             assert abs(m - 1) < 1e-12 and abs(w) < 1e-12
             assert abs(q) < 1e-12 and abs(n) < 1e-12
 
@@ -96,12 +97,11 @@ class TestBranchSolvers:
         # mismatched plain PDC: U and V carry the half-mismatch phase
         ka, dt, z = 3.0 + 0j, 4.0, 1.3
         p = make(kappa=ka, dt=dt)
-        r = solve_quartic(derive(p))
         g = math.sqrt(abs(ka) ** 2 - dt**2 / 4)
         u_ref = (math.cosh(g * z) - 1j * dt / (2 * g) * math.sinh(g * z)) \
             * cmath.exp(1j * dt * z / 2)
         v_ref = 1j * ka / g * math.sinh(g * z) * cmath.exp(1j * dt * z / 2)
-        u, v_conj, k, l = solve_branch_one(p, r, z)
+        u, v_conj, k, l = branch_one(p, z)
         assert u == pytest.approx(u_ref, rel=1e-10)
         assert v_conj.conjugate() == pytest.approx(v_ref, rel=1e-10)
         assert abs(k) < 1e-12 and abs(l) < 1e-12
@@ -112,35 +112,24 @@ class TestBranchSolvers:
         # multiple-root guard (the small roots collide at +-eps^2/3)
         eps = 0.01
         p = degenerate_params(3, eps, 0, 0, 1)
-        r = solve_quartic(derive(p))
-        assert not r.near_multiple
-        u, v_conj, _, _ = solve_branch_one(p, r, 1.0)
+        assert not solve_quartic(derive(p)).near_multiple
+        u, v_conj, _, _ = branch_one(p, 1.0)
         assert u == pytest.approx(math.cosh(3.0), rel=1e-3)
         assert v_conj == pytest.approx(-1j * math.sinh(3.0), rel=1e-3)
 
     def test_decoupled_upconverted_mode(self):
         # eta_s = 0 kills the second-branch source: (0, 0, 1, 0) at any z
         p = make(kappa=3 + 0j, eta_i=2 + 0j, dt=4.0, di=1.0)
-        r = solve_quartic(derive(p))
-        w, q, m, n = solve_branch_two(p, r, 1.7)
+        w, q, m, n = branch_two(p, 1.7)
         assert w == 0 and q == 0 and m == 1 and n == 0
 
     def test_branch_two_matches_oracle_degenerate(self):
         p = degenerate_params(3, 1, 0, 0, 2)
-        r = solve_quartic(derive(p))
-        got = solve_branch_two(p, r, 2.0)
+        got = branch_two(p, 2.0)
         ref = matrix_at(p, 2.0, rtol=1e-12, atol=1e-14)
         expect = (ref.W_s, ref.Q_i.conjugate(), ref.M_s, ref.N_i.conjugate())
         for g, e in zip(got, expect):
             assert g == pytest.approx(e, rel=1e-6, abs=1e-9)
-
-    def test_multiple_roots_raise(self):
-        # phase-matched plain PDC has a double root at zero
-        p = make(kappa=3 + 0j)
-        r = solve_quartic(derive(p))
-        assert r.near_multiple
-        with pytest.raises(MultipleRootsError):
-            solve_branch_one(p, r, 1.0)
 
 
 class TestFullMatrix:
@@ -201,8 +190,11 @@ class TestFullMatrix:
             assert rate == pytest.approx(rate_ref, rel=0.02)
 
     def test_propagates_multiple_roots(self):
+        # phase-matched plain PDC has a double root at zero
+        p = make(kappa=3 + 0j)
+        assert solve_quartic(derive(p)).near_multiple
         with pytest.raises(MultipleRootsError):
-            full_matrix(make(kappa=3 + 0j), 1.0)
+            full_matrix(p, 1.0)
 
 
 def propagator_sets(rng):

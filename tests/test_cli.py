@@ -232,6 +232,18 @@ def test_solve_beyond_double_precision_stderr_is_one_line():
         "transfer matrix entries exceed double precision"]
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_scan_threads_below_one_exits_2(capsys, tmp_path, threads):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "base": {"kappa": [3, 0], "eta_s": [1, 0], "eta_i": [1, 0],
+                 "delta_tilde": 0, "delta_s": 0, "delta_i": 0, "length": 1},
+        "axis1": {"name": "delta_s", "min": 0, "max": 1, "count": 2}}))
+    code, out, err = run(capsys, "scan", "--spec", str(spec), "--threads", threads)
+    assert code == 2 and out == ""
+    assert err == "error: workers must be >= 1\n"
+
+
 def test_bad_cascade_threads_fails_scan_only(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("CASCADE_THREADS", "abc")
     code, out, _ = run(capsys, "classify", "--kappa", "3")

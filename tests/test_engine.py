@@ -228,6 +228,30 @@ def spec_documents(draw):
     return draw(st.one_of(st.just(doc), _JUNK))
 
 
+@pytest.mark.parametrize("axis, key, value", [
+    (None, "degenerate", "false"),
+    ("axis1", "count", 2.7),
+    (None, "quantities", ["n_as", "n_as"]),
+], ids=["degenerate-string", "fractional-count", "repeated-quantity"])
+def test_malformed_value_exits_2_naming_key(tmp_path, capsys, axis, key, value):
+    # each of these used to run: "false" as degenerate, 2.7 as 2 points,
+    # one CSV column for two quantities
+    doc = _valid_spec()
+    (doc[axis] if axis else doc)[key] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code = main(["scan", "--spec", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+
+
+def test_integral_float_count_accepted():
+    doc = _valid_spec()
+    doc["axis1"]["count"] = 2.0
+    assert ScanSpec.from_dict(doc) == ScanSpec.from_dict(_valid_spec())
+
+
 @settings(max_examples=150, **SETTINGS)
 @given(spec_documents())
 @example({})

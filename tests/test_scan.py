@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -137,6 +138,30 @@ class TestDeterminismAndParallel:
         assert one and one == two
         with pytest.raises(RuntimeError):
             run_scan(spec, strict=True, seed=3)
+
+    @pytest.mark.parametrize("solver", ["analytic", "averaged"])
+    def test_scan_without_solves_starts_no_processes(self, monkeypatch, solver):
+        # worker processes run ODE solves only: chunks stay in this process
+        def no_pool(*args, **kwargs):
+            raise AssertionError("process pool started without ODE solves")
+
+        spec = deg_spec(quantities=("regime", "n_as", "minvar_a"), solver=solver)
+        one = emit(run_scan(spec), "csv")
+        monkeypatch.setattr(scan, "ProcessPoolExecutor", no_pool)
+        assert emit(run_scan(spec, workers=4), "csv") == one
+
+    def test_oracle_scan_byte_identical_across_workers(self, monkeypatch):
+        # 12 points in chunks of 5, two of them invalid (negative length);
+        # the digest is the CSV that the pool gave when it ran whole chunks
+        monkeypatch.setattr(scan, "CHUNK_POINTS", 5)
+        spec = deg_spec(axis1=AxisSpec("length", -0.5, 2.0, 6),
+                        axis2=AxisSpec("eta_s_abs", 0.5, 1.5, 2),
+                        quantities=("regime", "n_as", "n_bs", "minvar_a"),
+                        solver="oracle")
+        one = emit(run_scan(spec, workers=1), "csv")
+        assert emit(run_scan(spec, workers=2), "csv") == one
+        assert hashlib.sha256(one).hexdigest() == \
+            "bf2e6145630dab5d758563d91b10ae97658aebf4b1fdfe57356983c50c9e6111"
 
 
 class TestEmit:
