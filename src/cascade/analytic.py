@@ -17,8 +17,12 @@ D3 - D1), each becomes X' = G X with the constant generator
     X3' =  i b X1 + i D2 X3
     X4' = -i c* X2 - i (D3 - D1) X4
 
-so X(z) = exp(G z) X(0).  :func:`transfer_matrix` evaluates the two
-exponentials (direct and signal/idler-swapped mapping) by [13/13] Pade
+so X(z) = exp(G z) X(0).  Under the direct mapping (a = kappa, b = eta_s,
+c = eta_i, D1 = delta_tilde, D2 = delta_s, D3 = delta_i) Y is the mode
+vector (alpha_s, alpha_i+, beta_s, beta_i+), so one exponential gives all of
+T = diag(e^{i theta z}) exp(G z); the signal/idler-swapped generator,
+P conj(G) P + i D1 I with P exchanging entries 0 <-> 1 and 2 <-> 3, adds
+nothing.  :func:`transfer_matrix` evaluates exp(G z) by [13/13] Pade
 scaling and squaring; it needs no characteristic roots and holds in every
 regime, multiple roots included.  This is the production solver.
 
@@ -43,7 +47,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .bogoliubov import BogoliubovMatrix, _gather
+from .bogoliubov import _SWAP, BogoliubovMatrix
 from .characteristic import QuarticRoots, solve_quartic
 from .params import ModelParams, derive
 
@@ -301,41 +305,24 @@ def _expm(g: np.ndarray) -> tuple[np.ndarray, bool]:
     return r, safe
 
 
-def _generator(a, b, c, d1, d2, d3) -> list:
-    """The rotating-frame generator G, its 16 entries row by row; the
-    arguments are scalars or arrays of one shape, and so are the entries."""
-    zero = 0.0 * abs(a)
-    return [zero, 1j * a, 1j * b.conjugate(), zero,
-            -1j * a.conjugate(), 1j * d1, zero, -1j * c,
-            1j * b, zero, 1j * d2, zero,
-            zero, -1j * c.conjugate(), zero, -1j * (d3 - d1)]
-
-
 def _generators(params: ModelParams, z) -> tuple:
-    """The rotating-frame phases e^{i theta z}, (..., 2, 4, 1), and the
-    generators times z, (..., 2, 4, 4), of the direct and the
-    signal/idler-swapped mapping.  The fields of params are scalars or
+    """The rotating-frame phases e^{i theta z}, (..., 4, 1), and the
+    generator G of the direct mapping times z, (..., 4, 4), with which
+    T = diag(e^{i theta z}) exp(G z).  The fields of params are scalars or
     arrays of one shape (...), a batch of points; z is a scalar or an array
-    of shape (..., 1, 1, 1)."""
-    a, es, ei = params.kappa, params.eta_s, params.eta_i
-    d1, ds, di = params.delta_tilde, params.delta_s, params.delta_i
-    g = np.array(_generator(a, es, ei, d1, ds, di)
-                 + _generator(a, ei, es, d1, di, ds), dtype=complex)
+    of shape (..., 1, 1)."""
+    a, b, c = params.kappa, params.eta_s, params.eta_i
+    d1, d2, d3 = params.delta_tilde, params.delta_s, params.delta_i
+    zero = 0.0 * abs(a)
+    g = np.array([zero, 1j * a, 1j * b.conjugate(), zero,
+                  -1j * a.conjugate(), 1j * d1, zero, -1j * c,
+                  1j * b, zero, 1j * d2, zero,
+                  zero, -1j * c.conjugate(), zero, -1j * (d3 - d1)], dtype=complex)
     if g.ndim > 1:  # a batch: its axes go first
-        g = np.moveaxis(g, 0, -1).copy()
-    gz = g.reshape(g.shape[:-1] + (2, 4, 4)) * z
+        g = np.moveaxis(g, 0, -1)
+    gz = g.reshape(g.shape[:-1] + (4, 4)) * z
     # Y_k = e^{i theta_k z} X_k, and diag(G) = -i theta
     return np.exp(-gz.diagonal(axis1=-2, axis2=-1))[..., None], gz
-
-
-def _expm_pairs(g: np.ndarray, twins: np.ndarray) -> np.ndarray:
-    """exp of each matrix of a stack of pairs (m, 2, 4, 4), where a pair
-    flagged in twins holds two equal matrices and is exponentiated once."""
-    r, _ = _expm(np.concatenate((g[:, 0], g[~twins, 1])))
-    x = np.empty_like(g)
-    x[:, 0] = x[:, 1] = r[:len(g)]
-    x[~twins, 1] = r[len(g):]
-    return x
 
 
 def transfer_matrix(params: ModelParams, z: float) -> BogoliubovMatrix:
@@ -345,14 +332,14 @@ def transfer_matrix(params: ModelParams, z: float) -> BogoliubovMatrix:
     Raises OverflowError when an entry exceeds double precision.
     """
     phase, gz = _generators(params, z)
-    # a degenerate point's two generators are equal: one exponential serves
-    twins = params.eta_s == params.eta_i and params.delta_s == params.delta_i
-    r, safe = _expm(gz[:1] if twins else gz)
-    # columns e1 and e3 are the two initial conditions of each branch pair
-    x = r[..., ::2]
-    if not (safe or np.isfinite(x).all()):
+    r, safe = _expm(gz[None])
+    if not (safe or np.isfinite(r).all()):
         raise OverflowError("transfer matrix entries exceed double precision")
-    return BogoliubovMatrix.from_branches(z, phase * x)
+    t = phase * r[0]
+    if params.eta_s == params.eta_i and params.delta_s == params.delta_i:
+        # degenerate: the idler columns are the signal ones, bit for bit
+        t[:, 1::2] = t[_SWAP, ::2].conj()
+    return BogoliubovMatrix(z, t)
 
 
 def transfer_matrices(params: ModelParams, z) -> np.ndarray:
@@ -360,8 +347,9 @@ def transfer_matrices(params: ModelParams, z) -> np.ndarray:
     are arrays of one shape (...).  The same exponential as
     :func:`transfer_matrix`; an entry beyond double precision comes back as
     inf or NaN instead of raising, so call it under ``np.errstate``."""
-    phase, gz = _generators(params, np.asarray(z, dtype=float)[..., None, None, None])
-    # degenerate points have equal direct and swapped generators
+    phase, gz = _generators(params, np.asarray(z, dtype=float)[..., None, None])
+    r, _ = _expm(gz.reshape(-1, 4, 4))
+    t = phase * r.reshape(gz.shape)
     twins = (params.eta_s == params.eta_i) & (params.delta_s == params.delta_i)
-    x = _expm_pairs(gz.reshape(-1, 2, 4, 4), twins.ravel()).reshape(gz.shape)
-    return _gather(phase * x[..., ::2])
+    t[twins, :, 1::2] = t[twins][..., _SWAP, ::2].conj()
+    return t

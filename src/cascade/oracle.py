@@ -80,13 +80,15 @@ def integrate(params: ModelParams, z_grid=None,
     16-dimensional complex state so step-size decisions are shared) and
     return the Bogoliubov matrices on the requested grid.
 
-    The grid must be strictly increasing, start at 0 and stay within
-    [0, length]; by default 512 uniform points on [0, length].
+    The grid must be finite, strictly increasing, start at 0 and stay
+    within [0, length]; by default 512 uniform points on [0, length].
     """
     L = params.length
     if z_grid is None:
         z_grid = np.linspace(0.0, L, DEFAULT_GRID_POINTS) if L > 0 else np.array([0.0])
     z_grid = np.asarray(z_grid, dtype=float)
+    if not np.isfinite(z_grid).all():
+        raise ValueError("z grid must be finite")
     if z_grid[0] != 0.0:
         raise ValueError("z grid must start at 0")
     if np.any(np.diff(z_grid) <= 0) and len(z_grid) > 1:

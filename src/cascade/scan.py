@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -177,10 +178,13 @@ def solve_point(params: ModelParams, z: float | None = None,
     solver="analytic" uses the rotating-frame matrix exponential, valid in
     every regime; solver="oracle" integrates the mode equations;
     solver="averaged" applies the sinc-averaged parameter map first.
+    ValueError when z is not finite.
     """
     validate(params)
     if z is None:
         z = params.length
+    elif not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z!r}")
     if solver == "averaged":
         params, solver = averaged_model(params), "analytic"
     if solver == "oracle":
@@ -374,21 +378,22 @@ def run_scan(spec: ScanSpec, workers: int = 1, strict: bool = False,
     them) run the ODE solves of solver="oracle" and of the cross-check.
 
     With cross_check enabled (implied by strict), a seeded 5% sample of the
-    successful analytic/averaged points is re-solved with the ODE oracle and
-    observables are compared at 1e-5 relative; disagreements are reported in
+    successful analytic/averaged points is re-evaluated with the ODE oracle
+    (solved only when a matrix quantity is requested) and observables are
+    compared at 1e-5 relative; disagreements are reported in
     cross_check_violations and raise RuntimeError in strict mode.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     grid = _grid(spec)
-    solves = spec.solver == "oracle" and any(q in _MATRIX_QUANTITIES
-                                             for q in spec.quantities)
+    # only the matrix quantities need an ODE solve, on either path
+    solves = any(q in _MATRIX_QUANTITIES for q in spec.quantities)
     errors: list = []
     columns: dict = {q: [] for q in spec.quantities}
     for start in range(0, len(grid), CHUNK_POINTS):
         chunk = grid[start:start + CHUNK_POINTS]
         matrices = (_oracle_matrices([point_params(spec, *pt) for pt in chunk], workers)
-                    if solves else None)
+                    if solves and spec.solver == "oracle" else None)
         batch = point_params(spec, *(np.array(v) for v in zip(*chunk)))
         errs, part = _evaluate(batch, spec.quantities, spec.solver, matrices)
         errors += [e and type(e).__name__ for e in errs]
@@ -403,7 +408,7 @@ def run_scan(spec: ScanSpec, workers: int = 1, strict: bool = False,
         sample = [point_params(spec, *grid[i]) for i in sampled]
         if spec.solver == "averaged":
             sample = [averaged_model(p) for p in sample]
-        matrices = _oracle_matrices(sample, workers)
+        matrices = _oracle_matrices(sample, workers) if solves else None
         ref_errors, refs = (_evaluate(_stack(sample), tuple(numeric), "oracle",
                                       matrices) if sample else ([], {}))
         for k, idx in enumerate(sampled):
@@ -533,11 +538,12 @@ def emit(result: ScanResult, fmt: str) -> bytes:
     with_error = bool(result.failures)
     header = columns + (["error"] if with_error else [])
     lines = [",".join(header)]
-    for row in result.rows:
-        cells = [_fmt(row[c]) for c in columns]
-        if with_error:
-            cells.append("")
-        lines.append(",".join(cells))
+    if result.rows:
+        # one format per row, what _fmt writes cell by cell; _tabulate gives
+        # every row its keys in the same order
+        line = ",".join("%s" if isinstance(v, str) else "%.17g"
+                        for v in result.rows[0].values()) + ("," if with_error else "")
+        lines += [line % tuple(row.values()) for row in result.rows]
     for fail in result.failures:
         cells = [_fmt(fail[c]) if c in fail else "" for c in columns]
         cells.append(fail["error"])

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -255,3 +256,16 @@ def test_bad_cascade_threads_fails_scan_only(capsys, monkeypatch, tmp_path):
         main(["scan", "--spec", str(spec)])
     assert exc.value.code == 2
     assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver", ["analytic", "oracle"])
+@pytest.mark.parametrize("z", ["nan", "inf"])
+def test_solve_non_finite_z_exits_2(capsys, solver, z):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "solve", "--kappa", "3", "--eta-s", "1",
+                             "--delta-s", "3", "--degenerate", "--length", "2",
+                             "--solver", solver, "--z", z)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert code == 2 and out == ""
+    assert err == f"error: z must be finite, got {float(z)!r}\n"

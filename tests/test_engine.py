@@ -14,9 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cascade import scan
+from cascade import analytic, scan
 from cascade.analytic import transfer_matrix
-from cascade.bogoliubov import branches_coincide
+from cascade.bogoliubov import BogoliubovMatrix, branches_coincide
 from cascade.characteristic import classify, solve_quartic
 from cascade.cli import main
 from cascade.observables import (collective_min_variance, photon_numbers,
@@ -266,3 +266,74 @@ def test_malformed_spec_exits_0_or_2(tmp_path_factory, doc):
     assert code in (0, 2), err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error: ")
+
+
+# one exponential per transfer matrix: exp(G z) of the direct generator holds
+# all four columns of T
+
+
+def _two_exponentials(p: ModelParams, z: float) -> np.ndarray:
+    """T from the direct and the signal/idler-swapped generators, each
+    exponentiated by scipy and contributing its columns e1 and e3."""
+    from scipy.linalg import expm
+
+    def branch(b, c, d2, d3):
+        a, d1 = p.kappa, p.delta_tilde
+        g = 1j * np.array([[0, a, np.conj(b), 0],
+                           [-np.conj(a), d1, 0, -c],
+                           [b, 0, d2, 0],
+                           [0, -np.conj(c), 0, d1 - d3]]) * z
+        return np.exp(-np.diag(g))[:, None] * expm(g)[:, ::2]
+
+    return BogoliubovMatrix.from_branches(z, [
+        branch(p.eta_s, p.eta_i, p.delta_s, p.delta_i),
+        branch(p.eta_i, p.eta_s, p.delta_i, p.delta_s)]).t
+
+
+@settings(max_examples=80, **SETTINGS)
+@given(points())
+def test_one_exponential_equals_the_two_branch_exponentials(p):
+    got = transfer_matrix(p, p.length).t
+    want = _two_exponentials(p, p.length)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_transfer_matrices_exponentiate_each_point_once(monkeypatch):
+    sizes = []
+    expm = analytic._expm
+
+    def counted(g):
+        sizes.append(len(g))
+        return expm(g)
+
+    monkeypatch.setattr(analytic, "_expm", counted)
+    res = run_scan(_mixed_spec())
+    assert sizes == [81]
+    assert len(res.rows) + len(res.failures) == 81
+
+
+def _per_cell_csv(result) -> bytes:
+    """CSV written one cell at a time with format(float(v), ".17g")."""
+    def cell(v):
+        return v if isinstance(v, str) else format(float(v), ".17g")
+
+    columns = list(result.rows[0]) if result.rows else \
+        [k for k in result.failures[0] if k != "error"]
+    tail = [""] if result.failures else []
+    lines = [",".join(columns + (["error"] if result.failures else []))]
+    lines += [",".join([cell(row[c]) for c in columns] + tail) for row in result.rows]
+    lines += [",".join([cell(f[c]) if c in f else "" for c in columns] + [f["error"]])
+              for f in result.failures]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_row_formatted_csv_matches_per_cell_reference():
+    overflow = ScanSpec(base=degenerate_params(1, 1, 0, 3, 2),
+                        axis1=AxisSpec("kappa_abs", 1.0, 400.0, 41),
+                        quantities=("regime", "n_as", "n_bs", "minvar_a",
+                                    "minvar_b", "minvar_c", "growth_rate"),
+                        degenerate=True)
+    results = [run_scan(overflow), scan.sweep_gain(47.12, 1.0, 6.0, 61)]
+    assert results[0].failures and results[0].rows
+    for res in results:
+        assert emit(res, "csv") == _per_cell_csv(res)

@@ -32,6 +32,12 @@ def test_grid_defaults_and_invariants():
     assert m0.U_s == 1 and m0.M_s == 1 and m0.V_s == 0
 
 
+@pytest.mark.parametrize("end", [math.nan, math.inf])
+def test_grid_must_be_finite(end):
+    with pytest.raises(ValueError, match="finite"):
+        integrate(make(kappa=1 + 0j, L=1.0), np.array([0.0, end]))
+
+
 def test_grid_validation():
     p = make(kappa=1 + 0j, L=1.0)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -255,3 +256,16 @@ class TestSweepGain:
         k = int(np.argmin(mv))
         assert 0 < k < len(mv) - 1
         assert mv[k] < mv[k - 1] and mv[k] < mv[k + 1] and mv[k] < mv[-1]
+
+
+@pytest.mark.parametrize("quantities", [("regime",), ("regime", "growth_rate")])
+def test_cross_check_without_matrix_quantities_solves_nothing(monkeypatch, quantities):
+    def refuse(*args):
+        raise AssertionError("no ODE solve expected")
+
+    monkeypatch.setattr(scan, "_oracle_matrices", refuse)
+    spec = dataclasses.replace(scan.four_mode_diagram_spec(count=21),
+                               quantities=quantities)
+    res = run_scan(spec, cross_check=True)
+    assert res.cross_check_violations == []
+    assert len(res.rows) == 21 * 21
