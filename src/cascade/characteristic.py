@@ -26,6 +26,7 @@ Regimes are labelled by the root pattern:
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
@@ -82,18 +83,15 @@ def _scale(p, q, r):
     return _max(1.0, abs(p) ** 0.5, abs(q) ** (1 / 3), abs(r) ** 0.25)
 
 
-def _lambdas(p, q, r) -> np.ndarray:
-    """Roots lambda (..., 4), unordered, of lambda^4 + P lambda^2 + i Q
-    lambda + R = 0 for coefficients that are scalars or arrays (...): the
-    eigenvalues mu of the companion matrix of mu^4 - P mu^2 + Q mu + R (the
-    matrix numpy.roots builds), mapped back by lambda = -i mu."""
-    c = np.zeros(np.shape(p) + (4, 4))
-    c[..., 0, 0] = -0.0
-    c[..., 0, 1] = p
-    c[..., 0, 2] = -q
-    c[..., 0, 3] = -r
-    c[..., 1, 0] = c[..., 2, 1] = c[..., 3, 2] = 1.0
-    return -1j * np.linalg.eigvals(c)
+def _roots(*coefficients) -> np.ndarray:
+    """Roots (..., n) of x^n + c_1 x^(n-1) + ... + c_n, coefficients scalars
+    or arrays (...): eigenvalues of the companion matrix numpy.roots builds."""
+    n = len(coefficients)
+    c = np.zeros(np.broadcast(*coefficients).shape + (n, n))
+    for k, ck in enumerate(coefficients):
+        c[..., 0, k] = -ck
+    c[..., range(1, n), range(n - 1)] = 1.0
+    return np.linalg.eigvals(c)
 
 
 def solve_quartic(d: DerivedParams) -> QuarticRoots:
@@ -103,7 +101,7 @@ def solve_quartic(d: DerivedParams) -> QuarticRoots:
     matrix eigenvalues (numerically robust near multiple roots, no explicit
     radical branch cuts), then mapped back by lambda = -i mu.
     """
-    lam = sorted(_lambdas(d.p_coef, d.q_coef, d.r_coef),
+    lam = sorted(-1j * _roots(0.0, -d.p_coef, d.q_coef, d.r_coef),
                  key=lambda x: (-x.real, -x.imag))
     sep = min(abs(lam[i] - lam[j]) for i in range(4) for j in range(i + 1, 4))
     big = max(abs(x) for x in lam)
@@ -129,18 +127,49 @@ def discriminant_general(d: DerivedParams) -> float:
             - 27 * q2 * q2 + 16 * p2 * p2 * r + 4 * p2 * p * q2)
 
 
-def _max_growth(d: DerivedParams) -> float:
-    return max(x.real for x in solve_quartic(d).roots)
+def _biquadratic_growth(params: ModelParams, d: DerivedParams, sqrt):
+    """|Re lambda| over the two roots lambda^2 of x^2 + P x + R, the quartic
+    of equal arms (Q = 0), taken without cancellation: x = -sgn(P) (|P| +
+    sqrt(P^2 - 4R)) / 2 and R / x, with P^2 - 4R expanded as (phi^2 -
+    |kappa|^2)(4 g_s^2 - |kappa|^2) + |kappa|^2 (phi - delta_s)^2.  sqrt is
+    cmath.sqrt for one point and np.sqrt for a batch (bit for bit alike)."""
+    a2, phi, p = _abs_sq(params.kappa), d.phi, d.p_coef
+    ds = phi - params.delta_s
+    s = sqrt((phi * phi - a2) * (4 * d.g_s_sq - a2) + a2 * ds * ds + 0j)
+    x = (abs(p) + s) / ((p < 0) * 4 - 2)
+    m = x.real * x.real + x.imag * x.imag  # 0 only where P = 0 = P^2 - 4R
+    y = d.r_coef / (m + (m == 0)) * x.conjugate()
+    return abs(sqrt(x).real), abs(sqrt(y).real)
 
 
-def growth_rates(d: DerivedParams) -> np.ndarray:
-    """The largest Re(lambda) of each point of a batch: d's fields are
-    arrays of one shape, from :func:`cascade.params.derive` of a batch.
-    NaN where a coefficient is not finite."""
-    coefficients = (d.p_coef, d.q_coef, d.r_coef)
-    finite = np.logical_and.reduce([np.isfinite(c) for c in coefficients])
-    lam = _lambdas(*(np.where(finite, c, 0.0) for c in coefficients))
-    return np.where(finite, lam.real.max(axis=-1), np.nan)
+def growth_rate(d: DerivedParams, params: ModelParams | None = None):
+    """The largest Re(lambda) [cm^-1]: a float for one point, or for a batch
+    (params required) an array, NaN where a coefficient is not finite.
+    Points of params with eta_i = eta_s and delta_i = delta_s exactly (Q = 0)
+    take the biquadratic's closed form, and those with eta_i = 0 = delta_i
+    max(0, Im s) over the cubic's roots s: at weak pump the quartic has a
+    (near-)double root there, where companion eigenvalues lose about
+    sqrt(eps).  Elsewhere Im mu over the quartic's roots mu."""
+    twins = params is not None and ((params.eta_i == params.eta_s)
+                                    & (params.delta_i == params.delta_s))
+    if not isinstance(d.p_coef, np.ndarray):
+        if twins:
+            return max(_biquadratic_growth(params, d, cmath.sqrt))
+        if params is not None and params.eta_i == 0 and params.delta_i == 0:
+            p3, q3, _ = _three_mode_discriminant(params, d)
+            return float(max(_roots(0.0, -p3, q3).imag.max(), 0.0))
+        return float(_roots(0.0, -d.p_coef, d.q_coef, d.r_coef).imag.max())
+    p, q, r = d.p_coef, d.q_coef, d.r_coef
+    out = np.full(p.shape, np.nan)
+    general = np.isfinite(p) & np.isfinite(q) & np.isfinite(r)
+    closed = general & twins
+    cubic = general & (params.eta_i == 0) & (params.delta_i == 0) & ~closed
+    out[closed] = np.maximum(*_biquadratic_growth(params, d, np.sqrt))[closed]
+    p3, q3, _ = _three_mode_discriminant(params, d)
+    out[cubic] = np.maximum(_roots(0.0, -p3[cubic], q3[cubic]).imag.max(axis=-1), 0.0)
+    general &= ~(closed | cubic)
+    out[general] = _roots(0.0, -p[general], q[general], r[general]).imag.max(axis=-1)
+    return out
 
 
 def _label(cases: list, default: Area):
@@ -198,8 +227,9 @@ def classify_general(d: DerivedParams) -> Regime:
                                       the I..IV distinction should use
                                       max_growth_rate)
     D = 0 within tolerance   ->  V
+    max_growth_rate is :func:`growth_rate` of d alone.
     """
-    return Regime(label=_general_label(d), max_growth_rate=_max_growth(d))
+    return Regime(label=_general_label(d), max_growth_rate=growth_rate(d))
 
 
 def classify_degenerate(params: ModelParams) -> Regime:
@@ -209,15 +239,13 @@ def classify_degenerate(params: ModelParams) -> Regime:
 
     I: P>0 and 0<R<P^2/4;  II: R<0;  III: R>P^2/4;
     IV: P<0 and 0<R<P^2/4;  V: R=0 or R=P^2/4 within tolerance.
+    max_growth_rate is :func:`growth_rate`, from that closed form where the
+    two arms are equal exactly (within tolerance only: Q != 0, eigenvalues).
     """
     if not is_degenerate(params):
         raise ValueError("classify_degenerate requires eta_i = eta_s and delta_i = delta_s")
     d = derive(params)
-    p, r = d.p_coef, d.r_coef
-    s = complex(p * p - 4 * r) ** 0.5
-    lam_sq = ((-p + s) / 2, (-p - s) / 2)
-    growth = max(abs((l2**0.5).real) for l2 in lam_sq)
-    return Regime(label=_degenerate_label(d), max_growth_rate=float(growth))
+    return Regime(label=_degenerate_label(d), max_growth_rate=growth_rate(d, params))
 
 
 def classify_three_mode(params: ModelParams) -> tuple[Regime, complex]:
@@ -233,19 +261,14 @@ def classify_three_mode(params: ModelParams) -> tuple[Regime, complex]:
     and amplification exists exactly when that real cubic has a complex-
     conjugate pair, i.e. when D3 = 27 Q3^2 - 4 P3^3 > 0.  D3 < 0 gives three
     real s (all lambda imaginary, oscillating solutions); D3 = 0 multiple
-    roots.  Returns (regime, lambda_4).
+    roots.  max_growth_rate is :func:`growth_rate`, from that cubic where
+    eta_i = 0 = delta_i exactly.  Returns (regime, lambda_4).
     """
     if not is_three_mode(params):
         raise ValueError("classify_three_mode requires eta_i = 0 and delta_i = 0")
     d = derive(params)
-    p3, q3, _ = _three_mode_discriminant(params, d)
-    phi = d.phi
-    lam4 = 1j * phi / 2
-    s_roots = np.roots([1.0, 0.0, -p3, q3])
-    growth = max(((-1j) * (s + phi / 6)).real for s in s_roots)
-    growth = max(growth, lam4.real)
     return (Regime(label=_three_mode_label(params, d),
-                   max_growth_rate=float(growth)), lam4)
+                   max_growth_rate=growth_rate(d, params)), 1j * d.phi / 2)
 
 
 def classify(params: ModelParams) -> Regime:

@@ -9,7 +9,8 @@ regime.  `compare` prints :func:`cascade.scan.compare_point`, the comparison
 that `sweep-gain` tabulates over the parametric gain.
 
 Exit codes: 0 success, 2 invalid input, including inputs whose solution
-leaves double precision, 4 strict-mode cross-check failure.
+leaves double precision and a `solve --z` outside the crystal, 4 strict-mode
+cross-check failure.
 """
 
 from __future__ import annotations
@@ -109,8 +110,7 @@ def _json_bytes(obj) -> bytes:
 
 def _cmd_solve(args) -> int:
     params = _build_params(args)
-    z = args.z if args.z is not None else params.length
-    m = solve_point(params, z=z, solver=args.solver)
+    m = solve_point(params, z=args.z, solver=args.solver)
     doc = {
         "params": params_to_dict(params),
         "regime": classify(params).label.value,
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="transfer matrix and observables at one point")
     _add_param_flags(p)
     p.add_argument("--z", type=float, default=None,
-                   help="evaluation position [cm] (default: crystal length)")
+                   help="evaluation position [cm] in [0, length] (default: length)")
     p.add_argument("--solver", choices=SOLVERS,
                    default="analytic", help="solution method [dimensionless]")
     p.set_defaults(func=_cmd_solve)

@@ -7,9 +7,9 @@ over the points, and no point's arithmetic depends on its chunk-mates.
 Scans evaluate their grid in grid order, one chunk of CHUNK_POINTS points
 at a time in the calling process; chunks only bound a batch's memory, and
 output is byte-identical for any chunk size and worker count.  Worker
-processes run ODE solves only: the oracle solver and the oracle
-cross-check solve their points through :func:`_oracle_matrices`, then
-evaluate the solved matrices with the same batched observables.  Gain
+processes run ODE solves only: the engine solves the points of the oracle
+solver and of the oracle cross-check through :func:`_oracle_matrices` and
+evaluates the solved matrices with the same batched observables.  Gain
 sweeps and ``cascade compare`` share :func:`compare_point`.  Per-point
 errors, a value beyond double precision included (OverflowError), are
 recorded as failure rows and never abort a scan or a sweep.
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import analytic, oracle
 from .bogoliubov import BogoliubovMatrix, branches_coincide_stack
-from .characteristic import classify_batch, growth_rates
+from .characteristic import classify_batch, growth_rate
 from .observables import (averaged_model, photon_numbers, pdc_only_reference,
                           single_mode_min_variance, stack_observables)
 from .params import ModelParams, derive, validate, validate_batch
@@ -178,13 +178,15 @@ def solve_point(params: ModelParams, z: float | None = None,
     solver="analytic" uses the rotating-frame matrix exponential, valid in
     every regime; solver="oracle" integrates the mode equations;
     solver="averaged" applies the sinc-averaged parameter map first.
-    ValueError when z is not finite.
+    ValueError, with every solver, when z is not finite or not in [0, length].
     """
     validate(params)
     if z is None:
         z = params.length
     elif not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z!r}")
+    elif not 0 <= z <= params.length:
+        raise ValueError(f"z must lie in [0, length] = [0, {params.length!r}], got {z!r}")
     if solver == "averaged":
         params, solver = averaged_model(params), "analytic"
     if solver == "oracle":
@@ -246,30 +248,27 @@ def evaluate_points(points: list, quantities, solver: str) -> list:
     exception that stops it, as the single-point functions would raise it.
 
     Every layer is an array expression over the points: validation, the
-    regime masks on P, Q and R, the growth rates from one batch of
-    companion-matrix eigenvalues, the transfer matrices from one stacked
-    exponential (for solver="oracle", one ODE solve per point first), and
-    the photon numbers and squeezing minima.  No point's arithmetic depends
-    on the other points.  A point with a non-finite value fails with
-    OverflowError."""
+    regime masks on P, Q and R, the growth rates (:func:`growth_rate`), the
+    transfer matrices from one stacked exponential (for solver="oracle",
+    one ODE solve per point), and the photon numbers and squeezing minima.
+    No point's arithmetic depends on the other points.  A point with a
+    non-finite value fails with OverflowError."""
     if not points:
         return []
     quantities = tuple(quantities)
-    solves = solver == "oracle" and any(q in _MATRIX_QUANTITIES for q in quantities)
-    matrices = _oracle_matrices(points) if solves else None
-    errs, columns = _evaluate(_stack(points), quantities, solver, matrices)
+    errs, columns = _evaluate(_stack(points), quantities, solver)
     rows = zip(*columns.values()) if quantities else [()] * len(errs)
     return [e or dict(zip(quantities, row)) for e, row in zip(errs, rows)]
 
 
 def _evaluate(batch: ModelParams, quantities: tuple, solver: str,
-              matrices: list | None = None) -> tuple[list, dict]:
+              workers: int = 1) -> tuple[list, dict]:
     """:func:`evaluate_points` of a batch, a ModelParams whose fields are
     scalars or arrays that broadcast to one shape (n,): each point's failure
-    (None for none), and each quantity's values as a list.  The transfer
-    matrices are the analytic ones unless matrices (a BogoliubovMatrix or an
-    exception per point, as :func:`_oracle_matrices` returns them) are
-    given, which solver="oracle" needs for any matrix quantity."""
+    (None for none), and each quantity's values as a list.  With
+    solver="oracle" and a matrix quantity requested, the engine runs the ODE
+    solves itself, through :func:`_oracle_matrices` on at most workers
+    processes; no other case solves anything."""
     fields = np.broadcast_arrays(*(
         np.asarray(getattr(batch, f), dtype=complex if f in _COUPLINGS else float)
         for f in _FIELDS))
@@ -284,11 +283,11 @@ def _evaluate(batch: ModelParams, quantities: tuple, solver: str,
         if "regime" in quantities:
             values["regime"] = classify_batch(batch)
         if "growth_rate" in quantities:
-            values["growth_rate"] = growth_rates(derive(batch))
+            values["growth_rate"] = growth_rate(derive(batch), batch)
             _first(errs, np.isnan(values["growth_rate"]), lambda: np.linalg.LinAlgError(
                 "Array must not contain infs or NaNs"))
         if any(q in _MATRIX_QUANTITIES for q in quantities):
-            values.update(_matrix_values(batch, quantities, errs, matrices))
+            values.update(_matrix_values(batch, quantities, errs, solver, workers))
         for q in quantities:
             if q != "regime":
                 _first(errs, ~np.isfinite(values[q]),
@@ -297,15 +296,15 @@ def _evaluate(batch: ModelParams, quantities: tuple, solver: str,
 
 
 def _matrix_values(batch: ModelParams, quantities: tuple, errs: list,
-                   matrices: list | None) -> dict:
+                   solver: str, workers: int) -> dict:
     """Photon numbers and squeezing minima of a batch; failures go to errs
     in the order the single-point functions meet them: the solve, the
     photon numbers, a non-degenerate matrix's squeezing."""
-    if matrices is None:
+    if solver != "oracle":
         t = analytic.transfer_matrices(batch, batch.length)
     else:
         t = np.broadcast_to(np.identity(4, dtype=complex), (len(errs), 4, 4)).copy()
-        for k, m in enumerate(matrices):
+        for k, m in enumerate(_oracle_matrices(_unstack(batch), workers)):
             if isinstance(m, BogoliubovMatrix):
                 t[k] = m.t
             elif errs[k] is None:
@@ -386,16 +385,12 @@ def run_scan(spec: ScanSpec, workers: int = 1, strict: bool = False,
     if workers < 1:
         raise ValueError("workers must be >= 1")
     grid = _grid(spec)
-    # only the matrix quantities need an ODE solve, on either path
-    solves = any(q in _MATRIX_QUANTITIES for q in spec.quantities)
     errors: list = []
     columns: dict = {q: [] for q in spec.quantities}
     for start in range(0, len(grid), CHUNK_POINTS):
         chunk = grid[start:start + CHUNK_POINTS]
-        matrices = (_oracle_matrices([point_params(spec, *pt) for pt in chunk], workers)
-                    if solves and spec.solver == "oracle" else None)
         batch = point_params(spec, *(np.array(v) for v in zip(*chunk)))
-        errs, part = _evaluate(batch, spec.quantities, spec.solver, matrices)
+        errs, part = _evaluate(batch, spec.quantities, spec.solver, workers)
         errors += [e and type(e).__name__ for e in errs]
         for q, values in part.items():
             columns[q] += values
@@ -408,9 +403,7 @@ def run_scan(spec: ScanSpec, workers: int = 1, strict: bool = False,
         sample = [point_params(spec, *grid[i]) for i in sampled]
         if spec.solver == "averaged":
             sample = [averaged_model(p) for p in sample]
-        matrices = _oracle_matrices(sample, workers) if solves else None
-        ref_errors, refs = (_evaluate(_stack(sample), tuple(numeric), "oracle",
-                                      matrices) if sample else ([], {}))
+        ref_errors, refs = _evaluate(_stack(sample), tuple(numeric), "oracle", workers)
         for k, idx in enumerate(sampled):
             if ref_errors[k] is not None:
                 raise ref_errors[k]

@@ -37,6 +37,7 @@ def random_params(rng, couple_max=10.0, mismatch_max=10.0, l_max=3.0):
         length=rng.uniform(0, l_max)))
 
 
+@pytest.mark.slow
 def test_criterion_01_canonical_identity_suite():
     rng = np.random.default_rng(20260801)
     t0 = time.time()
@@ -59,6 +60,7 @@ def test_criterion_01_canonical_identity_suite():
            f"worst residual {worst:.2e}, {elapsed:.1f} s")
 
 
+@pytest.mark.slow
 def test_criterion_02_analytic_oracle_equivalence():
     rng = np.random.default_rng(20260802)
     t0 = time.time()

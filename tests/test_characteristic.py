@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -8,6 +9,7 @@ from cascade.characteristic import (Area, classify, classify_degenerate,
                                     discriminant_general, solve_quartic)
 from cascade.params import (ModelParams, degenerate_params, derive,
                             three_mode_params, validate)
+from cascade.scan import evaluate_points
 
 
 def make(kappa=0j, eta_s=0j, eta_i=0j, dt=0.0, ds=0.0, di=0.0, L=1.0):
@@ -249,3 +251,41 @@ class TestRootProperties:
             g = complex(abs(ka) ** 2 - dt**2 / 4) ** 0.5
             assert_same_multiset(r.roots, [g, -g, 1j * dt / 2, -1j * dt / 2],
                                  tol=1e-10)
+
+
+def mp_growth(p: ModelParams):
+    """max Re lambda, lambda = -i mu over the roots mu of mu^4 - P mu^2 + Q mu
+    + R found by mpmath at 60 digits, with P, Q, R formed at that precision
+    from p's double-precision fields."""
+    with mp.workdps(60):
+        k, es, ei = (mp.mpc(x.real, x.imag) for x in map(complex, (p.kappa, p.eta_s, p.eta_i)))
+        dt, ds, di = (mp.mpf(x) for x in (p.delta_tilde, p.delta_s, p.delta_i))
+        a2, gs2, gi2 = abs(k) ** 2, abs(es) ** 2 + ds ** 2 / 4, abs(ei) ** 2 + di ** 2 / 4
+        phi = dt - (ds + di) / 2
+        P = gs2 + gi2 + phi ** 2 / 2 - a2
+        Q = phi * (gi2 - gs2) - a2 * (di - ds) / 2
+        R = (gs2 - phi ** 2 / 4) * (gi2 - phi ** 2 / 4) - a2 / 4 * (phi - ds) * (phi - di)
+        mus = mp.polyroots([1, 0, -P, Q, R], maxsteps=400, extraprec=400)
+        return max(mp.re(-1j * m) for m in mus)
+
+
+class TestGrowthRate:
+    # weak pump: the degenerate quartic has double roots at kappa = 0, and
+    # the three-mode quartic a root near lambda_4 = i phi / 2; both on and
+    # 1e-3 off delta_tilde = delta_s
+    @pytest.mark.parametrize("make_point", [degenerate_params, three_mode_params])
+    def test_weak_pump_panel_against_mpmath(self, make_point):
+        misses = []
+        for kappa in (0.0, 1e-8, 1e-6, 1e-4, 1e-2):
+            for eta in (0.8, 1.0):
+                for ds in (0.0, 2.0):
+                    for offset in (0.0, 1e-3):
+                        p = make_point(kappa, eta, ds + offset, ds, 2.0)
+                        ref = float(mp_growth(p))
+                        got = classify(p).max_growth_rate
+                        (row,) = evaluate_points([p], ("growth_rate",), "analytic")
+                        ok = got == 0.0 if ref < 1e-30 else abs(got - ref) <= 1e-9 * ref
+                        if not ok or row["growth_rate"] != got:
+                            misses.append((kappa, eta, ds, offset, ref, got,
+                                           row["growth_rate"]))
+        assert not misses

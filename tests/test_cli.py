@@ -269,3 +269,14 @@ def test_solve_non_finite_z_exits_2(capsys, solver, z):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert code == 2 and out == ""
     assert err == f"error: z must be finite, got {float(z)!r}\n"
+
+
+@pytest.mark.parametrize("solver", ["analytic", "averaged", "oracle"])
+@pytest.mark.parametrize("z", ["-1", "3"])
+def test_solve_z_outside_crystal_exits_2(capsys, solver, z):
+    # z = -1 and z = length + 1: one rule and one message for every solver
+    code, out, err = run(capsys, "solve", "--kappa", "3", "--eta-s", "1",
+                         "--delta-s", "3", "--degenerate", "--length", "2",
+                         "--solver", solver, f"--z={z}")
+    assert code == 2 and out == ""
+    assert err == f"error: z must lie in [0, length] = [0, 2.0], got {float(z)!r}\n"
