@@ -217,6 +217,15 @@ def _three_mode_label(params: ModelParams, d: DerivedParams):
     return _label([(Area.V, abs(d3) <= tol), (Area.II, d3 > 0)], Area.I)
 
 
+def _regime(label: Area, d: DerivedParams, params: ModelParams | None = None) -> Regime:
+    """label with :func:`growth_rate`, raising the LinAlgError a scan records
+    where the growth rate is NaN (a coefficient overflowed)."""
+    rate = growth_rate(d, params)
+    if cmath.isnan(rate):
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    return Regime(label=label, max_growth_rate=rate)
+
+
 def classify_general(d: DerivedParams) -> Regime:
     """Regime of the full four-mode interaction from the quartic discriminant.
 
@@ -229,7 +238,7 @@ def classify_general(d: DerivedParams) -> Regime:
     D = 0 within tolerance   ->  V
     max_growth_rate is :func:`growth_rate` of d alone.
     """
-    return Regime(label=_general_label(d), max_growth_rate=growth_rate(d))
+    return _regime(_general_label(d), d)
 
 
 def classify_degenerate(params: ModelParams) -> Regime:
@@ -245,7 +254,7 @@ def classify_degenerate(params: ModelParams) -> Regime:
     if not is_degenerate(params):
         raise ValueError("classify_degenerate requires eta_i = eta_s and delta_i = delta_s")
     d = derive(params)
-    return Regime(label=_degenerate_label(d), max_growth_rate=growth_rate(d, params))
+    return _regime(_degenerate_label(d), d, params)
 
 
 def classify_three_mode(params: ModelParams) -> tuple[Regime, complex]:
@@ -267,17 +276,19 @@ def classify_three_mode(params: ModelParams) -> tuple[Regime, complex]:
     if not is_three_mode(params):
         raise ValueError("classify_three_mode requires eta_i = 0 and delta_i = 0")
     d = derive(params)
-    return (Regime(label=_three_mode_label(params, d),
-                   max_growth_rate=growth_rate(d, params)), 1j * d.phi / 2)
+    return _regime(_three_mode_label(params, d), d, params), 1j * d.phi / 2
 
 
 def classify(params: ModelParams) -> Regime:
-    """Dispatch to the most specific classifier the parameters admit."""
+    """The regime from the most specific label the parameters admit, as
+    :func:`classify_batch` picks it, and :func:`growth_rate`; LinAlgError
+    where a coefficient overflowed."""
+    d = derive(params)
     if is_degenerate(params):
-        return classify_degenerate(params)
+        return _regime(_degenerate_label(d), d, params)
     if is_three_mode(params):
-        return classify_three_mode(params)[0]
-    return classify_general(derive(params))
+        return _regime(_three_mode_label(params, d), d, params)
+    return _regime(_general_label(d), d, params)
 
 
 def classify_batch(params: ModelParams) -> np.ndarray:

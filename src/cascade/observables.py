@@ -20,8 +20,9 @@ The balanced collective mode (a + e^{i delta} b)/sqrt(2) is minimized over
 the relative phase as well.  Its N, F and Lagrange-identity term are
 trigonometric polynomials of degree two in delta, so seven complex
 coefficients of T describe it at every phase (_collective_coefficients);
-the search refines the two lowest local minima of a 64-point phase grid
-by a fixed number of golden-section steps, to brackets below 1e-10 rad.
+the search refines the lowest local minimum of a 64-point phase grid, and
+the second-lowest where there is one, by a fixed number of golden-section
+steps, to brackets below 1e-10 rad.
 
 Every formula takes Python complex values or numpy arrays: the
 single-point functions evaluate one matrix, and :func:`stack_observables`
@@ -138,14 +139,11 @@ def single_mode_min_variance(m: BogoliubovMatrix, mode: str) -> SqueezingReport:
     )
 
 
-#: the coarse phase grid of the collective minimum, each point's
-#: neighbours, and the fixed number of golden-section steps that shrink a
-#: bracket of two spacings below 1e-10 rad
+#: the coarse phase grid of the collective minimum and the fixed number of
+#: golden-section steps that shrink a bracket of two spacings below 1e-10 rad
 _GRID_POINTS = 64
 _STEP = 2.0 * math.pi / _GRID_POINTS
 _GRID = _STEP * np.arange(_GRID_POINTS)
-_PREVIOUS = np.roll(np.arange(_GRID_POINTS), 1)
-_NEXT = np.roll(np.arange(_GRID_POINTS), -1)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEPS = math.ceil(math.log(2.0 * _STEP / 1e-10) / -math.log(_GOLDEN))
 
@@ -190,14 +188,23 @@ def _collective_variance(c: tuple, exp):
     return variance
 
 
-def _starts(values: np.ndarray) -> np.ndarray:
-    """Grid indices (..., 2) of the two lowest local minima of values
-    (..., _GRID_POINTS) on the periodic phase grid.  The objective often has
-    two deep, narrow minima about pi apart, and the coarse grid can rank
-    them wrongly, so both are refined.  A missing second minimum gives
-    another grid point, whose refinement only adds a candidate."""
-    local = (values < values[..., _PREVIOUS]) & (values <= values[..., _NEXT])
-    return np.where(local, values, np.inf).argsort(axis=-1)[..., :2]
+def _starts(values: np.ndarray) -> tuple:
+    """The grid starts of the collective search as flat index arrays
+    (points, phases), from values (n, _GRID_POINTS) on the periodic phase
+    grid: each point's lowest local minimum, then the second-lowest of the
+    points that have one.  The objective often has two deep, narrow minima
+    about pi apart, and the coarse grid can rank them wrongly, so both are
+    refined.  A grid without a local minimum is flat (all values equal), so
+    its first phase is its lowest value and every point has a start."""
+    wrapped = np.concatenate([values[:, -1:], values, values[:, :1]], axis=-1)
+    local = (values < wrapped[:, :-2]) & (values <= wrapped[:, 2:])
+    minima = np.where(local, values, np.inf)
+    first = minima.argmin(axis=-1)
+    points = np.arange(len(values))
+    minima[points, first] = np.inf
+    second = local.sum(axis=-1) > 1
+    return (np.concatenate([points, points[second]]),
+            np.concatenate([first, minima.argmin(axis=-1)[second]]))
 
 
 def _choose(cond, x, y):
@@ -232,9 +239,10 @@ def collective_min_variance(m: BogoliubovMatrix) -> SqueezingReport:
     collective mode, evaluated in the cancellation-free form from seven
     coefficients of T (see _collective_coefficients; the expanded
     1 + N_a + N_b + 2 Re[G e^{i d}] - |F(d)| cancels at high gain).  The
-    two lowest local minima of a 64-point grid over [0, 2 pi) are each
-    refined by a fixed number of golden-section steps to a bracket below
-    1e-10 rad, and the lower one is reported: the same search
+    lowest local minimum of a 64-point grid over [0, 2 pi), and the
+    second-lowest where there is one (see _starts), are each refined by a
+    fixed number of golden-section steps to a bracket below 1e-10 rad, and
+    the lower one is reported: the same starts and steps
     :func:`stack_observables` runs on arrays.  Since the report minimizes
     over the phase, bare carrier wavevectors (which only shift it) never
     enter.
@@ -243,10 +251,10 @@ def collective_min_variance(m: BogoliubovMatrix) -> SqueezingReport:
     a_row, _, b_row, _ = m.rows
     c = _collective_coefficients(a_row, b_row)
     variance = _collective_variance(c, cmath.exp)
+    _, phases = _starts(_collective_variance(c, np.exp)(_GRID)[None])
     best = None
-    for k in _starts(_collective_variance(c, np.exp)(_GRID)).tolist():
-        centre = k * _STEP
-        d = _golden(variance, centre - _STEP, 2.0 * _STEP, _choose)
+    for k in phases.tolist():
+        d = _golden(variance, k * _STEP - _STEP, 2.0 * _STEP, _choose)
         value = float(variance(d))
         if best is None or value < best[0]:
             best = value, d
@@ -263,8 +271,10 @@ def stack_observables(t: np.ndarray, quantities) -> dict:
     """Photon numbers of a stack of transfer matrices (n, 4, 4), always all
     four ("n_as", "n_ai", "n_bs", "n_bi"), and the squeezing minima among
     quantities ("minvar_a", "minvar_b", "minvar_c"), as arrays (n,): the
-    formulas and the phase search of the single-point functions.  The
-    minima assume degenerate matrices (see branches_coincide_stack)."""
+    formulas and the phase search of the single-point functions: the
+    collective search refines every point's grid starts (see _starts) as one
+    flat array and keeps each point's lowest result.  The minima assume
+    degenerate matrices (see branches_coincide_stack)."""
     rows = np.moveaxis(t, (-2, -1), (0, 1))
     out = dict(zip(("n_as", "n_ai", "n_bs", "n_bi"), _occupations(rows)))
     for q, row in (("minvar_a", rows[0]), ("minvar_b", rows[2])):
@@ -272,11 +282,12 @@ def stack_observables(t: np.ndarray, quantities) -> dict:
             x1, y1, x2, y2 = row
             out[q] = _stable_min_variance(x1, x2, y1, y2)
     if "minvar_c" in quantities:
-        variance = _collective_variance(
-            [v[:, None] for v in _collective_coefficients(rows[0], rows[2])], np.exp)
-        centre = _starts(variance(_GRID)) * _STEP
-        d = _golden(variance, centre - _STEP, 2.0 * _STEP, np.where)
-        out["minvar_c"] = variance(d).min(axis=-1)
+        c = _collective_coefficients(rows[0], rows[2])
+        points, phases = _starts(_collective_variance([v[:, None] for v in c], np.exp)(_GRID))
+        variance = _collective_variance([v[points] for v in c], np.exp)
+        d = _golden(variance, phases * _STEP - _STEP, 2.0 * _STEP, np.where)
+        out["minvar_c"] = np.full(len(t), np.inf)
+        np.minimum.at(out["minvar_c"], points, variance(d))
     return out
 
 

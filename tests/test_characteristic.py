@@ -1,4 +1,6 @@
+import hashlib
 import math
+import pickle
 
 import mpmath as mp
 import numpy as np
@@ -289,3 +291,41 @@ class TestGrowthRate:
                             misses.append((kappa, eta, ds, offset, ref, got,
                                            row["growth_rate"]))
         assert not misses
+
+
+def _random_regimes(rng, count=1000) -> list:
+    """classify of count random degenerate, three-mode and general points."""
+    def coupling():
+        return rng.uniform(0, 10) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    out = []
+    for make_point in (degenerate_params, three_mode_params):
+        for _ in range(count):
+            dt, ds = rng.uniform(-10, 10, 2)
+            out.append(classify(make_point(coupling(), coupling(), dt, ds,
+                                           rng.uniform(0.1, 3.0))))
+    return out + [classify(random_params(rng)) for _ in range(count)]
+
+
+class TestClassifyDispatch:
+    def test_regimes_unchanged(self):
+        # sha256 of the pickled regimes as classify gave them when it
+        # dispatched to classify_degenerate / classify_three_mode /
+        # classify_general
+        regimes = _random_regimes(np.random.default_rng(29))
+        digest = hashlib.sha256(b"".join(pickle.dumps(r, protocol=4) for r in regimes))
+        assert digest.hexdigest() == "4e813a35e33e152f4b839cf54af2c4f6ba4334a7bc710b931c13b89a915f4f34"
+
+    @pytest.mark.parametrize("p, specific", [
+        (degenerate_params(1e160, 1, 0, 0, 2), classify_degenerate),
+        (three_mode_params(1e160, 1, 0, 0, 2), lambda p: classify_three_mode(p)[0]),
+        (make(kappa=1e160 + 0j, eta_s=1 + 0j, eta_i=2 + 0j, L=2.0),
+         lambda p: classify_general(derive(p))),
+    ], ids=["degenerate", "three_mode", "general"])
+    def test_overflowing_coefficients_raise_the_scan_failure(self, p, specific):
+        (failure,) = evaluate_points([p], ("regime", "growth_rate"), "analytic")
+        assert isinstance(failure, np.linalg.LinAlgError)
+        for call in (classify, specific):
+            with pytest.raises(np.linalg.LinAlgError) as err:
+                call(p)
+            assert type(err.value).__name__ == type(failure).__name__
+            assert str(err.value) == str(failure)

@@ -2,6 +2,7 @@
 functions, chunk independence, regimes and failure rows against the
 per-point engine it replaced, and malformed scan specs."""
 
+import cmath
 import contextlib
 import hashlib
 import io
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cascade import analytic, scan
+from cascade import analytic, observables, scan
 from cascade.analytic import transfer_matrix
 from cascade.bogoliubov import BogoliubovMatrix, branches_coincide
 from cascade.characteristic import classify
@@ -96,17 +97,23 @@ def test_edge_points_classify_as_expected():
     assert regimes[2] == "V"
 
 
+def dense_collective_minimum(m: BogoliubovMatrix, phases: int) -> float:
+    """The stable collective variance of the rows (a + e b)/sqrt(2) of T,
+    minimized over a dense phase grid."""
+    a, _, b, _ = m.t
+    e = np.exp(1j * np.linspace(0.0, 2 * math.pi, phases, endpoint=False))[:, None]
+    x1, y1, x2, y2 = ((a + e * b) / math.sqrt(2)).T
+    return ((1 + 4 * abs(x1 * y2.conj() - x2 * y1.conj()) ** 2)
+            / (1 + 2 * (abs(y1) ** 2 + abs(y2) ** 2) + 2 * abs(x1 * y1 + x2 * y2))).min()
+
+
 def test_collective_minimum_is_the_lower_of_two_narrow_minima():
     # the collective variance has two narrow minima about pi apart whose
     # 64-point grid values rank them wrongly (0.02376 is found first); a
     # dense brute force over the collective rows gives the lower 0.023504
     p = degenerate_params(3, 3.48, 0, -2.2, 2)
     m = transfer_matrix(p, p.length)
-    a, _, b, _ = m.t
-    e = np.exp(1j * np.linspace(0.0, 2 * math.pi, 20000, endpoint=False))[:, None]
-    x1, y1, x2, y2 = ((a + e * b) / math.sqrt(2)).T
-    brute = ((1 + 4 * abs(x1 * y2.conj() - x2 * y1.conj()) ** 2)
-             / (1 + 2 * (abs(y1) ** 2 + abs(y2) ** 2) + 2 * abs(x1 * y1 + x2 * y2))).min()
+    brute = dense_collective_minimum(m, 20000)
     (row,) = evaluate_points([p], ("minvar_c",), "analytic")
     for got in (collective_min_variance(m).min_variance, row["minvar_c"]):
         assert brute * (1 - 1e-4) <= got <= brute
@@ -339,3 +346,47 @@ def test_row_formatted_csv_matches_per_cell_reference():
     assert results[0].failures and results[0].rows
     for res in results:
         assert emit(res, "csv") == _per_cell_csv(res)
+
+
+def test_collective_search_refines_only_grid_minima(monkeypatch):
+    # one golden-section start per point, plus one where the 64-phase grid
+    # has a second local minimum (a point without one is flat)
+    calls, golden = [], observables._golden
+
+    def counting(f, lo, *args):
+        calls.append(np.size(lo))
+        return golden(f, lo, *args)
+
+    monkeypatch.setattr(observables, "_golden", counting)
+    spec = scan.degenerate_diagram_spec(count=41)
+    run_scan(spec)
+    batch = scan._stack([scan.point_params(spec, v1, v2) for v1, v2 in scan._grid(spec)])
+    rows = np.moveaxis(analytic.transfer_matrices(batch, batch.length), (-2, -1), (0, 1))
+    c = observables._collective_coefficients(rows[0], rows[2])
+    grid = observables._collective_variance([v[:, None] for v in c], np.exp)(observables._GRID)
+    local = (grid < np.roll(grid, 1, axis=-1)) & (grid <= np.roll(grid, -1, axis=-1))
+    assert sum(calls) == len(grid) + np.count_nonzero(local.sum(axis=-1) >= 2)
+
+
+@pytest.mark.parametrize("kappa_l", [0.5, 3, 6, 10, 20])
+def test_collective_minimum_with_b_in_vacuum(kappa_l):
+    # eta_s = 0: b stays in vacuum, so the collective variance is
+    # (variance of a + 1) / 2 at every relative phase
+    p = degenerate_params(kappa_l / 2, 0, 0, 3, 2)
+    (row,) = evaluate_points([p], ("minvar_a", "minvar_c"), "analytic")
+    want = (row["minvar_a"] + 1) / 2
+    for got in (row["minvar_c"], collective_min_variance(transfer_matrix(p, p.length)).min_variance):
+        assert close(got, want, rtol=1e-14), (got, want)
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(kappa_l=st.floats(0.0, 12.0), kappa_phase=_PHASE, eta=st.floats(0.0, 8.0),
+       eta_phase=_PHASE, dt=st.floats(-20.0, 20.0), ds=st.floats(-20.0, 20.0),
+       length=st.floats(0.2, 3.0))
+def test_collective_minimum_not_above_dense_brute_force(kappa_l, kappa_phase, eta,
+                                                        eta_phase, dt, ds, length):
+    p = degenerate_params(kappa_l / length * cmath.exp(1j * kappa_phase),
+                          eta * cmath.exp(1j * eta_phase), dt, ds, length)
+    brute = dense_collective_minimum(transfer_matrix(p, length), 4096)
+    (row,) = evaluate_points([p], ("minvar_c",), "analytic")
+    assert row["minvar_c"] <= brute * (1 + 1e-12), (row["minvar_c"], brute, p)
