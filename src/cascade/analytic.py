@@ -26,6 +26,17 @@ nothing.  :func:`transfer_matrix` evaluates exp(G z) by [13/13] Pade
 scaling and squaring; it needs no characteristic roots and holds in every
 regime, multiple roots included.  This is the production solver.
 
+At a degenerate point (eta_i = eta_s and delta_i = delta_s exactly) alpha_i
+= alpha_s and beta_i = beta_s, and in the quadratures (q_a, p_a, q_b, p_b)
+of the two modes G z - i (delta_tilde z / 2) I is a real 4x4 matrix K,
+whose exponential is the map's symplectic quadrature matrix (Weedbrook et
+al., Rev. Mod. Phys. 84, 621, 2012).  exp(K) is taken in real arithmetic,
+with products that keep a mode which does not squeeze exactly unsqueezed,
+and T is rebuilt from it with idler rows that are the exact conjugates of
+the signal rows.  The other points keep the complex G: their
+characteristic roots are not conjugate pairs, so they have no real 4x4
+form.
+
 :func:`full_matrix` is the paper's closed form, kept as an independent
 reference.  For distinct characteristic roots lambda_k, Y1 is a sum of four
 exponentials exp(alpha_k z) with alpha_k = lambda_k + i(2 D1 + D2 - D3)/4;
@@ -44,10 +55,11 @@ from __future__ import annotations
 
 import cmath
 from contextlib import nullcontext
+from dataclasses import fields
 
 import numpy as np
 
-from .bogoliubov import _SWAP, BogoliubovMatrix
+from .bogoliubov import BogoliubovMatrix
 from .characteristic import QuarticRoots, solve_quartic
 from .params import ModelParams, derive
 
@@ -249,59 +261,153 @@ _EXP_SAFE_NORM = 700.0
 
 #: the Pade approximant is (V - U)^-1 (V + U) with U odd and V even in A;
 #: rows: the coefficients of (A^2, A^4, A^6) in the two sums that A^6
-#: multiplies, then in the two sums added to those products;
-#: _PADE13_IDENTITY holds the four sums' identity terms as the 4x4 blocks of
-#: a 16 x 4 matrix
+#: multiplies, then in the two sums added to those products
 _PADE13_TERMS = np.array([
     [_PADE13[9], _PADE13[11], _PADE13[13]],
     [_PADE13[8], _PADE13[10], _PADE13[12]],
     [_PADE13[3], _PADE13[5], _PADE13[7]],
     [_PADE13[2], _PADE13[4], _PADE13[6]],
-], dtype=complex)
-_PADE13_IDENTITY = np.concatenate([c * np.identity(4) for c in
-                                   (0.0, 0.0, _PADE13[1], _PADE13[0])])
+])
+#: the identity terms of the four sums, one 4x4 block each
+_PADE13_IDENTITY = np.multiply.outer((0.0, 0.0, _PADE13[1], _PADE13[0]),
+                                     np.identity(4))[:, None]
+
+# The real (quadrature) form of a degenerate point.  There the mode vector is
+# (a, a+, b, b+) = C (q_a, p_a, q_b, p_b) with a = (q_a + i p_a) / 2 (Weedbrook
+# et al., Rev. Mod. Phys. 84, 621, 2012), and K = C^-1 (G z - i h I) C,
+# h = delta_tilde z / 2, is real.  Its exponential is taken in real
+# arithmetic on the pair form of each matrix X: a 2 x 8 array whose row r
+# holds row 2r (a q row) of X and then row 2r of its twin P X P, P
+# exchanging q and p of each mode.  The pair form of X Y is one matmul,
+# pair(X) @ blockdiag(Y, P Y P): the q rows of X Y sum their products in the
+# order (q_a, p_a, q_b, p_b), the p rows, as the twin's q rows, in the order
+# (p_a, q_a, p_b, q_b).  A 2x2 block [[c, -s], [s, c]] (one that does not
+# squeeze, like the phase rotation of a decoupled mode) then gets both of
+# its c and both of its s from the same products in the same order, so it
+# stays exactly one, fused multiply-adds or not, and the squeezing entries
+# that vanish in exact arithmetic print as 0.
+
+#: the mode-vector basis in quadratures: each mode's block [[1, i], [1, -i]]
+#: / 2 and its inverse [[1, 1], [-i, i]] hold only 0, 1/2, 1 and +-i, so
+#: products with them are exact
+_C = np.zeros((4, 4), dtype=complex)
+_C[:2, :2] = _C[2:, 2:] = [[0.5, 0.5j], [0.5, -0.5j]]
+_C_INV = np.zeros((4, 4), dtype=complex)
+_C_INV[:2, :2] = _C_INV[2:, 2:] = [[1, 1], [-1j, 1j]]
+
+#: q <-> p of each mode
+_QP = [1, 0, 3, 2]
+#: the flat index (4 i + j) in X of each entry of its flat pair form
+_TO_PAIR = np.array([4 * (2 * r + twin) + (_QP[j] if twin else j)
+                     for r in (0, 1) for twin in (0, 1) for j in range(4)])
+_FROM_PAIR = np.argsort(_TO_PAIR)
+#: _PADE13_IDENTITY in pair forms
+_PADE13_PAIR_IDENTITY = _PADE13_IDENTITY.reshape(4, 1, 16)[..., _TO_PAIR].reshape(4, 1, 2, 8)
+
+# The conversions below are products with constant real matrices whose
+# entries are 0, +-1/2 and +-1, so each output rounds at most once.
+
+#: the real 4x4 matrices whose pair forms are the 16 unit vectors
+_UNIT_MATRICES = np.identity(16)[:, _FROM_PAIR].reshape(16, 4, 4)
+#: flat pair form of Y -> blockdiag(Y, P Y P), flat
+_PAIR_TO_TWINS = np.zeros((16, 8, 8))
+_PAIR_TO_TWINS[:, :4, :4] = _UNIT_MATRICES
+_PAIR_TO_TWINS[:, 4:, 4:] = _UNIT_MATRICES[:, _QP][:, :, _QP]
+_PAIR_TO_TWINS = _PAIR_TO_TWINS.reshape(16, 64)
+#: flat pair form of X -> C X C^-1, as 32 reals, and -> its rows 0 and 2,
+#: which hold all of X (rows 1 and 3 are their conjugates); the rows map is
+#: orthogonal up to a factor 1/2, so its inverse is twice its transpose
+_PAIR_TO_COMPLEX = (_C @ _UNIT_MATRICES @ _C_INV).reshape(16, 16).view(float)
+_PAIR_TO_ROWS = _PAIR_TO_COMPLEX.reshape(16, 4, 8)[:, ::2].reshape(16, 16)
+#: flat pair forms of V and U side by side -> C (V - U) C^-1 and
+#: C (V + U) C^-1, as 2 x 32 reals
+_PADE_TO_COMPLEX = np.block([[_PAIR_TO_COMPLEX, _PAIR_TO_COMPLEX],
+                             [-_PAIR_TO_COMPLEX, _PAIR_TO_COMPLEX]])
+#: C X C^-1 of a real X, as 32 reals -> flat pair form of X, from rows 0, 2
+_COMPLEX_TO_PAIR = np.zeros((4, 8, 16))
+_COMPLEX_TO_PAIR[::2] = 2 * _PAIR_TO_ROWS.T.reshape(2, 8, 16)
+_COMPLEX_TO_PAIR = _COMPLEX_TO_PAIR.reshape(32, 16)
+#: flat real X -> rows 0 and 2 of C X C^-1, as 16 reals
+_REAL_TO_ROWS = _PAIR_TO_ROWS[_FROM_PAIR]
+
+
+def _twins(y: np.ndarray) -> np.ndarray:
+    """blockdiag(Y, P Y P) (m, 8, 8) from the pair forms of Y (m, 2, 8): the
+    right operand with which a pair form times Y is the pair form of the
+    product."""
+    m = len(y)
+    return np.dot(y.reshape(m, 16), _PAIR_TO_TWINS).reshape(m, 8, 8)
+
+
+def _pade_quotient(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(V - U)^-1 (V + U) of a complex stack (m, 4, 4)."""
+    return np.linalg.solve(v - u, v + u)
+
+
+def _pair_pade_quotient(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The pair form of (V - U)^-1 (V + U) from those of U and V (m, 2, 8),
+    solved on the complex forms C (V -+ U) C^-1, where a mode block that
+    does not squeeze is diagonal and pivoting cannot mix its two entries."""
+    m = len(u)
+    dn = np.dot(np.concatenate((v, u), axis=1).reshape(m, 32), _PADE_TO_COMPLEX)
+    dn = dn.view(complex).reshape(m, 2, 4, 4)
+    x = np.linalg.solve(dn[:, 0], dn[:, 1])
+    return np.dot(x.reshape(m, 16).view(float), _COMPLEX_TO_PAIR).reshape(m, 2, 8)
 
 
 def _expm(g: np.ndarray) -> tuple[np.ndarray, bool]:
-    """exp of each matrix in a stack (m, 4, 4), by [13/13] Pade scaling and
-    squaring with one scaling exponent per matrix, so that a small matrix is
-    not overscaled by a large stack-mate (Al-Mohy & Higham, SIAM J. Matrix
-    Anal. Appl. 31(3), 2009).  Every product is one matrix's, and the extra
-    squarings run only on the matrices that need them, so no result depends
-    on the rest of the stack.  Returns the stack and whether the 1-norms add
-    up to less than _EXP_SAFE_NORM (false for NaN), so that no entry can
-    have overflowed."""
-    m, n = g.shape[0], g.shape[-1]
+    """exp of each matrix in a stack (m, 4, 4), real or complex, by [13/13]
+    Pade scaling and squaring with one scaling exponent per matrix, so that
+    a small matrix is not overscaled by a large stack-mate (Al-Mohy & Higham,
+    SIAM J. Matrix Anal. Appl. 31(3), 2009).  Every product is one matrix's,
+    and the extra squarings run only on the matrices that need them, so no
+    result depends on the rest of the stack.  A real stack is exponentiated
+    in real arithmetic on pair forms (the real form of a degenerate point,
+    above), except for the one linear solve, and comes back real.  Returns
+    the stack and whether the 1-norms add up to less than _EXP_SAFE_NORM
+    (false for NaN), so that no entry can have overflowed."""
+    m = g.shape[0]
     norm = np.abs(g).sum(axis=-2, keepdims=True).max(axis=-1, keepdims=True)
     safe = sum(norm.ravel().tolist()) < _EXP_SAFE_NORM
+    real = g.dtype.kind == "f"
     with nullcontext() if safe else np.errstate(over="ignore", invalid="ignore"):
         # s: the smallest s >= 0 with |g|_1 / 2^s < theta, shaped (m, 1, 1);
         # x = mant 2^s exactly, so mant / x = 2^-s
         x = np.maximum(norm / _THETA13, 0.5)
         mant, s = np.frexp(x)
         a = g * (mant / x)
-        powers = np.empty((3,) + g.shape, dtype=complex)
-        np.matmul(a, a, out=powers[0])
-        np.matmul(powers[0], powers[0], out=powers[1])
-        np.matmul(powers[1], powers[0], out=powers[2])
-        # the sums (u2, v2, u1, v1) stacked as the rows of one 4n x n matrix;
-        # the first two are multiplied by A^6, with which they commute
-        terms = (_PADE13_TERMS @ powers.reshape(3, m, n * n).swapaxes(0, 1)
-                 ).reshape(m, 4 * n, n) + _PADE13_IDENTITY
-        uv = terms[:, :2 * n] @ powers[2] + terms[:, 2 * n:]
-        u = a @ uv[:, :n]
-        v = uv[:, n:]
-        r = np.linalg.solve(v - u, v + u)
+        # every product is left @ operand(right): for a real stack, the
+        # left factor's pair form times blockdiag(R, P R P) of the right
+        # factor R; for a complex stack, the plain product
+        if real:
+            a = a.reshape(m, 16)[:, _TO_PAIR].reshape(m, 2, 8)
+            operand, quotient, identity = _twins, _pair_pade_quotient, _PADE13_PAIR_IDENTITY
+        else:
+            operand, quotient, identity = np.asarray, _pade_quotient, _PADE13_IDENTITY
+        powers = np.empty((3,) + a.shape, dtype=a.dtype)
+        right_a = operand(a)
+        np.matmul(a, right_a, out=powers[0])
+        right_a2 = operand(powers[0])
+        np.matmul(powers[0], right_a2, out=powers[1])
+        np.matmul(powers[1], right_a2, out=powers[2])
+        # the sums (u2, v2, u1, v1), one 2-D product over every entry; the
+        # first two are multiplied by A^6, with which they commute
+        terms = (_PADE13_TERMS @ powers.reshape(3, -1)).reshape((4,) + a.shape) + identity
+        uv = terms[:2] @ operand(powers[2]) + terms[2:]
+        # U = A u2 = u2 A: pair forms reuse A's right operand
+        r = quotient(uv[0] @ right_a if real else a @ uv[0], uv[1])
         s = s.ravel()
         exponents = s.tolist()
         common = min(exponents)
         for k in range(max(exponents)):
             if k < common:
-                r = r @ r
+                r = r @ operand(r)
             else:
                 sel = s > k
                 q = r[sel]
-                r[sel] = q @ q
+                r[sel] = q @ operand(q)
+    if real:
+        r = r.reshape(m, 16)[:, _FROM_PAIR].reshape(m, 4, 4)
     return r, safe
 
 
@@ -325,31 +431,90 @@ def _generators(params: ModelParams, z) -> tuple:
     return np.exp(-gz.diagonal(axis1=-2, axis2=-1))[..., None], gz
 
 
+def _real_generators(params: ModelParams, z) -> tuple:
+    """The phases (e^{i h}, e^{-i w}), (..., 2, 1), of rows 0 and 2 of T and
+    the real generator K (..., 4, 4) of a degenerate point, with which
+    T = diag(e^{i theta z}) exp(G z) = e^{i h} diag(e^{i theta z})
+    C exp(K) C^-1.  With kappa z = k_r + i k_i, eta_s z = e_r + i e_i,
+    h = delta_tilde z / 2 and w = delta_s z - h, the rows of K are
+
+        (-k_i, k_r + h,  e_i, -e_r)
+        (k_r - h,  k_i,  e_r,  e_i)
+        (-e_i,    -e_r,    0,   -w)
+        ( e_r,    -e_i,    w,    0)
+
+    Fields and z as for :func:`_generators`, but z has the fields' shape."""
+    kz, ez = params.kappa * z, params.eta_s * z
+    h = params.delta_tilde * z / 2
+    w = params.delta_s * z - h
+    kr, ki, er, ei = kz.real, kz.imag, ez.real, ez.imag
+    zero = 0.0 * abs(kr)
+    k = np.array([-ki, kr + h, ei, -er,
+                  kr - h, ki, er, ei,
+                  -ei, -er, zero, -w,
+                  er, -ei, w, zero], dtype=float)
+    angles = np.array([h, -w], dtype=float)
+    if k.ndim > 1:  # a batch: its axes go first
+        k, angles = np.moveaxis(k, 0, -1), np.moveaxis(angles, 0, -1)
+    return np.exp(1j * angles)[..., None], k.reshape(k.shape[:-1] + (4, 4))
+
+
+def _from_real_form(s: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """T (..., 4, 4) from exp(K) (..., 4, 4) and the row phases (..., 2, 1)
+    of :func:`_real_generators`: rows 0 and 2 are the phases times those of
+    C exp(K) C^-1, rows 1 and 3 their conjugates, so T's signal and idler
+    branches agree bit for bit."""
+    rows = np.dot(s.reshape(s.shape[:-2] + (16,)), _REAL_TO_ROWS).view(complex)
+    rows = rows.reshape(phases.shape[:-2] + (2, 4)) * phases
+    t = np.empty(rows.shape[:-2] + (4, 4), dtype=complex)
+    t[..., ::2, :] = rows
+    # rows 1 and 3 exchange the two columns of each pair (0, 1), (2, 3)
+    np.conjugate(rows.reshape(rows.shape[:-1] + (2, 2))[..., ::-1],
+                 out=t.reshape(t.shape[:-2] + (4, 2, 2))[..., 1::2, :, :])
+    return t
+
+
+def _is_degenerate(params: ModelParams):
+    """eta_i == eta_s and delta_i == delta_s exactly, per point."""
+    return (params.eta_s == params.eta_i) & (params.delta_s == params.delta_i)
+
+
 def transfer_matrix(params: ModelParams, z: float) -> BogoliubovMatrix:
     """All 16 Bogoliubov functions at z from the rotating-frame matrix
-    exponential, valid in every regime.
+    exponential, valid in every regime; a degenerate point takes the real
+    form.
 
     Raises OverflowError when an entry exceeds double precision.
     """
-    phase, gz = _generators(params, z)
-    r, safe = _expm(gz[None])
+    degenerate = _is_degenerate(params)
+    phases, g = (_real_generators if degenerate else _generators)(params, z)
+    r, safe = _expm(g[None])
     if not (safe or np.isfinite(r).all()):
         raise OverflowError("transfer matrix entries exceed double precision")
-    t = phase * r[0]
-    if params.eta_s == params.eta_i and params.delta_s == params.delta_i:
-        # degenerate: the idler columns are the signal ones, bit for bit
-        t[:, 1::2] = t[_SWAP, ::2].conj()
-    return BogoliubovMatrix(z, t)
+    return BogoliubovMatrix(z, _from_real_form(r[0], phases) if degenerate
+                            else phases * r[0])
 
 
 def transfer_matrices(params: ModelParams, z) -> np.ndarray:
     """The transfer matrices T (..., 4, 4) of a batch: params' fields and z
-    are arrays of one shape (...).  The same exponential as
-    :func:`transfer_matrix`; an entry beyond double precision comes back as
-    inf or NaN instead of raising, so call it under ``np.errstate``."""
-    phase, gz = _generators(params, np.asarray(z, dtype=float)[..., None, None])
-    r, _ = _expm(gz.reshape(-1, 4, 4))
-    t = phase * r.reshape(gz.shape)
-    twins = (params.eta_s == params.eta_i) & (params.delta_s == params.delta_i)
-    t[twins, :, 1::2] = t[twins][..., _SWAP, ::2].conj()
+    are arrays of one shape (...).  The same exponentials as
+    :func:`transfer_matrix`, one real stack for the degenerate points and
+    one complex stack for the rest; an entry beyond double precision comes
+    back as inf or NaN instead of raising, so call it under ``np.errstate``."""
+    z = np.asarray(z, dtype=float)
+    degenerate = _is_degenerate(params)
+    t = np.empty(degenerate.shape + (4, 4), dtype=complex)
+    if degenerate.any():
+        phases, k = _real_generators(_select(params, degenerate), z[degenerate])
+        t[degenerate] = _from_real_form(_expm(k)[0], phases)
+    if not degenerate.all():
+        rest = ~degenerate
+        phases, gz = _generators(_select(params, rest), z[rest][:, None, None])
+        t[rest] = phases * _expm(gz)[0]
     return t
+
+
+def _select(params: ModelParams, mask: np.ndarray) -> ModelParams:
+    """The points of a batch where mask holds, as a batch (n,)."""
+    return ModelParams(*(np.asarray(getattr(params, f.name))[mask]
+                         for f in fields(ModelParams)))

@@ -1,11 +1,13 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cascade import analytic
 from cascade.analytic import (MultipleRootsError, f_kernel, full_matrix,
                               transfer_matrix)
 from cascade.bogoliubov import ENTRY_NAMES, BogoliubovMatrix, branches_coincide
@@ -15,6 +17,7 @@ from cascade.oracle import (canonical_residuals, canonical_residuals_scaled,
                             matrix_at)
 from cascade.params import (ModelParams, degenerate_params, derive,
                             three_mode_params, validate)
+from cascade.scan import _stack
 
 
 def make(kappa=0j, eta_s=0j, eta_i=0j, dt=0.0, ds=0.0, di=0.0, L=1.0):
@@ -282,3 +285,83 @@ def test_transfer_matrix_is_canonical_over_magnitudes(mags, phases, mismatches,
              di=mismatches[2], L=length)
     m = transfer_matrix(p, length)
     assert max(canonical_residuals_scaled(m)) <= 1e-12
+
+
+# the real (quadrature) form of degenerate points
+
+def complex_generator_matrix(p: ModelParams, z: float) -> np.ndarray:
+    """T from the exponential of the complex rotating-frame generator, the
+    propagator of the non-degenerate points."""
+    phase, gz = analytic._generators(p, z)
+    return phase * analytic._expm(gz[None])[0][0]
+
+
+def test_expm_keeps_a_real_stack_real():
+    # a real stack runs in real arithmetic and returns float64, not an
+    # upcast through the complex products
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((64, 4, 4)) * rng.uniform(0.0, 2.0, (64, 1, 1))
+    got, safe = analytic._expm(g)
+    want, _ = analytic._expm(g.astype(complex))
+    assert safe and got.dtype == np.float64
+    scale = np.abs(want).max(axis=(-2, -1))
+    assert (np.abs(got - want).max(axis=(-2, -1)) <= 1e-14 * scale).all()
+
+
+def test_degenerate_batch_branches_coincide_exactly():
+    # eta_i = eta_s, so the diagonal delta_i = delta_s is degenerate
+    base = ModelParams(kappa=2.5 + 0.5j, eta_s=1.5 - 0.5j, eta_i=1.5 - 0.5j,
+                       delta_tilde=3.0, delta_s=0.0, delta_i=0.0, length=1.5)
+    grid = np.linspace(-6.0, 6.0, 9)
+    points = [replace(base, delta_s=ds, delta_i=di) for ds in grid for di in grid]
+    t = analytic.transfer_matrices(_stack(points), base.length * np.ones(len(points)))
+    degenerate = [k for k, p in enumerate(points) if p.delta_s == p.delta_i]
+    assert len(degenerate) == 9
+    for k in degenerate:
+        assert branches_coincide(BogoliubovMatrix(base.length, t[k]), tol=0.0)
+
+
+_DEG_MAG = st.one_of(st.just(0.0), st.floats(0.05, 5.0))
+_DEG_DELTA = st.one_of(st.just(0.0), st.floats(-12.0, 12.0))
+
+
+@st.composite
+def degenerate_points(draw):
+    length = draw(st.floats(0.2, 3.0))
+    k, e = (draw(_DEG_MAG) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+            for _ in range(2))
+    return degenerate_params(k / length, e / length, draw(_DEG_DELTA),
+                             draw(_DEG_DELTA), length)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(degenerate_points(), st.floats(0.0, 1.0))
+def test_real_form_matches_the_complex_exponential(p, frac):
+    z = frac * p.length
+    want = complex_generator_matrix(p, z)
+    bound = 1e-13 * np.abs(want).max()
+    edges = [replace(p, kappa=0j), replace(p, eta_s=0j, eta_i=0j)]
+    batch = analytic.transfer_matrices(_stack([p] + edges), np.full(3, z))
+    assert np.abs(transfer_matrix(p, z).t - want).max() <= bound
+    assert np.abs(batch[0] - want).max() <= bound
+    for q, t in zip(edges, batch[1:]):
+        ref = complex_generator_matrix(q, z)
+        assert np.abs(t - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("p", [degenerate_params(2, 0, 4, 3, 1.5),
+                               degenerate_params(0, 1.5 + 0.5j, 4, 3, 1.5),
+                               degenerate_params(0, 2, 0, 7, 3)],
+                         ids=["eta=0", "kappa=0", "kappa=0,delta_tilde=0"])
+def test_unsqueezed_modes_print_exact_zeros(p):
+    # a mode that does not squeeze (b decoupled at eta = 0; both modes at
+    # kappa = 0) keeps exactly zero creation-operator entries through the
+    # squarings of the real exponential, as through the complex one
+    k = analytic._real_generators(p, p.length)[1]
+    assert np.abs(k).sum(axis=0).max() > analytic._THETA13  # it is squared
+    for t in (transfer_matrix(p, p.length).t,
+              analytic.transfer_matrices(_stack([p]), np.array([p.length]))[0]):
+        n = photon_numbers(BogoliubovMatrix(p.length, t))
+        assert n.n_bs == 0.0
+        if p.kappa == 0:
+            assert n.n_as == 0.0

@@ -308,16 +308,18 @@ def test_one_exponential_equals_the_two_branch_exponentials(p):
 
 
 def test_transfer_matrices_exponentiate_each_point_once(monkeypatch):
+    # one real stack for the 9 degenerate points of the diagonal, one complex
+    # stack for the other 72
     sizes = []
     expm = analytic._expm
 
     def counted(g):
-        sizes.append(len(g))
+        sizes.append((len(g), g.dtype))
         return expm(g)
 
     monkeypatch.setattr(analytic, "_expm", counted)
     res = run_scan(_mixed_spec())
-    assert sizes == [81]
+    assert sizes == [(9, np.float64), (72, np.complex128)]
     assert len(res.rows) + len(res.failures) == 81
 
 
