@@ -339,11 +339,6 @@ def _twins(y: np.ndarray) -> np.ndarray:
     return np.dot(y.reshape(m, 16), _PAIR_TO_TWINS).reshape(m, 8, 8)
 
 
-def _pade_quotient(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(V - U)^-1 (V + U) of a complex stack (m, 4, 4)."""
-    return np.linalg.solve(v - u, v + u)
-
-
 def _pair_pade_quotient(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The pair form of (V - U)^-1 (V + U) from those of U and V (m, 2, 8),
     solved on the complex forms C (V -+ U) C^-1, where a mode block that
@@ -381,9 +376,9 @@ def _expm(g: np.ndarray) -> tuple[np.ndarray, bool]:
         # factor R; for a complex stack, the plain product
         if real:
             a = a.reshape(m, 16)[:, _TO_PAIR].reshape(m, 2, 8)
-            operand, quotient, identity = _twins, _pair_pade_quotient, _PADE13_PAIR_IDENTITY
+            operand, identity = _twins, _PADE13_PAIR_IDENTITY
         else:
-            operand, quotient, identity = np.asarray, _pade_quotient, _PADE13_IDENTITY
+            operand, identity = np.asarray, _PADE13_IDENTITY
         powers = np.empty((3,) + a.shape, dtype=a.dtype)
         right_a = operand(a)
         np.matmul(a, right_a, out=powers[0])
@@ -394,8 +389,12 @@ def _expm(g: np.ndarray) -> tuple[np.ndarray, bool]:
         # first two are multiplied by A^6, with which they commute
         terms = (_PADE13_TERMS @ powers.reshape(3, -1)).reshape((4,) + a.shape) + identity
         uv = terms[:2] @ operand(powers[2]) + terms[2:]
-        # U = A u2 = u2 A: pair forms reuse A's right operand
-        r = quotient(uv[0] @ right_a if real else a @ uv[0], uv[1])
+        if real:
+            # U = A u2 = u2 A, so the pair forms reuse A's right operand
+            r = _pair_pade_quotient(uv[0] @ right_a, uv[1])
+        else:
+            u, v = a @ uv[0], uv[1]
+            r = np.linalg.solve(v - u, v + u)
         s = s.ravel()
         exponents = s.tolist()
         common = min(exponents)
