@@ -9,7 +9,7 @@ and scans parameter grids deterministically.
 """
 
 from .analytic import MultipleRootsError, f_kernel, full_matrix, transfer_matrix
-from .bogoliubov import BogoliubovMatrix, branches_coincide
+from .bogoliubov import BogoliubovMatrix
 from .characteristic import (Area, QuarticRoots, Regime, classify,
                              classify_degenerate, classify_general,
                              classify_three_mode, discriminant_general,

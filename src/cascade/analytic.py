@@ -61,7 +61,7 @@ import numpy as np
 
 from .bogoliubov import BogoliubovMatrix
 from .characteristic import QuarticRoots, solve_quartic
-from .params import ModelParams, derive
+from .params import ModelParams, derive, is_degenerate
 
 #: estimated relative forward error above which the Vandermonde solve is
 #: considered unusable (MultipleRootsError)
@@ -242,7 +242,8 @@ def full_matrix(params: ModelParams, z: float) -> BogoliubovMatrix:
 
     es, ei, ds, di = params.eta_s, params.eta_i, params.delta_s, params.delta_i
     return BogoliubovMatrix.from_branches(z, [pair(es, ei, ds, di, lams),
-                                              pair(ei, es, di, ds, lams_sw)])
+                                              pair(ei, es, di, ds, lams_sw)],
+                                          is_degenerate(params))
 
 
 #: [13/13] Pade coefficients b_0..b_13 and the largest 1-norm for which that
@@ -310,10 +311,10 @@ _PADE13_PAIR_IDENTITY = _PADE13_IDENTITY.reshape(4, 1, 16)[..., _TO_PAIR].reshap
 #: the real 4x4 matrices whose pair forms are the 16 unit vectors
 _UNIT_MATRICES = np.identity(16)[:, _FROM_PAIR].reshape(16, 4, 4)
 #: flat pair form of Y -> blockdiag(Y, P Y P), flat
-_PAIR_TO_TWINS = np.zeros((16, 8, 8))
-_PAIR_TO_TWINS[:, :4, :4] = _UNIT_MATRICES
-_PAIR_TO_TWINS[:, 4:, 4:] = _UNIT_MATRICES[:, _QP][:, :, _QP]
-_PAIR_TO_TWINS = _PAIR_TO_TWINS.reshape(16, 64)
+_PAIR_TO_BLOCKDIAG = np.zeros((16, 8, 8))
+_PAIR_TO_BLOCKDIAG[:, :4, :4] = _UNIT_MATRICES
+_PAIR_TO_BLOCKDIAG[:, 4:, 4:] = _UNIT_MATRICES[:, _QP][:, :, _QP]
+_PAIR_TO_BLOCKDIAG = _PAIR_TO_BLOCKDIAG.reshape(16, 64)
 #: flat pair form of X -> C X C^-1, as 32 reals, and -> its rows 0 and 2,
 #: which hold all of X (rows 1 and 3 are their conjugates); the rows map is
 #: orthogonal up to a factor 1/2, so its inverse is twice its transpose
@@ -331,12 +332,12 @@ _COMPLEX_TO_PAIR = _COMPLEX_TO_PAIR.reshape(32, 16)
 _REAL_TO_ROWS = _PAIR_TO_ROWS[_FROM_PAIR]
 
 
-def _twins(y: np.ndarray) -> np.ndarray:
+def _blockdiag(y: np.ndarray) -> np.ndarray:
     """blockdiag(Y, P Y P) (m, 8, 8) from the pair forms of Y (m, 2, 8): the
     right operand with which a pair form times Y is the pair form of the
     product."""
     m = len(y)
-    return np.dot(y.reshape(m, 16), _PAIR_TO_TWINS).reshape(m, 8, 8)
+    return np.dot(y.reshape(m, 16), _PAIR_TO_BLOCKDIAG).reshape(m, 8, 8)
 
 
 def _pair_pade_quotient(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -376,7 +377,7 @@ def _expm(g: np.ndarray) -> tuple[np.ndarray, bool]:
         # factor R; for a complex stack, the plain product
         if real:
             a = a.reshape(m, 16)[:, _TO_PAIR].reshape(m, 2, 8)
-            operand, identity = _twins, _PADE13_PAIR_IDENTITY
+            operand, identity = _blockdiag, _PADE13_PAIR_IDENTITY
         else:
             operand, identity = np.asarray, _PADE13_IDENTITY
         powers = np.empty((3,) + a.shape, dtype=a.dtype)
@@ -473,11 +474,6 @@ def _from_real_form(s: np.ndarray, phases: np.ndarray) -> np.ndarray:
     return t
 
 
-def _is_degenerate(params: ModelParams):
-    """eta_i == eta_s and delta_i == delta_s exactly, per point."""
-    return (params.eta_s == params.eta_i) & (params.delta_s == params.delta_i)
-
-
 def transfer_matrix(params: ModelParams, z: float) -> BogoliubovMatrix:
     """All 16 Bogoliubov functions at z from the rotating-frame matrix
     exponential, valid in every regime; a degenerate point takes the real
@@ -485,13 +481,13 @@ def transfer_matrix(params: ModelParams, z: float) -> BogoliubovMatrix:
 
     Raises OverflowError when an entry exceeds double precision.
     """
-    degenerate = _is_degenerate(params)
+    degenerate = is_degenerate(params)
     phases, g = (_real_generators if degenerate else _generators)(params, z)
     r, safe = _expm(g[None])
     if not (safe or np.isfinite(r).all()):
         raise OverflowError("transfer matrix entries exceed double precision")
     return BogoliubovMatrix(z, _from_real_form(r[0], phases) if degenerate
-                            else phases * r[0])
+                            else phases * r[0], degenerate)
 
 
 def transfer_matrices(params: ModelParams, z) -> np.ndarray:
@@ -501,7 +497,7 @@ def transfer_matrices(params: ModelParams, z) -> np.ndarray:
     one complex stack for the rest; an entry beyond double precision comes
     back as inf or NaN instead of raising, so call it under ``np.errstate``."""
     z = np.asarray(z, dtype=float)
-    degenerate = _is_degenerate(params)
+    degenerate = is_degenerate(params)
     t = np.empty(degenerate.shape + (4, 4), dtype=complex)
     if degenerate.any():
         phases, k = _real_generators(_select(params, degenerate), z[degenerate])

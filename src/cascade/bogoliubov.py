@@ -63,10 +63,13 @@ def _gather(branches: np.ndarray) -> np.ndarray:
 class BogoliubovMatrix:
     """The transfer matrix t = T at position z.  The named transfer
     functions read as attributes (m.U_s); ``rows`` holds T as nested lists
-    of Python complex numbers for scalar arithmetic."""
+    of Python complex numbers for scalar arithmetic.  degenerate is
+    :func:`cascade.params.is_degenerate` of the parameters T was solved
+    for, set by each solver: the squeezing metrics read it."""
 
     z: float
     t: np.ndarray
+    degenerate: bool = False
     rows: list = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -85,21 +88,23 @@ class BogoliubovMatrix:
         return v.conjugate() if conj else v
 
     @classmethod
-    def identity(cls, z: float = 0.0) -> "BogoliubovMatrix":
-        """The z = 0 transfer matrix T = I."""
+    def identity(cls, z: float = 0.0, degenerate: bool = True) -> "BogoliubovMatrix":
+        """The z = 0 transfer matrix T = I: the vacuum, degenerate unless a
+        solver passes the flag of non-degenerate parameters."""
         t = np.eye(4, dtype=complex)
         t[1::2] = t[1::2].conj()  # stored conjugated, so the entries read +0j
-        return cls(z, t)
+        return cls(z, t, degenerate)
 
     @classmethod
-    def from_branches(cls, z: float, branches) -> "BogoliubovMatrix":
+    def from_branches(cls, z: float, branches,
+                      degenerate: bool = False) -> "BogoliubovMatrix":
         """Assemble T from the solutions (Y1, Y2, Y3, Y4) of the branch
         systems, stacked as a (2, 4, 2) array: the direct parameter mapping
         and the signal/idler-swapped one, each with the solutions started
         from (1, 0, 0, 0) and from (0, 0, 1, 0) as its two columns.  The
         direct pair is columns 0 and 2 of T; the swapped pair, conjugated and
         with its signal and idler rows exchanged, is columns 1 and 3."""
-        return cls(z, _gather(np.asarray(branches)))
+        return cls(z, _gather(np.asarray(branches)), degenerate)
 
     def max_abs(self) -> float:
         return max(abs(v) for row in self.rows for v in row)
@@ -127,21 +132,3 @@ class BogoliubovMatrix:
             v = complex(*data[name])
             t[row, col] = v.conjugate() if conj else v
         return cls(float(data["z"]), t)
-
-
-def branches_coincide(m: BogoliubovMatrix, tol: float = 1e-6) -> bool:
-    """True when the signal and idler branches agree entry by entry, as they
-    do for degenerate parameters (eta_i = eta_s, delta_i = delta_s)."""
-    bound = tol * max(1.0, m.max_abs())
-    s_alpha, i_alpha, s_beta, i_beta = m.rows
-    return all(abs(s[k] - i[j].conjugate()) <= bound
-               for s, i in ((s_alpha, i_alpha), (s_beta, i_beta))
-               for k, j in enumerate(_SWAP))
-
-
-def branches_coincide_stack(t: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    """:func:`branches_coincide` of each transfer matrix in a stack
-    (..., 4, 4), as a boolean array (...)."""
-    bound = tol * np.maximum(1.0, np.abs(t).max(axis=(-2, -1)))
-    diff = np.abs(t[..., ::2, :] - t[..., 1::2, _SWAP].conj())
-    return (diff <= bound[..., None, None]).all(axis=(-2, -1))

@@ -145,25 +145,25 @@ def _biquadratic_growth(params: ModelParams, d: DerivedParams, sqrt):
 def growth_rate(d: DerivedParams, params: ModelParams | None = None):
     """The largest Re(lambda) [cm^-1]: a float for one point, or for a batch
     (params required) an array, NaN where a coefficient is not finite.
-    Points of params with eta_i = eta_s and delta_i = delta_s exactly (Q = 0)
-    take the biquadratic's closed form, and those with eta_i = 0 = delta_i
+    Degenerate points of params (:func:`is_degenerate`, so Q = 0) take the
+    biquadratic's closed form, and three-mode points (:func:`is_three_mode`)
     max(0, Im s) over the cubic's roots s: at weak pump the quartic has a
     (near-)double root there, where companion eigenvalues lose about
-    sqrt(eps).  Elsewhere Im mu over the quartic's roots mu."""
-    twins = params is not None and ((params.eta_i == params.eta_s)
-                                    & (params.delta_i == params.delta_s))
+    sqrt(eps).  Elsewhere, and for d alone, Im mu over the quartic's roots
+    mu."""
+    degenerate = params is not None and is_degenerate(params)
     if not isinstance(d.p_coef, np.ndarray):
-        if twins:
+        if degenerate:
             return max(_biquadratic_growth(params, d, cmath.sqrt))
-        if params is not None and params.eta_i == 0 and params.delta_i == 0:
+        if params is not None and is_three_mode(params):
             p3, q3, _ = _three_mode_discriminant(params, d)
             return float(max(_roots(0.0, -p3, q3).imag.max(), 0.0))
         return float(_roots(0.0, -d.p_coef, d.q_coef, d.r_coef).imag.max())
     p, q, r = d.p_coef, d.q_coef, d.r_coef
     out = np.full(p.shape, np.nan)
     general = np.isfinite(p) & np.isfinite(q) & np.isfinite(r)
-    closed = general & twins
-    cubic = general & (params.eta_i == 0) & (params.delta_i == 0) & ~closed
+    closed = general & degenerate
+    cubic = general & is_three_mode(params) & ~closed
     out[closed] = np.maximum(*_biquadratic_growth(params, d, np.sqrt))[closed]
     p3, q3, _ = _three_mode_discriminant(params, d)
     out[cubic] = np.maximum(_roots(0.0, -p3[cubic], q3[cubic]).imag.max(axis=-1), 0.0)
@@ -248,8 +248,9 @@ def classify_degenerate(params: ModelParams) -> Regime:
 
     I: P>0 and 0<R<P^2/4;  II: R<0;  III: R>P^2/4;
     IV: P<0 and 0<R<P^2/4;  V: R=0 or R=P^2/4 within tolerance.
-    max_growth_rate is :func:`growth_rate`, from that closed form where the
-    two arms are equal exactly (within tolerance only: Q != 0, eigenvalues).
+    max_growth_rate is :func:`growth_rate`, from that closed form.  The
+    parameters must satisfy :func:`is_degenerate`, equality with no
+    tolerance: a point only near it has Q != 0 and the general label.
     """
     if not is_degenerate(params):
         raise ValueError("classify_degenerate requires eta_i = eta_s and delta_i = delta_s")
@@ -270,8 +271,9 @@ def classify_three_mode(params: ModelParams) -> tuple[Regime, complex]:
     and amplification exists exactly when that real cubic has a complex-
     conjugate pair, i.e. when D3 = 27 Q3^2 - 4 P3^3 > 0.  D3 < 0 gives three
     real s (all lambda imaginary, oscillating solutions); D3 = 0 multiple
-    roots.  max_growth_rate is :func:`growth_rate`, from that cubic where
-    eta_i = 0 = delta_i exactly.  Returns (regime, lambda_4).
+    roots.  max_growth_rate is :func:`growth_rate`, from that cubic.  The
+    parameters must satisfy :func:`is_three_mode`, eta_i = 0 = delta_i
+    exactly.  Returns (regime, lambda_4).
     """
     if not is_three_mode(params):
         raise ValueError("classify_three_mode requires eta_i = 0 and delta_i = 0")

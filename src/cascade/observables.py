@@ -30,8 +30,11 @@ a stack of them with the same formulas and the same steps, so no element's
 result depends on the rest of the stack.
 
 Single-mode and collective squeezing metrics are defined for the degenerate
-configuration only (signal and idler branches coincide); four-mode scans
-report photon numbers alone.
+configuration only, eta_i = eta_s and delta_i = delta_s exactly
+(:func:`cascade.params.is_degenerate`).  The solvers record that rule of
+their parameters on the matrix (``BogoliubovMatrix.degenerate``), and the
+single-point metrics raise ValueError(DEGENERATE_ONLY) on any other matrix;
+four-mode scans report photon numbers alone.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bogoliubov import BogoliubovMatrix, branches_coincide
+from .bogoliubov import BogoliubovMatrix
 from .params import ModelParams, validate
 
 
@@ -94,10 +97,15 @@ def photon_numbers(m: BogoliubovMatrix) -> PhotonNumbers:
     return PhotonNumbers(*_occupations(m.rows))
 
 
+#: the failure of a squeezing metric off the degenerate configuration, for
+#: one matrix and for a scan's failure rows
+DEGENERATE_ONLY = ("squeezing metrics are defined for degenerate parameters "
+                   "only (eta_i = eta_s and delta_i = delta_s)")
+
+
 def _require_degenerate(m: BogoliubovMatrix) -> None:
-    if not branches_coincide(m):
-        raise ValueError("squeezing metrics are defined for degenerate "
-                         "matrices only (signal branch != idler branch)")
+    if not m.degenerate:
+        raise ValueError(DEGENERATE_ONLY)
 
 
 def correlators(m: BogoliubovMatrix) -> Correlators:
@@ -273,8 +281,9 @@ def stack_observables(t: np.ndarray, quantities) -> dict:
     quantities ("minvar_a", "minvar_b", "minvar_c"), as arrays (n,): the
     formulas and the phase search of the single-point functions: the
     collective search refines every point's grid starts (see _starts) as one
-    flat array and keeps each point's lowest result.  The minima assume
-    degenerate matrices (see branches_coincide_stack)."""
+    flat array and keeps each point's lowest result.  The minima are
+    meaningful at degenerate points only; the caller reads
+    :func:`cascade.params.is_degenerate` of the stack's parameters."""
     rows = np.moveaxis(t, (-2, -1), (0, 1))
     out = dict(zip(("n_as", "n_ai", "n_bs", "n_bi"), _occupations(rows)))
     for q, row in (("minvar_a", rows[0]), ("minvar_b", rows[2])):
@@ -378,12 +387,13 @@ def averaged_model(params: ModelParams) -> ModelParams:
 
 def observables_summary(m: BogoliubovMatrix) -> dict:
     """Flat JSON-ready bundle: photon numbers always; correlators and the
-    three squeezing minima when the matrix is degenerate."""
+    three squeezing minima when the matrix was solved for degenerate
+    parameters (m.degenerate)."""
     n = photon_numbers(m)
     out = {
         "n_as": n.n_as, "n_ai": n.n_ai, "n_bs": n.n_bs, "n_bi": n.n_bi,
     }
-    if branches_coincide(m):
+    if m.degenerate:
         c = correlators(m)
         ra = single_mode_min_variance(m, "a")
         rb = single_mode_min_variance(m, "b")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogoliubov import BogoliubovMatrix
-from .params import ModelParams
+from .params import ModelParams, is_degenerate
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -98,9 +98,10 @@ def integrate(params: ModelParams, z_grid=None,
 
     y0 = np.zeros(16, dtype=complex)
     y0[0] = y0[6] = y0[8] = y0[14] = 1.0
+    degenerate = is_degenerate(params)
 
     if z_grid[-1] == 0.0:
-        mats = tuple(BogoliubovMatrix.identity(0.0) for _ in z_grid)
+        mats = tuple(BogoliubovMatrix.identity(0.0, degenerate) for _ in z_grid)
         return Trajectory(z_grid=tuple(z_grid), matrices=mats, estimated_error=0.0)
 
     # imported here so that importing the package does not load scipy
@@ -116,7 +117,7 @@ def integrate(params: ModelParams, z_grid=None,
     # the stacked state holds the four systems' (Y1, Y2, Y3, Y4) in turn:
     # the direct pair, then the swapped pair
     mats = tuple(BogoliubovMatrix.from_branches(
-        float(z_grid[j]), sol.y[:, j].reshape(2, 2, 4).swapaxes(1, 2))
+        float(z_grid[j]), sol.y[:, j].reshape(2, 2, 4).swapaxes(1, 2), degenerate)
         for j in range(len(z_grid)))
     peak = max(m.max_abs() for m in mats)
     resid = max(max(canonical_residuals(m)) for m in mats)
@@ -129,7 +130,7 @@ def matrix_at(params: ModelParams, z: float,
               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> BogoliubovMatrix:
     """Single-point convenience wrapper around :func:`integrate`."""
     if z == 0.0:
-        return BogoliubovMatrix.identity(0.0)
+        return BogoliubovMatrix.identity(0.0, is_degenerate(params))
     grid = np.array([0.0, z])
     return integrate(params, grid, rtol=rtol, atol=atol).matrices[-1]
 

@@ -165,28 +165,18 @@ def three_mode_params(kappa: complex, eta_s: complex, delta_tilde: float,
                                 delta_s=delta_s, delta_i=0.0, length=length))
 
 
-def _within(x, tol: float, *scales):
-    """|x| <= tol * max(1, *scales), for scalars or arrays."""
-    bound = abs(x)
-    out = bound <= tol
-    for s in scales:
-        out = out | (bound <= tol * abs(s))
-    return out
+def is_degenerate(params: ModelParams):
+    """True when eta_i = eta_s and delta_i = delta_s exactly: the one rule
+    for the degenerate configuration, which the regime labels, the growth
+    rate, the real form of the propagator and the squeezing metrics all
+    read.  A boolean array for a batch (fields that are arrays)."""
+    return (params.eta_i == params.eta_s) & (params.delta_i == params.delta_s)
 
 
-def is_degenerate(params: ModelParams, tol: float = 1e-12) -> bool:
-    """True when eta_i = eta_s and delta_i = delta_s within tolerance; a
-    boolean array for a batch (fields that are arrays)."""
-    return (_within(params.eta_i - params.eta_s, tol, params.eta_s, params.eta_i)
-            & _within(params.delta_i - params.delta_s, tol, params.delta_s,
-                      params.delta_i))
-
-
-def is_three_mode(params: ModelParams, tol: float = 1e-12) -> bool:
-    """True when eta_i = 0 and delta_i = 0 within tolerance; a boolean array
-    for a batch (fields that are arrays)."""
-    return (_within(params.eta_i, tol, params.eta_s)
-            & _within(params.delta_i, tol, params.delta_s))
+def is_three_mode(params: ModelParams):
+    """True when eta_i = 0 and delta_i = 0 exactly; a boolean array for a
+    batch (fields that are arrays)."""
+    return (params.eta_i == 0) & (params.delta_i == 0)
 
 
 # JSON wire format: complex numbers as [re, im] pairs, field names fixed.

@@ -26,11 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, oracle
-from .bogoliubov import BogoliubovMatrix, branches_coincide_stack
+from .bogoliubov import BogoliubovMatrix
 from .characteristic import classify_batch, growth_rate
-from .observables import (averaged_model, photon_numbers, pdc_only_reference,
-                          single_mode_min_variance, stack_observables)
-from .params import ModelParams, derive, validate, validate_batch
+from .observables import (DEGENERATE_ONLY, averaged_model, photon_numbers,
+                          pdc_only_reference, single_mode_min_variance,
+                          stack_observables)
+from .params import (ModelParams, derive, is_degenerate, validate,
+                     validate_batch)
 
 QUANTITIES = ("regime", "n_as", "n_ai", "n_bs", "n_bi",
               "minvar_a", "minvar_b", "minvar_c", "growth_rate")
@@ -299,7 +301,7 @@ def _matrix_values(batch: ModelParams, quantities: tuple, errs: list,
                    solver: str, workers: int) -> dict:
     """Photon numbers and squeezing minima of a batch; failures go to errs
     in the order the single-point functions meet them: the solve, the
-    photon numbers, a non-degenerate matrix's squeezing."""
+    photon numbers, the squeezing of a point that is not degenerate."""
     if solver != "oracle":
         t = analytic.transfer_matrices(batch, batch.length)
     else:
@@ -316,9 +318,7 @@ def _matrix_values(batch: ModelParams, quantities: tuple, errs: list,
     _first(errs, ~photons.all(axis=0),
            lambda: OverflowError("photon number exceeds double precision"))
     if any(q.startswith("minvar") for q in quantities):
-        _first(errs, ~branches_coincide_stack(t), lambda: ValueError(
-            "squeezing metrics are defined for degenerate matrices only "
-            "(signal branch != idler branch)"))
+        _first(errs, ~is_degenerate(batch), lambda: ValueError(DEGENERATE_ONLY))
     return {q: out[q] for q in quantities if q in out}
 
 

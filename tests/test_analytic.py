@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cascade import analytic
 from cascade.analytic import (MultipleRootsError, f_kernel, full_matrix,
                               transfer_matrix)
-from cascade.bogoliubov import ENTRY_NAMES, BogoliubovMatrix, branches_coincide
+from cascade.bogoliubov import ENTRY_NAMES, BogoliubovMatrix
 from cascade.characteristic import solve_quartic
 from cascade.observables import pdc_only_reference, photon_numbers
 from cascade.oracle import (canonical_residuals, canonical_residuals_scaled,
@@ -34,6 +34,13 @@ def random_params(rng, couple_max=6.0, mismatch_max=10.0):
                 eta_s=mags[1] * np.exp(1j * phases[1]),
                 eta_i=mags[2] * np.exp(1j * phases[2]),
                 dt=d[0], ds=d[1], di=d[2], L=rng.uniform(0.2, 2.5))
+
+
+def branch_gap(t: np.ndarray) -> float:
+    """The largest difference between a signal row of T (0 or 2) and the
+    conjugate of its idler row (1 or 3) with the columns exchanged in pairs:
+    0 where the signal and idler branches coincide."""
+    return np.abs(t[::2] - t[1::2, [1, 0, 3, 2]].conj()).max()
 
 
 def entry_errors(m: BogoliubovMatrix, ref: BogoliubovMatrix) -> float:
@@ -144,7 +151,7 @@ class TestFullMatrix:
 
     def test_degenerate_branches_coincide(self):
         m = full_matrix(degenerate_params(3, 1.5 + 0.5j, 0.7, 2.5, 2), 1.1)
-        assert branches_coincide(m, tol=1e-12)
+        assert branch_gap(m.t) <= 1e-12 * max(1.0, np.abs(m.t).max())
 
     def test_reference_point_against_oracle(self):
         p = make(kappa=3 + 0j, eta_s=1 + 0j, eta_i=2 + 0j, dt=1, ds=2, di=3)
@@ -257,7 +264,7 @@ class TestTransferMatrix:
 
     def test_branches_coincide_exactly_when_degenerate(self):
         m = transfer_matrix(degenerate_params(3, 1.5 + 0.5j, 0.7, 2.5, 2), 1.1)
-        assert branches_coincide(m, tol=0.0)
+        assert branch_gap(m.t) == 0.0
 
     @pytest.mark.filterwarnings("ignore:overflow encountered",
                                 "ignore:invalid value encountered")
@@ -318,7 +325,7 @@ def test_degenerate_batch_branches_coincide_exactly():
     degenerate = [k for k, p in enumerate(points) if p.delta_s == p.delta_i]
     assert len(degenerate) == 9
     for k in degenerate:
-        assert branches_coincide(BogoliubovMatrix(base.length, t[k]), tol=0.0)
+        assert branch_gap(t[k]) == 0.0
 
 
 _DEG_MAG = st.one_of(st.just(0.0), st.floats(0.05, 5.0))

@@ -280,3 +280,35 @@ def test_solve_z_outside_crystal_exits_2(capsys, solver, z):
                          "--solver", solver, f"--z={z}")
     assert code == 2 and out == ""
     assert err == f"error: z must lie in [0, length] = [0, 2.0], got {float(z)!r}\n"
+
+
+@pytest.mark.parametrize("kappa", ["1", "6"])
+@pytest.mark.parametrize("eps", [0.0, 1e-13, 1e-7, 1e-5])
+def test_squeezing_needs_exact_degeneracy_at_any_gain(capsys, tmp_path, kappa, eps):
+    # delta_i = delta_s (1 + eps): squeezing is printed at eps = 0 only, by
+    # solve, scan and compare alike, at low and at high gain
+    delta_i = 3.0 * (1 + eps)
+    argv = ["--kappa", kappa, "--eta-s", "1", "--eta-i", "1", "--delta-s", "3",
+            "--delta-i", repr(delta_i), "--length", "2"]
+    degenerate = eps == 0.0
+    code, out, _ = run(capsys, "solve", *argv)
+    assert code == 0
+    assert ("minvar_a" in json.loads(out)["observables"]) == degenerate
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "base": {"kappa": [float(kappa), 0.0], "eta_s": [1.0, 0.0],
+                 "eta_i": [1.0, 0.0], "delta_tilde": 0.0, "delta_s": 3.0,
+                 "delta_i": delta_i, "length": 2.0},
+        "axis1": {"name": "length", "min": 2.0, "max": 2.0, "count": 1},
+        "quantities": ["n_as", "minvar_a"]}))
+    code, out, _ = run(capsys, "scan", "--spec", str(spec))
+    assert code == 0
+    assert out.splitlines()[1].endswith("ValueError") != degenerate
+
+    code, out, err = run(capsys, "compare", *argv)
+    if degenerate:
+        assert code == 0 and json.loads(out)["exact"]["minvar_a"] < 1
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1

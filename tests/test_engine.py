@@ -17,12 +17,13 @@ from hypothesis import strategies as st
 
 from cascade import analytic, observables, scan
 from cascade.analytic import transfer_matrix
-from cascade.bogoliubov import BogoliubovMatrix, branches_coincide
+from cascade.bogoliubov import BogoliubovMatrix
 from cascade.characteristic import classify
 from cascade.cli import main
 from cascade.observables import (collective_min_variance, photon_numbers,
                                  single_mode_min_variance)
-from cascade.params import ModelParams, degenerate_params, params_to_dict
+from cascade.params import (ModelParams, degenerate_params, is_degenerate,
+                            params_to_dict)
 from cascade.scan import (MAGNITUDE_AXES, QUANTITIES, SCALAR_AXES, AxisSpec,
                           ScanSpec, emit, evaluate_points, run_scan)
 
@@ -41,7 +42,7 @@ def single_point(p: ModelParams) -> dict:
     m = transfer_matrix(p, p.length)
     n = photon_numbers(m)
     out.update(n_as=n.n_as, n_ai=n.n_ai, n_bs=n.n_bs, n_bi=n.n_bi)
-    if branches_coincide(m):
+    if is_degenerate(p):
         out["minvar_a"] = single_mode_min_variance(m, "a").min_variance
         out["minvar_b"] = single_mode_min_variance(m, "b").min_variance
         out["minvar_c"] = collective_min_variance(m).min_variance
@@ -55,13 +56,17 @@ _DELTA = st.floats(-12.0, 12.0)
 
 @st.composite
 def points(draw):
-    config = draw(st.sampled_from(("degenerate", "three_mode", "general")))
+    config = draw(st.sampled_from(("degenerate", "near_degenerate", "three_mode",
+                                   "general")))
     length = draw(st.floats(0.2, 3.0))
     k, es, ei = (draw(_MAG) * complex(math.cos(ph), math.sin(ph))
                  for ph in (draw(_PHASE), draw(_PHASE), draw(_PHASE)))
     dt, ds, di = draw(_DELTA), draw(_DELTA), draw(_DELTA)
     if config == "degenerate":
         ei, di = es, ds
+    elif config == "near_degenerate":
+        # not degenerate, however close: no squeezing at any gain
+        ei, di = es, ds * (1 + draw(st.sampled_from((1e-13, 1e-7, 1e-5))))
     elif config == "three_mode":
         ei, di = 0j, 0.0
     return ModelParams(kappa=k / length, eta_s=es, eta_i=ei, delta_tilde=dt,

@@ -309,3 +309,16 @@ def test_summary_keys():
                                                 eta_i=2 + 0j, dt=1, ds=2,
                                                 di=3, L=0.7)))
     assert "minvar_a" not in out4 and "n_as" in out4
+
+
+@pytest.mark.parametrize("solver", ["analytic", "oracle"])
+def test_summary_at_input_face_follows_the_parameters(solver):
+    # T = I at z = 0 for every point, but only a degenerate point squeezes
+    general = make(kappa=3 + 0j, eta_s=1 + 0j, eta_i=2 + 0j, dt=1, ds=2, di=3,
+                   L=0.7)
+    out = observables_summary(solve_point(general, z=0.0, solver=solver))
+    assert not {"minvar_a", "minvar_b", "minvar_c", "f_a"} & set(out)
+    assert out["n_as"] == 0
+    degenerate = degenerate_params(3, 1, 1, 2, 0.7)
+    out = observables_summary(solve_point(degenerate, z=0.0, solver=solver))
+    assert out["minvar_a"] == out["minvar_b"] == 1.0
