@@ -127,6 +127,9 @@ class BogoliubovMatrix:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BogoliubovMatrix":
+        """T from its :meth:`to_dict` form, which carries no ``degenerate``
+        flag: the matrix read back refuses squeezing until it is re-flagged,
+        ``BogoliubovMatrix(m.z, m.t, is_degenerate(params))``."""
         t = np.empty((4, 4), dtype=complex)
         for name, (row, col, conj) in _LAYOUT.items():
             v = complex(*data[name])

@@ -94,7 +94,10 @@ def photon_numbers(m: BogoliubovMatrix) -> PhotonNumbers:
     squared magnitudes of its creation-operator coefficients: the entries of
     its row of T (alpha_s, alpha_i+, beta_s, beta_i+) in the columns of the
     other parity."""
-    return PhotonNumbers(*_occupations(m.rows))
+    try:
+        return PhotonNumbers(*_occupations(m.rows))
+    except OverflowError:  # Python's float ** 2; named as the engine names it
+        raise OverflowError("photon number exceeds double precision") from None
 
 
 #: the failure of a squeezing metric off the degenerate configuration, for
@@ -141,10 +144,11 @@ def single_mode_min_variance(m: BogoliubovMatrix, mode: str) -> SqueezingReport:
     x1, y1, x2, y2 = m.rows[0 if mode == "a" else 2]
     f = x1 * y1 + x2 * y2
     theta = (math.pi - cmath.phase(f)) / 2 if f != 0 else math.pi / 2
-    return SqueezingReport(
-        min_variance=_stable_min_variance(x1, x2, y1, y2),
-        theta_opt=theta,
-    )
+    try:
+        min_variance = _stable_min_variance(x1, x2, y1, y2)
+    except OverflowError:
+        raise OverflowError(f"minvar_{mode} exceeds double precision") from None
+    return SqueezingReport(min_variance=min_variance, theta_opt=theta)
 
 
 #: the coarse phase grid of the collective minimum and the fixed number of
@@ -257,15 +261,18 @@ def collective_min_variance(m: BogoliubovMatrix) -> SqueezingReport:
     """
     _require_degenerate(m)
     a_row, _, b_row, _ = m.rows
-    c = _collective_coefficients(a_row, b_row)
-    variance = _collective_variance(c, cmath.exp)
-    _, phases = _starts(_collective_variance(c, np.exp)(_GRID)[None])
-    best = None
-    for k in phases.tolist():
-        d = _golden(variance, k * _STEP - _STEP, 2.0 * _STEP, _choose)
-        value = float(variance(d))
-        if best is None or value < best[0]:
-            best = value, d
+    try:
+        c = _collective_coefficients(a_row, b_row)
+        variance = _collective_variance(c, cmath.exp)
+        _, phases = _starts(_collective_variance(c, np.exp)(_GRID)[None])
+        best = None
+        for k in phases.tolist():
+            d = _golden(variance, k * _STEP - _STEP, 2.0 * _STEP, _choose)
+            value = float(variance(d))
+            if best is None or value < best[0]:
+                best = value, d
+    except OverflowError:
+        raise OverflowError("minvar_c exceeds double precision") from None
     value, d_opt = best
     e = cmath.exp(1j * d_opt)
     _, _, f0, f1, f2, _, _, _ = c

@@ -9,10 +9,12 @@ at a time in the calling process; chunks only bound a batch's memory, and
 output is byte-identical for any chunk size and worker count.  Worker
 processes run ODE solves only: the engine solves the points of the oracle
 solver and of the oracle cross-check through :func:`_oracle_matrices` and
-evaluates the solved matrices with the same batched observables.  Gain
-sweeps and ``cascade compare`` share :func:`compare_point`.  Per-point
-errors, a value beyond double precision included (OverflowError), are
-recorded as failure rows and never abort a scan or a sweep.
+evaluates the solved matrices with the same batched observables.  The
+solver picks only the propagator of T; regime, growth rate and the
+squeezing gate belong to the point.  Gain sweeps and ``cascade compare``
+run the engine exact and averaged (:func:`_compare`).  Per-point errors,
+a value beyond double precision included (OverflowError), are recorded as
+failure rows and never abort a scan or a sweep.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ import numpy as np
 from . import analytic, oracle
 from .bogoliubov import BogoliubovMatrix
 from .characteristic import classify_batch, growth_rate
-from .observables import (DEGENERATE_ONLY, averaged_model, photon_numbers,
-                          pdc_only_reference, single_mode_min_variance,
+from .observables import (DEGENERATE_ONLY, averaged_model, pdc_only_reference,
                           stack_observables)
 from .params import (ModelParams, derive, is_degenerate, validate,
                      validate_batch)
@@ -179,7 +180,8 @@ def solve_point(params: ModelParams, z: float | None = None,
 
     solver="analytic" uses the rotating-frame matrix exponential, valid in
     every regime; solver="oracle" integrates the mode equations;
-    solver="averaged" applies the sinc-averaged parameter map first.
+    solver="averaged" exponentiates the sinc-averaged model (flagged
+    degenerate by the point, not by that model).
     ValueError, with every solver, when z is not finite or not in [0, length].
     """
     validate(params)
@@ -189,13 +191,14 @@ def solve_point(params: ModelParams, z: float | None = None,
         raise ValueError(f"z must be finite, got {z!r}")
     elif not 0 <= z <= params.length:
         raise ValueError(f"z must lie in [0, length] = [0, {params.length!r}], got {z!r}")
-    if solver == "averaged":
-        params, solver = averaged_model(params), "analytic"
     if solver == "oracle":
         return oracle.matrix_at(params, z)
-    if solver != "analytic":
-        raise ValueError(f"unknown solver {solver!r}")
-    return analytic.transfer_matrix(params, z)
+    if solver == "analytic":
+        return analytic.transfer_matrix(params, z)
+    if solver == "averaged":
+        m = analytic.transfer_matrix(averaged_model(params), z)
+        return BogoliubovMatrix(z, m.t, is_degenerate(params))
+    raise ValueError(f"unknown solver {solver!r}")
 
 
 def _stack(points: list) -> ModelParams:
@@ -211,7 +214,7 @@ def _unstack(batch: ModelParams) -> list:
 
 def _solved(fn, *args):
     """fn(*args), or the exception it raises: the per-point failure capture
-    of oracle solves and sweeps."""
+    of oracle solves and of the plain-PDC reference."""
     try:
         return fn(*args)
     except Exception as exc:  # per-point failure, recorded not raised
@@ -276,10 +279,6 @@ def _evaluate(batch: ModelParams, quantities: tuple, solver: str,
         for f in _FIELDS))
     batch = ModelParams(*(np.ravel(f) for f in fields))
     errs = validate_batch(batch)
-    if solver == "averaged":
-        batch = _stack([p if e else averaged_model(p)
-                        for p, e in zip(_unstack(batch), errs)])
-        solver = "analytic"
     values = {}
     with np.errstate(all="ignore"):
         if "regime" in quantities:
@@ -303,7 +302,9 @@ def _matrix_values(batch: ModelParams, quantities: tuple, errs: list,
     in the order the single-point functions meet them: the solve, the
     photon numbers, the squeezing of a point that is not degenerate."""
     if solver != "oracle":
-        t = analytic.transfer_matrices(batch, batch.length)
+        solved = batch if solver == "analytic" else _stack(
+            [p if e else averaged_model(p) for p, e in zip(_unstack(batch), errs)])
+        t = analytic.transfer_matrices(solved, solved.length)
     else:
         t = np.broadcast_to(np.identity(4, dtype=complex), (len(errs), 4, 4)).copy()
         for k, m in enumerate(_oracle_matrices(_unstack(batch), workers)):
@@ -331,20 +332,44 @@ def evaluate_quantities(params: ModelParams, quantities, solver: str) -> dict:
     return out
 
 
+def _compare(points: list) -> tuple[list, dict]:
+    """:func:`compare_point` of many points: each point's failure (the exact
+    model's, the averaged one's, the plain-PDC reference's) and the columns
+    SWEEP_QUANTITIES, from the engine with solver "analytic" and "averaged"."""
+    batch, quantities = _stack(points), ("n_as", "n_bs", "minvar_a")
+    errs, exact = _evaluate(batch, quantities, "analytic")
+    averaged_errs, averaged = _evaluate(batch, quantities, "averaged")
+    errs = [e or a for e, a in zip(errs, averaged_errs)]
+    pdc = [_solved(pdc_only_reference, p.kappa, 0.0, p.length) for p in points]
+    failed = [isinstance(r, Exception) for r in pdc]
+    _first(errs, failed, lambda: OverflowError("pdc_n_a exceeds double precision"))
+    n, mv = zip(*((math.nan, math.nan) if f else r for r, f in zip(pdc, failed)))
+    columns = [exact[q] for q in quantities] + [averaged[q] for q in quantities]
+    return errs, dict(zip(SWEEP_QUANTITIES, columns + [n, [0.0] * len(n), mv]))
+
+
 def compare_point(params: ModelParams) -> dict:
     """Exact, sinc-averaged and plain phase-matched PDC photon numbers and
     signal squeezing at one point: {"exact", "averaged", "pdc_only"}, each
-    {"n_a", "n_b", "minvar_a"}."""
-    matrices = {"exact": solve_point(params, solver="analytic"),
-                "averaged": solve_point(params, solver="averaged")}
-    out = {}
-    for tag, m in matrices.items():
-        n = photon_numbers(m)
-        out[tag] = {"n_a": n.n_as, "n_b": n.n_bs,
-                    "minvar_a": single_mode_min_variance(m, "a").min_variance}
-    pdc_n, pdc_mv = pdc_only_reference(params.kappa, 0.0, params.length)
-    out["pdc_only"] = {"n_a": pdc_n, "n_b": 0.0, "minvar_a": pdc_mv}
-    return out
+    {"n_a", "n_b", "minvar_a"}; raises the point's failure."""
+    (err,), columns = _compare([params])
+    if err is not None:
+        raise err
+    values = iter(column[0] for column in columns.values())
+    return {model: {q: next(values) for q in ("n_a", "n_b", "minvar_a")}
+            for model in ("exact", "averaged", "pdc_only")}
+
+
+def _chunks(count: int, evaluate) -> tuple[list, dict]:
+    """evaluate(s) of the slices s of range(count), CHUNK_POINTS points at a
+    time: each point's failure and each column, joined in order."""
+    errors, columns = [], {}
+    for start in range(0, count, CHUNK_POINTS):
+        errs, part = evaluate(slice(start, start + CHUNK_POINTS))
+        errors += errs
+        for q, values in part.items():
+            columns.setdefault(q, []).extend(values)
+    return errors, columns
 
 
 def _tabulate(names: list, points: list, errors: list, columns: dict) -> tuple[list, list]:
@@ -358,7 +383,7 @@ def _tabulate(names: list, points: list, errors: list, columns: dict) -> tuple[l
         if err is None:
             rows.append(dict(zip(keys, axes + vals)))
         else:
-            failures.append({**dict(zip(names, axes)), "error": err})
+            failures.append({**dict(zip(names, axes)), "error": type(err).__name__})
     return rows, failures
 
 
@@ -377,33 +402,27 @@ def run_scan(spec: ScanSpec, workers: int = 1, strict: bool = False,
     them) run the ODE solves of solver="oracle" and of the cross-check.
 
     With cross_check enabled (implied by strict), a seeded 5% sample of the
-    successful analytic/averaged points is re-evaluated with the ODE oracle
-    (solved only when a matrix quantity is requested) and observables are
-    compared at 1e-5 relative; disagreements are reported in
+    successful points of an analytic or averaged scan is re-solved with the
+    ODE oracle (the averaged model of each, for "averaged") and its matrix
+    quantities are compared at 1e-5 relative; disagreements are reported in
     cross_check_violations and raise RuntimeError in strict mode.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     grid = _grid(spec)
-    errors: list = []
-    columns: dict = {q: [] for q in spec.quantities}
-    for start in range(0, len(grid), CHUNK_POINTS):
-        chunk = grid[start:start + CHUNK_POINTS]
-        batch = point_params(spec, *(np.array(v) for v in zip(*chunk)))
-        errs, part = _evaluate(batch, spec.quantities, spec.solver, workers)
-        errors += [e and type(e).__name__ for e in errs]
-        for q, values in part.items():
-            columns[q] += values
+    errors, columns = _chunks(len(grid), lambda s: _evaluate(
+        point_params(spec, *(np.array(v) for v in zip(*grid[s]))),
+        spec.quantities, spec.solver, workers))
     violations: list = []
-    if (cross_check or strict) and spec.solver in ("analytic", "averaged"):
-        numeric = [q for q in spec.quantities if q != "regime"]
+    numeric = tuple(q for q in spec.quantities if q in _MATRIX_QUANTITIES)
+    if (cross_check or strict) and numeric and spec.solver != "oracle":
         rng = np.random.default_rng(seed)
         sampled = [i for i in range(len(grid))
                    if rng.random() < CROSS_CHECK_FRACTION and errors[i] is None]
         sample = [point_params(spec, *grid[i]) for i in sampled]
         if spec.solver == "averaged":
             sample = [averaged_model(p) for p in sample]
-        ref_errors, refs = _evaluate(_stack(sample), tuple(numeric), "oracle", workers)
+        ref_errors, refs = _evaluate(_stack(sample), numeric, "oracle", workers)
         for k, idx in enumerate(sampled):
             if ref_errors[k] is not None:
                 raise ref_errors[k]
@@ -469,12 +488,6 @@ SWEEP_QUANTITIES = ("exact_n_a", "exact_n_b", "exact_minvar_a",
 SWEEP_LENGTH = 1.0
 
 
-def _sweep_values(params: ModelParams) -> dict:
-    c = compare_point(params)
-    return dict(zip(SWEEP_QUANTITIES,
-                    (v for model in c.values() for v in model.values())))
-
-
 def sweep_gain(delta_s_times_length: float, ratio_r: float,
                gamma_max: float, points: int) -> ScanResult:
     """Degenerate phase-matched-PDC gain sweep: for each parametric gain
@@ -485,17 +498,11 @@ def sweep_gain(delta_s_times_length: float, ratio_r: float,
     L = SWEEP_LENGTH
     ds = delta_s_times_length / L
     gammas = [float(g) for g in np.linspace(0.0, gamma_max, points)]
-    results = []
-    for g in gammas:
-        ka = g / L
-        p = validate(ModelParams(kappa=ka + 0j, eta_s=ratio_r * ka + 0j,
-                                 eta_i=ratio_r * ka + 0j, delta_tilde=0.0,
-                                 delta_s=ds, delta_i=ds, length=L))
-        results.append(_solved(_sweep_values, p))
-    errors = [type(r).__name__ if isinstance(r, Exception) else None
-              for r in results]
-    columns = {q: [None if e else r[q] for r, e in zip(results, errors)]
-               for q in SWEEP_QUANTITIES}
+    family = [validate(ModelParams(kappa=ka + 0j, eta_s=ratio_r * ka + 0j,
+                                   eta_i=ratio_r * ka + 0j, delta_tilde=0.0,
+                                   delta_s=ds, delta_i=ds, length=L))
+              for ka in (g / L for g in gammas)]
+    errors, columns = _chunks(points, lambda s: _compare(family[s]))
     rows, failures = _tabulate(["gamma"], [(g,) for g in gammas], errors, columns)
     spec = {"sweep_gain": {"delta_s_times_length": delta_s_times_length,
                            "ratio_r": ratio_r, "gamma_max": gamma_max,

@@ -204,10 +204,14 @@ def test_solve_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("kappa", ["100", "400"])
-def test_solve_beyond_double_precision_exits_2(kappa):
+@pytest.mark.parametrize("kappa, message", [
+    ("100", "minvar_a exceeds double precision"),
+    ("400", "transfer matrix entries exceed double precision"),
+], ids=["100", "400"])
+def test_solve_beyond_double_precision_exits_2(kappa, message):
     # at kappa = 100 the squeezing minimum's terms overflow, at 400 the
-    # transfer matrix itself: both are a documented exit 2, not a traceback
+    # transfer matrix itself: both are a documented exit 2, not a traceback,
+    # with the message a scan's chunk engine gives the same value
     argv = ["solve", "--kappa", kappa, "--eta-s", "1", "--delta-s", "3",
             "--degenerate", "--length", "2"]
     env = dict(os.environ, PYTHONPATH=str(Path(cascade.__file__).parents[1]))
@@ -215,7 +219,8 @@ def test_solve_beyond_double_precision_exits_2(kappa):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines()[-1].startswith("error:")
+    assert proc.stderr.splitlines()[-1] == \
+        f"error: solution leaves double precision: {message}"
     assert "inf" not in proc.stdout
 
 
@@ -286,29 +291,33 @@ def test_solve_z_outside_crystal_exits_2(capsys, solver, z):
 @pytest.mark.parametrize("eps", [0.0, 1e-13, 1e-7, 1e-5])
 def test_squeezing_needs_exact_degeneracy_at_any_gain(capsys, tmp_path, kappa, eps):
     # delta_i = delta_s (1 + eps): squeezing is printed at eps = 0 only, by
-    # solve, scan and compare alike, at low and at high gain
+    # solve, scan and compare alike, at low and at high gain, with either
+    # propagator.  At eta = 0 the averaged model zeroes both mismatches, so
+    # it is degenerate at every eps: the squeezing gate reads the point
     delta_i = 3.0 * (1 + eps)
-    argv = ["--kappa", kappa, "--eta-s", "1", "--eta-i", "1", "--delta-s", "3",
-            "--delta-i", repr(delta_i), "--length", "2"]
     degenerate = eps == 0.0
-    code, out, _ = run(capsys, "solve", *argv)
-    assert code == 0
-    assert ("minvar_a" in json.loads(out)["observables"]) == degenerate
+    for eta in (1.0, 0.0):
+        argv = ["--kappa", kappa, "--eta-s", repr(eta), "--eta-i", repr(eta),
+                "--delta-s", "3", "--delta-i", repr(delta_i), "--length", "2"]
+        for solver in ("analytic", "averaged"):
+            code, out, _ = run(capsys, "solve", *argv, "--solver", solver)
+            assert code == 0
+            assert ("minvar_a" in json.loads(out)["observables"]) == degenerate
 
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({
-        "base": {"kappa": [float(kappa), 0.0], "eta_s": [1.0, 0.0],
-                 "eta_i": [1.0, 0.0], "delta_tilde": 0.0, "delta_s": 3.0,
-                 "delta_i": delta_i, "length": 2.0},
-        "axis1": {"name": "length", "min": 2.0, "max": 2.0, "count": 1},
-        "quantities": ["n_as", "minvar_a"]}))
-    code, out, _ = run(capsys, "scan", "--spec", str(spec))
-    assert code == 0
-    assert out.splitlines()[1].endswith("ValueError") != degenerate
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({
+                "base": {"kappa": [float(kappa), 0.0], "eta_s": [eta, 0.0],
+                         "eta_i": [eta, 0.0], "delta_tilde": 0.0, "delta_s": 3.0,
+                         "delta_i": delta_i, "length": 2.0},
+                "axis1": {"name": "length", "min": 2.0, "max": 2.0, "count": 1},
+                "quantities": ["n_as", "minvar_a"], "solver": solver}))
+            code, out, _ = run(capsys, "scan", "--spec", str(spec))
+            assert code == 0
+            assert out.splitlines()[1].endswith("ValueError") != degenerate
 
-    code, out, err = run(capsys, "compare", *argv)
-    if degenerate:
-        assert code == 0 and json.loads(out)["exact"]["minvar_a"] < 1
-    else:
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        code, out, err = run(capsys, "compare", *argv)
+        if degenerate:
+            assert code == 0 and json.loads(out)["exact"]["minvar_a"] < 1
+        else:
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1

@@ -4,6 +4,7 @@ per-point engine it replaced, and malformed scan specs."""
 
 import cmath
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -164,11 +165,18 @@ def test_regime_columns_match_per_point_engine():
 
 
 def test_regime_column_matches_classify_per_point():
-    spec = scan.four_mode_diagram_spec(count=15)
-    res = run_scan(spec)
-    for row in res.rows:
-        p = scan.point_params(spec, row["delta_s"], row["delta_i"])
-        assert row["regime"] == classify(p).label.value
+    # the solver picks only the propagator of T: the averaged one too gives
+    # the point's own regime and growth rate, bit for bit
+    for solver in ("analytic", "averaged"):
+        spec = dataclasses.replace(scan.four_mode_diagram_spec(count=15),
+                                   quantities=("regime", "growth_rate"), solver=solver)
+        res = run_scan(spec)
+        assert len(res.rows) == 15 * 15
+        for row in res.rows:
+            p = scan.point_params(spec, row["delta_s"], row["delta_i"])
+            regime = classify(p)
+            assert (row["regime"], row["growth_rate"]) == \
+                (regime.label.value, regime.max_growth_rate)
 
 
 def test_overflow_becomes_failure_rows_without_warnings():
