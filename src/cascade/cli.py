@@ -150,6 +150,10 @@ def _cmd_scan(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     _write(args, emit(result, args.format))
+    if result.cross_check_violations:
+        points = len({v["index"] for v in result.cross_check_violations})
+        print(f"warning: cross-check: {points} point(s) disagree with the ODE "
+              "oracle", file=sys.stderr)
     return 0
 
 

@@ -264,7 +264,9 @@ def collective_min_variance(m: BogoliubovMatrix) -> SqueezingReport:
     try:
         c = _collective_coefficients(a_row, b_row)
         variance = _collective_variance(c, cmath.exp)
-        _, phases = _starts(_collective_variance(c, np.exp)(_GRID)[None])
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = _collective_variance(c, np.exp)(_GRID)
+        _, phases = _starts(grid[None])
         best = None
         for k in phases.tolist():
             d = _golden(variance, k * _STEP - _STEP, 2.0 * _STEP, _choose)

@@ -1,10 +1,13 @@
-"""Direct numerical integration of the Bogoliubov-function mode equations.
+"""Direct numerical integration of the Heisenberg equations of the modes.
 
 This module is the independent ground truth for the production propagator
-and for the paper's closed form.  It integrates a literal
-transcription of the four coupled linear systems, oscillatory phase factors
-exp(i Delta z) evaluated exactly at every stage point (no rotating-frame
-transformation), with an adaptive high-order embedded Runge-Kutta scheme.
+and for the paper's closed form.  The mode vector v = (alpha_s, alpha_i+,
+beta_s, beta_i+) obeys v' = A(z) v, with the oscillatory phase factors
+exp(i Delta z) of A evaluated exactly at every stage point (no
+rotating-frame transformation), so the transfer matrix T with v(z) =
+T v(0) is the solution of T' = A(z) T from T(0) = I.  Its 16 entries are
+integrated as one state with an adaptive high-order embedded Runge-Kutta
+scheme.
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ class Trajectory:
 
 
 def _rhs(params: ModelParams):
+    """T' = A(z) T on the 16 entries of T, row by row: A(z) is the system
+    of :mod:`cascade.analytic` under the direct mapping (a = kappa,
+    b = eta_s, c = eta_i, D1 = delta_tilde, D2 = delta_s, D3 = delta_i)."""
     a = params.kappa
     es, ei = params.eta_s, params.eta_i
     dt, ds, di = params.delta_tilde, params.delta_s, params.delta_i
@@ -54,31 +60,19 @@ def _rhs(params: ModelParams):
         e2 = cmath.exp(1j * ds * z)
         e3 = cmath.exp(1j * di * z)
         c1, c2, c3 = e1.conjugate(), e2.conjugate(), e3.conjugate()
-        out = np.empty(16, dtype=complex)
-        # systems 1, 2: direct mapping (b = eta_s, c = eta_i)
-        for k in (0, 4):
-            y1, y2, y3, y4 = y[k], y[k + 1], y[k + 2], y[k + 3]
-            out[k] = 1j * a * e1 * y2 + 1j * esc * e2 * y3
-            out[k + 1] = -1j * ac * c1 * y1 - 1j * ei * c3 * y4
-            out[k + 2] = 1j * es * c2 * y1
-            out[k + 3] = -1j * eic * e3 * y2
-        # systems 3, 4: swapped roles (b = eta_i, c = eta_s)
-        for k in (8, 12):
-            y1, y2, y3, y4 = y[k], y[k + 1], y[k + 2], y[k + 3]
-            out[k] = 1j * a * e1 * y2 + 1j * eic * e3 * y3
-            out[k + 1] = -1j * ac * c1 * y1 - 1j * es * c2 * y4
-            out[k + 2] = 1j * ei * c3 * y1
-            out[k + 3] = -1j * esc * e2 * y2
-        return out
+        a_z = np.array([[0, 1j * a * e1, 1j * esc * e2, 0],
+                        [-1j * ac * c1, 0, 0, -1j * ei * c3],
+                        [1j * es * c2, 0, 0, 0],
+                        [0, -1j * eic * e3, 0, 0]])
+        return (a_z @ y.reshape(4, 4)).ravel()
 
     return rhs
 
 
 def integrate(params: ModelParams, z_grid=None,
               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> Trajectory:
-    """Integrate all four 4-dimensional systems (stacked into one
-    16-dimensional complex state so step-size decisions are shared) and
-    return the Bogoliubov matrices on the requested grid.
+    """Integrate T' = A(z) T from T(0) = I, its 16 entries as one state,
+    and return the Bogoliubov matrices on the requested grid.
 
     The grid must be finite, strictly increasing, start at 0 and stay
     within [0, length]; by default 512 uniform points on [0, length].
@@ -96,8 +90,6 @@ def integrate(params: ModelParams, z_grid=None,
     if z_grid[-1] > L * (1 + 1e-12) + 1e-300:
         raise ValueError("z grid exceeds the crystal length")
 
-    y0 = np.zeros(16, dtype=complex)
-    y0[0] = y0[6] = y0[8] = y0[14] = 1.0
     degenerate = is_degenerate(params)
 
     if z_grid[-1] == 0.0:
@@ -107,18 +99,16 @@ def integrate(params: ModelParams, z_grid=None,
     # imported here so that importing the package does not load scipy
     from scipy.integrate import solve_ivp
 
-    sol = solve_ivp(_rhs(params), (0.0, float(z_grid[-1])), y0,
+    sol = solve_ivp(_rhs(params), (0.0, float(z_grid[-1])),
+                    np.identity(4, dtype=complex).ravel(),
                     method="DOP853", t_eval=z_grid, rtol=rtol, atol=atol)
     if sol.status == -1:
         raise StepSizeUnderflow(sol.message)
     if sol.status != 0:
         raise RuntimeError(f"integration failed: {sol.message}")
 
-    # the stacked state holds the four systems' (Y1, Y2, Y3, Y4) in turn:
-    # the direct pair, then the swapped pair
-    mats = tuple(BogoliubovMatrix.from_branches(
-        float(z_grid[j]), sol.y[:, j].reshape(2, 2, 4).swapaxes(1, 2), degenerate)
-        for j in range(len(z_grid)))
+    mats = tuple(BogoliubovMatrix(float(z_grid[j]), sol.y[:, j].reshape(4, 4), degenerate)
+                 for j in range(len(z_grid)))
     peak = max(m.max_abs() for m in mats)
     resid = max(max(canonical_residuals(m)) for m in mats)
     est = max(resid, rtol * max(1.0, peak))

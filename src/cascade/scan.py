@@ -323,15 +323,6 @@ def _matrix_values(batch: ModelParams, quantities: tuple, errs: list,
     return {q: out[q] for q in quantities if q in out}
 
 
-def evaluate_quantities(params: ModelParams, quantities, solver: str) -> dict:
-    """One grid point: classification and/or matrix-derived observables;
-    :func:`evaluate_points` of one point, raising its failure."""
-    (out,) = evaluate_points([params], quantities, solver)
-    if isinstance(out, Exception):
-        raise out
-    return out
-
-
 def _compare(points: list) -> tuple[list, dict]:
     """:func:`compare_point` of many points: each point's failure (the exact
     model's, the averaged one's, the plain-PDC reference's) and the columns

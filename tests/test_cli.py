@@ -171,6 +171,26 @@ class TestScanAndSweep:
         assert lines[0] == "delta_s,regime,n_as"
         assert len(lines) == 4
 
+    def test_cross_check_violations_reach_stderr(self, capsys, tmp_path, monkeypatch):
+        # a tolerance no solver meets: the 4 sampled points of 14 disagree,
+        # which the CSV cannot say, so stderr does; stdout and exit 0 stay
+        spec = {
+            "base": {"kappa": [3.0, 0.0], "eta_s": [1.0, 0.0],
+                     "eta_i": [1.0, 0.0], "delta_tilde": 0.0,
+                     "delta_s": 0.0, "delta_i": 0.0, "length": 2.0},
+            "axis1": {"name": "delta_s", "min": 0.0, "max": 10.0, "count": 14},
+            "quantities": ["regime", "n_as"],
+            "degenerate": True,
+        }
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps(spec))
+        _, plain, _ = run(capsys, "scan", "--spec", str(f))
+        monkeypatch.setattr(cascade.scan, "CROSS_CHECK_RTOL", 1e-18)
+        code, out, err = run(capsys, "scan", "--spec", str(f), "--cross-check")
+        assert code == 0
+        assert out == plain
+        assert err == "warning: cross-check: 4 point(s) disagree with the ODE oracle\n"
+
     def test_sweep_gain_stdout(self, capsys):
         code, out, _ = run(capsys, "sweep-gain", "--delta-s-l",
                            str(15 * math.pi), "--ratio", "1", "--gamma-max",

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,15 @@ class TestCollectiveVariance:
         # rounding the entries to double alone moves this minimum by up to
         # 4e-8 relative
         assert collective_min_variance(m).min_variance == pytest.approx(ref, rel=2e-7)
+
+    def test_overflow_is_named_without_warnings(self):
+        # at kappa L = 200 the phase grid's terms overflow: the search
+        # raises its named error and prints no numpy warning first
+        m = solve_point(degenerate_params(100, 1, 0, 3, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="minvar_c exceeds double precision"):
+                collective_min_variance(m)
 
 
 class TestPdcOnlyReference:

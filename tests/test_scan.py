@@ -11,8 +11,8 @@ import pytest
 from cascade.observables import photon_numbers, single_mode_min_variance
 from cascade import scan
 from cascade.params import ModelParams, degenerate_params, params_to_dict, validate
-from cascade.scan import (AxisSpec, ScanSpec, emit, evaluate_quantities,
-                          point_params, run_scan, solve_point, sweep_gain)
+from cascade.scan import (AxisSpec, ScanSpec, emit, point_params, run_scan,
+                          solve_point, sweep_gain)
 
 
 def deg_spec(**kw):
@@ -162,7 +162,7 @@ class TestDeterminismAndParallel:
         one = emit(run_scan(spec, workers=1), "csv")
         assert emit(run_scan(spec, workers=2), "csv") == one
         assert hashlib.sha256(one).hexdigest() == \
-            "bf2e6145630dab5d758563d91b10ae97658aebf4b1fdfe57356983c50c9e6111"
+            "a1de716e78799ba4a6b61582e76baf708f800fa00fc3c041c61d15d68ff01fb2"
 
 
 class TestEmit:

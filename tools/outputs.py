@@ -1,0 +1,67 @@
+"""Write the outputs of the package's commands into a directory.
+
+    PYTHONPATH=src python tools/outputs.py DIR
+
+runs the two diagram scans (41x41, on 1 and on 2 workers), a 4x3 oracle
+scan, `solve` with each solver and `classify` on the README points,
+`sweep-gain` for two families and `compare` on the README point, each into
+its own file under DIR.  Run it against two source trees and compare the
+directories (`diff -r`) to see which outputs a change moves.
+"""
+
+import dataclasses
+import json
+import sys
+from pathlib import Path
+
+from cascade.cli import main
+from cascade.scan import (AxisSpec, degenerate_diagram_spec,
+                          four_mode_diagram_spec)
+
+README_POINTS = {
+    "kappa3_eta1": ["--kappa", "3", "--length", "2", "--delta-s", "10", "--eta-s", "1",
+              "--degenerate"],
+    "kappa3_eta4": ["--kappa", "3", "--eta-s", "4", "--degenerate", "--length", "2"],
+}
+SWEEPS = {
+    "readme": ["--delta-s-l", "47.12", "--ratio", "1", "--gamma-max", "6",
+               "--points", "61"],
+    "high_gain": ["--delta-s-l", "3", "--ratio", "0.5", "--gamma-max", "20",
+                  "--points", "401"],
+}
+
+
+def run(out: Path, name: str, *argv: str) -> None:
+    if main([*argv, "--output", str(out / name)]) != 0:
+        raise SystemExit(f"{name}: cascade {' '.join(argv)} failed")
+
+
+def scan(out: Path, name: str, spec, threads: int) -> None:
+    spec_file = out / f"{name}.spec.json"
+    spec_file.write_text(json.dumps(spec.to_dict()))
+    run(out, f"{name}_threads{threads}.csv", "scan", "--spec", str(spec_file),
+        "--threads", str(threads))
+
+
+def write_outputs(out: Path) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    for threads in (1, 2):
+        scan(out, "degenerate_diagram", degenerate_diagram_spec(count=41), threads)
+        scan(out, "four_mode_diagram", four_mode_diagram_spec(count=41), threads)
+    oracle = dataclasses.replace(degenerate_diagram_spec(count=4), solver="oracle",
+                                 axis2=AxisSpec("eta_s_abs", 0.0, 8.0, 3))
+    scan(out, "oracle_scan", oracle, 2)
+    for point, flags in README_POINTS.items():
+        for solver in ("analytic", "oracle", "averaged"):
+            run(out, f"solve_{point}_{solver}.json", "solve", *flags, "--solver", solver)
+        run(out, f"classify_{point}.json", "classify", *flags)
+    for name, flags in SWEEPS.items():
+        run(out, f"sweep_gain_{name}.csv", "sweep-gain", *flags)
+    run(out, "compare_readme.json", "compare", "--kappa", "4", "--eta-s", "4",
+        "--delta-s", "47.12", "--degenerate")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit(__doc__)
+    write_outputs(Path(sys.argv[1]))
