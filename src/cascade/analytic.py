@@ -27,15 +27,13 @@ scaling and squaring; it needs no characteristic roots and holds in every
 regime, multiple roots included.  This is the production solver.
 
 At a degenerate point (eta_i = eta_s and delta_i = delta_s exactly) alpha_i
-= alpha_s and beta_i = beta_s, and in the quadratures (q_a, p_a, q_b, p_b)
-of the two modes G z - i (delta_tilde z / 2) I is a real 4x4 matrix K,
-whose exponential is the map's symplectic quadrature matrix (Weedbrook et
-al., Rev. Mod. Phys. 84, 621, 2012).  exp(K) is taken in real arithmetic,
-with products that keep a mode which does not squeeze exactly unsqueezed,
-and T is rebuilt from it with idler rows that are the exact conjugates of
-the signal rows.  The other points keep the complex G: their
-characteristic roots are not conjugate pairs, so they have no real 4x4
-form.
+= alpha_s and beta_i = beta_s, and X = G z - i (delta_tilde z / 2) I equals
+P conj(X) P: its rows 1 and 3 are rows 0 and 2 conjugated with each column
+pair exchanged.  exp(X) is then taken on rows 0 and 2 alone (the rows
+form), in real arithmetic with products in which an entry that vanishes in
+every factor stays exactly 0, so a mode that does not squeeze stays exactly
+unsqueezed, and T's idler rows are the exact conjugates of its signal rows.
+The other points keep the complex G: they have no such symmetry.
 
 :func:`full_matrix` is the paper's closed form, kept as an independent
 reference.  For distinct characteristic roots lambda_k, Y1 is a sum of four
@@ -250,111 +248,87 @@ _PADE13_TERMS = np.array([
 _PADE13_IDENTITY = np.multiply.outer((0.0, 0.0, _PADE13[1], _PADE13[0]),
                                      np.identity(4))[:, None]
 
-# The real (quadrature) form of a degenerate point.  There the mode vector is
-# (a, a+, b, b+) = C (q_a, p_a, q_b, p_b) with a = (q_a + i p_a) / 2 (Weedbrook
-# et al., Rev. Mod. Phys. 84, 621, 2012), and K = C^-1 (G z - i h I) C,
-# h = delta_tilde z / 2, is real.  Its exponential is taken in real
-# arithmetic on the pair form of each matrix X: a 2 x 8 array whose row r
-# holds row 2r (a q row) of X and then row 2r of its twin P X P, P
-# exchanging q and p of each mode.  The pair form of X Y is one matmul,
-# pair(X) @ blockdiag(Y, P Y P): the q rows of X Y sum their products in the
-# order (q_a, p_a, q_b, p_b), the p rows, as the twin's q rows, in the order
-# (p_a, q_a, p_b, q_b).  A 2x2 block [[c, -s], [s, c]] (one that does not
-# squeeze, like the phase rotation of a decoupled mode) then gets both of
-# its c and both of its s from the same products in the same order, so it
-# stays exactly one, fused multiply-adds or not, and the squeezing entries
-# that vanish in exact arithmetic print as 0.
+# The rows form of a degenerate point.  There X = G z - i h I, h =
+# delta_tilde z / 2, equals P conj(X) P, P exchanging entries 0 <-> 1 and
+# 2 <-> 3: rows 1 and 3 of X are rows 0 and 2 conjugated, with the columns of
+# each pair (0, 1), (2, 3) exchanged.  Products, sums with real coefficients
+# and inverses keep that symmetry, so exp(X) is taken on rows 0 and 2 alone,
+# a (2, 4) complex array viewed as 2 x 8 reals: the rows of X Y are one real
+# matmul, rows(X) @ right(Y).  An entry that vanishes in every factor (the
+# creation entries of a mode that does not squeeze) is then a sum of exact
+# zeros, and T's idler rows are the exact conjugates of its signal rows.
 
-#: the mode-vector basis in quadratures: each mode's block [[1, i], [1, -i]]
-#: / 2 and its inverse [[1, 1], [-i, i]] hold only 0, 1/2, 1 and +-i, so
-#: products with them are exact
-_C = np.zeros((4, 4), dtype=complex)
-_C[:2, :2] = _C[2:, 2:] = [[0.5, 0.5j], [0.5, -0.5j]]
-_C_INV = np.zeros((4, 4), dtype=complex)
-_C_INV[:2, :2] = _C_INV[2:, 2:] = [[1, 1], [-1j, 1j]]
-
-#: q <-> p of each mode
-_QP = [1, 0, 3, 2]
-#: the flat index (4 i + j) in X of each entry of its flat pair form
-_TO_PAIR = np.array([4 * (2 * r + twin) + (_QP[j] if twin else j)
-                     for r in (0, 1) for twin in (0, 1) for j in range(4)])
-_FROM_PAIR = np.argsort(_TO_PAIR)
-#: _PADE13_IDENTITY in pair forms
-_PADE13_PAIR_IDENTITY = _PADE13_IDENTITY.reshape(4, 1, 16)[..., _TO_PAIR].reshape(4, 1, 2, 8)
-
-# The conversions below are products with constant real matrices whose
-# entries are 0, +-1/2 and +-1, so each output rounds at most once.
-
-#: the real 4x4 matrices whose pair forms are the 16 unit vectors
-_UNIT_MATRICES = np.identity(16)[:, _FROM_PAIR].reshape(16, 4, 4)
-#: flat pair form of Y -> blockdiag(Y, P Y P), flat
-_PAIR_TO_BLOCKDIAG = np.zeros((16, 8, 8))
-_PAIR_TO_BLOCKDIAG[:, :4, :4] = _UNIT_MATRICES
-_PAIR_TO_BLOCKDIAG[:, 4:, 4:] = _UNIT_MATRICES[:, _QP][:, :, _QP]
-_PAIR_TO_BLOCKDIAG = _PAIR_TO_BLOCKDIAG.reshape(16, 64)
-#: flat pair form of X -> C X C^-1, as 32 reals, and -> its rows 0 and 2,
-#: which hold all of X (rows 1 and 3 are their conjugates); the rows map is
-#: orthogonal up to a factor 1/2, so its inverse is twice its transpose
-_PAIR_TO_COMPLEX = (_C @ _UNIT_MATRICES @ _C_INV).reshape(16, 16).view(float)
-_PAIR_TO_ROWS = _PAIR_TO_COMPLEX.reshape(16, 4, 8)[:, ::2].reshape(16, 16)
-#: flat pair forms of V and U side by side -> C (V - U) C^-1 and
-#: C (V + U) C^-1, as 2 x 32 reals
-_PADE_TO_COMPLEX = np.block([[_PAIR_TO_COMPLEX, _PAIR_TO_COMPLEX],
-                             [-_PAIR_TO_COMPLEX, _PAIR_TO_COMPLEX]])
-#: C X C^-1 of a real X, as 32 reals -> flat pair form of X, from rows 0, 2
-_COMPLEX_TO_PAIR = np.zeros((4, 8, 16))
-_COMPLEX_TO_PAIR[::2] = 2 * _PAIR_TO_ROWS.T.reshape(2, 8, 16)
-_COMPLEX_TO_PAIR = _COMPLEX_TO_PAIR.reshape(32, 16)
-#: flat real X -> rows 0 and 2 of C X C^-1, as 16 reals
-_REAL_TO_ROWS = _PAIR_TO_ROWS[_FROM_PAIR]
+#: the exchange P
+_P = [1, 0, 3, 2]
+#: the full matrices of the rows forms whose 16 reals are the unit vectors;
+#: the tables below hold only 0 and +-1, so each of their outputs is one
+#: input, negated or not
+_UNITS_FULL = np.zeros((16, 4, 4), dtype=complex)
+_UNITS_FULL[:, ::2] = np.identity(16).view(complex).reshape(16, 2, 4)
+_UNITS_FULL[:, 1::2] = _UNITS_FULL[:, ::2, _P].conj()
+#: rows form, as 16 reals -> its full matrix, as 32 reals
+_FULL = _UNITS_FULL.view(float).reshape(16, 32)
+#: rows forms of V and U side by side, as 32 reals -> the full matrices
+#: V - U and V + U, as 2 x 32 reals
+_PADE_TO_FULL = np.block([[_FULL, _FULL], [-_FULL, _FULL]])
+#: rows form of Y, as 16 reals -> the real 8x8 matrix right(Y), flat, that
+#: multiplies a row (re, im, re, im, ...) by the full Y: each complex entry
+#: y becomes the block [[Re y, Im y], [-Im y, Re y]]
+_RIGHT = (np.kron(_UNITS_FULL.real, np.identity(2))
+          + np.kron(_UNITS_FULL.imag, [[0.0, 1.0], [-1.0, 0.0]])).reshape(16, 64)
+#: _PADE13_IDENTITY in rows forms
+_PADE13_ROWS_IDENTITY = _PADE13_IDENTITY[..., ::2, :].astype(complex).view(float)
 
 
-def _blockdiag(y: np.ndarray) -> np.ndarray:
-    """blockdiag(Y, P Y P) (m, 8, 8) from the pair forms of Y (m, 2, 8): the
-    right operand with which a pair form times Y is the pair form of the
+def _full(rows: np.ndarray) -> np.ndarray:
+    """The complex matrices (..., 4, 4) of rows forms (..., 2, 4): rows 0 and
+    2 as given, rows 1 and 3 their conjugates with each column pair
+    exchanged."""
+    lead = rows.shape[:-2]
+    flat = np.dot(rows.view(float).reshape(lead + (16,)), _FULL)
+    return flat.view(complex).reshape(lead + (4, 4))
+
+
+def _right(rows: np.ndarray) -> np.ndarray:
+    """right(Y) (m, 8, 8) of the rows forms of Y (m, 2, 8) as reals: the
+    right operand with which a rows form times Y is the rows form of the
     product."""
-    m = len(y)
-    return np.dot(y.reshape(m, 16), _PAIR_TO_BLOCKDIAG).reshape(m, 8, 8)
-
-
-def _pair_pade_quotient(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The pair form of (V - U)^-1 (V + U) from those of U and V (m, 2, 8),
-    solved on the complex forms C (V -+ U) C^-1, where a mode block that
-    does not squeeze is diagonal and pivoting cannot mix its two entries."""
-    m = len(u)
-    dn = np.dot(np.concatenate((v, u), axis=1).reshape(m, 32), _PADE_TO_COMPLEX)
-    dn = dn.view(complex).reshape(m, 2, 4, 4)
-    x = np.linalg.solve(dn[:, 0], dn[:, 1])
-    return np.dot(x.reshape(m, 16).view(float), _COMPLEX_TO_PAIR).reshape(m, 2, 8)
+    m = len(rows)
+    return np.dot(rows.reshape(m, 16), _RIGHT).reshape(m, 8, 8)
 
 
 def _expm(g: np.ndarray) -> tuple[np.ndarray, bool]:
-    """exp of each matrix in a stack (m, 4, 4), real or complex, by [13/13]
-    Pade scaling and squaring with one scaling exponent per matrix, so that
-    a small matrix is not overscaled by a large stack-mate (Al-Mohy & Higham,
-    SIAM J. Matrix Anal. Appl. 31(3), 2009).  Every product is one matrix's,
-    and the extra squarings run only on the matrices that need them, so no
-    result depends on the rest of the stack.  A real stack is exponentiated
-    in real arithmetic on pair forms (the real form of a degenerate point,
-    above), except for the one linear solve, and comes back real.  Returns
-    the stack and whether the 1-norms add up to less than _EXP_SAFE_NORM
-    (false for NaN), so that no entry can have overflowed."""
+    """exp of each matrix in a stack, by [13/13] Pade scaling and squaring
+    with one scaling exponent per matrix, so that a small matrix is not
+    overscaled by a large stack-mate (Al-Mohy & Higham, SIAM J. Matrix Anal.
+    Appl. 31(3), 2009).  Every product is one matrix's, and the extra
+    squarings run only on the matrices that need them, so no result depends
+    on the rest of the stack.  A complex stack (m, 4, 4) is exponentiated as
+    it is; a stack (m, 2, 4) holds the rows forms of degenerate points
+    (above) and comes back as the rows forms of their exponentials, taken in
+    real arithmetic except for the one linear solve, which runs on the full
+    matrices.  The scaling reads the full matrices' 1-norms either way.
+    Returns the stack and whether the 1-norms add up to less than
+    _EXP_SAFE_NORM (false for NaN), so that no entry can have overflowed."""
     m = g.shape[0]
-    norm = np.abs(g).sum(axis=-2, keepdims=True).max(axis=-1, keepdims=True)
+    rows = g.shape[-2] == 2
+    col = np.abs(g).sum(axis=-2, keepdims=True)
+    if rows:  # column j of the full matrix holds rows 0 and 2 at j and P j
+        col = col + col[..., _P]
+    norm = col.max(axis=-1, keepdims=True)
     safe = sum(norm.ravel().tolist()) < _EXP_SAFE_NORM
-    real = g.dtype.kind == "f"
     with nullcontext() if safe else np.errstate(over="ignore", invalid="ignore"):
         # s: the smallest s >= 0 with |g|_1 / 2^s < theta, shaped (m, 1, 1);
         # x = mant 2^s exactly, so mant / x = 2^-s
         x = np.maximum(norm / _THETA13, 0.5)
         mant, s = np.frexp(x)
         a = g * (mant / x)
-        # every product is left @ operand(right): for a real stack, the
-        # left factor's pair form times blockdiag(R, P R P) of the right
-        # factor R; for a complex stack, the plain product
-        if real:
-            a = a.reshape(m, 16)[:, _TO_PAIR].reshape(m, 2, 8)
-            operand, identity = _blockdiag, _PADE13_PAIR_IDENTITY
+        # every product is left @ operand(right): for rows forms, the left
+        # factor's rows times right(R) of the right factor R; for a complex
+        # stack, the plain product
+        if rows:
+            a = a.view(float)
+            operand, identity = _right, _PADE13_ROWS_IDENTITY
         else:
             operand, identity = np.asarray, _PADE13_IDENTITY
         powers = np.empty((3,) + a.shape, dtype=a.dtype)
@@ -367,9 +341,13 @@ def _expm(g: np.ndarray) -> tuple[np.ndarray, bool]:
         # first two are multiplied by A^6, with which they commute
         terms = (_PADE13_TERMS @ powers.reshape(3, -1)).reshape((4,) + a.shape) + identity
         uv = terms[:2] @ operand(powers[2]) + terms[2:]
-        if real:
-            # U = A u2 = u2 A, so the pair forms reuse A's right operand
-            r = _pair_pade_quotient(uv[0] @ right_a, uv[1])
+        if rows:
+            # U = A u2 = u2 A, so the rows form reuses A's right operand
+            u, v = uv[0] @ right_a, uv[1]
+            dn = np.dot(np.concatenate((v, u), axis=1).reshape(m, 32), _PADE_TO_FULL)
+            dn = dn.view(complex).reshape(m, 2, 4, 4)
+            r = np.linalg.solve(dn[:, 0], dn[:, 1])
+            r = np.ascontiguousarray(r[:, ::2]).view(float)
         else:
             u, v = a @ uv[0], uv[1]
             r = np.linalg.solve(v - u, v + u)
@@ -383,9 +361,7 @@ def _expm(g: np.ndarray) -> tuple[np.ndarray, bool]:
                 sel = s > k
                 q = r[sel]
                 r[sel] = q @ operand(q)
-    if real:
-        r = r.reshape(m, 16)[:, _FROM_PAIR].reshape(m, 4, 4)
-    return r, safe
+    return (r.view(complex) if rows else r), safe
 
 
 def _generators(params: ModelParams, z) -> tuple:
@@ -408,77 +384,57 @@ def _generators(params: ModelParams, z) -> tuple:
     return np.exp(-gz.diagonal(axis1=-2, axis2=-1))[..., None], gz
 
 
-def _real_generators(params: ModelParams, z) -> tuple:
+def _row_generators(params: ModelParams, z) -> tuple:
     """The phases (e^{i h}, e^{-i w}), (..., 2, 1), of rows 0 and 2 of T and
-    the real generator K (..., 4, 4) of a degenerate point, with which
-    T = diag(e^{i theta z}) exp(G z) = e^{i h} diag(e^{i theta z})
-    C exp(K) C^-1.  With kappa z = k_r + i k_i, eta_s z = e_r + i e_i,
-    h = delta_tilde z / 2 and w = delta_s z - h, the rows of K are
+    the rows form (..., 2, 4) of X = G z - i h I at a degenerate point, with
+    which T = _full(phases * rows of exp(X)).  With h = delta_tilde z / 2 and
+    w = delta_s z - h, rows 0 and 2 of X are
 
-        (-k_i, k_r + h,  e_i, -e_r)
-        (k_r - h,  k_i,  e_r,  e_i)
-        (-e_i,    -e_r,    0,   -w)
-        ( e_r,    -e_i,    w,    0)
+        (-i h,  i kappa z,  i eta_s* z,  0)
+        (i eta_s z,  0,     i w,         0)
 
     Fields and z as for :func:`_generators`, but z has the fields' shape."""
     kz, ez = params.kappa * z, params.eta_s * z
     h = params.delta_tilde * z / 2
     w = params.delta_s * z - h
-    kr, ki, er, ei = kz.real, kz.imag, ez.real, ez.imag
-    zero = 0.0 * abs(kr)
-    k = np.array([-ki, kr + h, ei, -er,
-                  kr - h, ki, er, ei,
-                  -ei, -er, zero, -w,
-                  er, -ei, w, zero], dtype=float)
+    zero = 0.0 * abs(h)
+    x = np.array([-1j * h, 1j * kz, 1j * ez.conjugate(), zero,
+                  1j * ez, zero, 1j * w, zero], dtype=complex)
     angles = np.array([h, -w], dtype=float)
-    if k.ndim > 1:  # a batch: its axes go first
-        k, angles = np.moveaxis(k, 0, -1), np.moveaxis(angles, 0, -1)
-    return np.exp(1j * angles)[..., None], k.reshape(k.shape[:-1] + (4, 4))
-
-
-def _from_real_form(s: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """T (..., 4, 4) from exp(K) (..., 4, 4) and the row phases (..., 2, 1)
-    of :func:`_real_generators`: rows 0 and 2 are the phases times those of
-    C exp(K) C^-1, rows 1 and 3 their conjugates, so T's signal and idler
-    branches agree bit for bit."""
-    rows = np.dot(s.reshape(s.shape[:-2] + (16,)), _REAL_TO_ROWS).view(complex)
-    rows = rows.reshape(phases.shape[:-2] + (2, 4)) * phases
-    t = np.empty(rows.shape[:-2] + (4, 4), dtype=complex)
-    t[..., ::2, :] = rows
-    # rows 1 and 3 exchange the two columns of each pair (0, 1), (2, 3)
-    np.conjugate(rows.reshape(rows.shape[:-1] + (2, 2))[..., ::-1],
-                 out=t.reshape(t.shape[:-2] + (4, 2, 2))[..., 1::2, :, :])
-    return t
+    if x.ndim > 1:  # a batch: its axes go first, contiguous for float views
+        x, angles = np.moveaxis(x, 0, -1).copy(), np.moveaxis(angles, 0, -1).copy()
+    return np.exp(1j * angles)[..., None], x.reshape(x.shape[:-1] + (2, 4))
 
 
 def transfer_matrix(params: ModelParams, z: float) -> BogoliubovMatrix:
     """All 16 Bogoliubov functions at z from the rotating-frame matrix
-    exponential, valid in every regime; a degenerate point takes the real
+    exponential, valid in every regime; a degenerate point takes the rows
     form.
 
     Raises OverflowError when an entry exceeds double precision.
     """
     degenerate = is_degenerate(params)
-    phases, g = (_real_generators if degenerate else _generators)(params, z)
+    phases, g = (_row_generators if degenerate else _generators)(params, z)
     r, safe = _expm(g[None])
     if not (safe or np.isfinite(r).all()):
         raise OverflowError("transfer matrix entries exceed double precision")
-    return BogoliubovMatrix(z, _from_real_form(r[0], phases) if degenerate
-                            else phases * r[0], degenerate)
+    t = phases * r[0]
+    return BogoliubovMatrix(z, _full(t) if degenerate else t, degenerate)
 
 
 def transfer_matrices(params: ModelParams, z) -> np.ndarray:
     """The transfer matrices T (..., 4, 4) of a batch: params' fields and z
     are arrays of one shape (...).  The same exponentials as
-    :func:`transfer_matrix`, one real stack for the degenerate points and
-    one complex stack for the rest; an entry beyond double precision comes
-    back as inf or NaN instead of raising, so call it under ``np.errstate``."""
+    :func:`transfer_matrix`, one stack of rows forms for the degenerate
+    points and one complex stack for the rest; an entry beyond double
+    precision comes back as inf or NaN instead of raising, so call it under
+    ``np.errstate``."""
     z = np.asarray(z, dtype=float)
     degenerate = is_degenerate(params)
     t = np.empty(degenerate.shape + (4, 4), dtype=complex)
     if degenerate.any():
-        phases, k = _real_generators(_select(params, degenerate), z[degenerate])
-        t[degenerate] = _from_real_form(_expm(k)[0], phases)
+        phases, x = _row_generators(_select(params, degenerate), z[degenerate])
+        t[degenerate] = _full(phases * _expm(x)[0])
     if not degenerate.all():
         rest = ~degenerate
         phases, gz = _generators(_select(params, rest), z[rest][:, None, None])

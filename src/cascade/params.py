@@ -168,7 +168,7 @@ def three_mode_params(kappa: complex, eta_s: complex, delta_tilde: float,
 def is_degenerate(params: ModelParams):
     """True when eta_i = eta_s and delta_i = delta_s exactly: the one rule
     for the degenerate configuration, which the regime labels, the growth
-    rate, the real form of the propagator and the squeezing metrics all
+    rate, the rows form of the propagator and the squeezing metrics all
     read.  A boolean array for a batch (fields that are arrays)."""
     return (params.eta_i == params.eta_s) & (params.delta_i == params.delta_s)
 

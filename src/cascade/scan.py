@@ -424,7 +424,8 @@ def run_scan(spec: ScanSpec, workers: int = 1, strict: bool = False,
                     violations.append({"index": idx, "quantity": q,
                                        "value": got, "oracle": ref})
     if strict and violations:
-        raise RuntimeError(f"strict cross-check failed at {len(violations)} point(s)")
+        points = len({v["index"] for v in violations})
+        raise RuntimeError(f"strict cross-check failed at {points} point(s)")
 
     names = [spec.axis1.name] + ([spec.axis2.name] if spec.axis2 else [])
     rows, failures = _tabulate(names, [pt[:len(names)] for pt in grid],

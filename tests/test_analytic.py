@@ -294,7 +294,7 @@ def test_transfer_matrix_is_canonical_over_magnitudes(mags, phases, mismatches,
     assert max(canonical_residuals_scaled(m)) <= 1e-12
 
 
-# the real (quadrature) form of degenerate points
+# the rows form of degenerate points
 
 def complex_generator_matrix(p: ModelParams, z: float) -> np.ndarray:
     """T from the exponential of the complex rotating-frame generator, the
@@ -303,16 +303,18 @@ def complex_generator_matrix(p: ModelParams, z: float) -> np.ndarray:
     return phase * analytic._expm(gz[None])[0][0]
 
 
-def test_expm_keeps_a_real_stack_real():
-    # a real stack runs in real arithmetic and returns float64, not an
-    # upcast through the complex products
+def test_expm_of_rows_forms_matches_the_full_exponential():
+    # a stack of rows forms (rows 0 and 2 of matrices with X = P conj(X) P)
+    # comes back as rows 0 and 2 of the complex exponentials of the full
+    # matrices
     rng = np.random.default_rng(11)
-    g = rng.standard_normal((64, 4, 4)) * rng.uniform(0.0, 2.0, (64, 1, 1))
-    got, safe = analytic._expm(g)
-    want, _ = analytic._expm(g.astype(complex))
-    assert safe and got.dtype == np.float64
+    rows = rng.standard_normal((64, 2, 4)) + 1j * rng.standard_normal((64, 2, 4))
+    rows *= rng.uniform(0.0, 2.0, (64, 1, 1))
+    got, safe = analytic._expm(rows)
+    want, _ = analytic._expm(analytic._full(rows))
+    assert safe and got.shape == (64, 2, 4) and got.dtype == np.complex128
     scale = np.abs(want).max(axis=(-2, -1))
-    assert (np.abs(got - want).max(axis=(-2, -1)) <= 1e-14 * scale).all()
+    assert (np.abs(got - want[:, ::2]).max(axis=(-2, -1)) <= 1e-14 * scale).all()
 
 
 def test_degenerate_batch_branches_coincide_exactly():
@@ -357,18 +359,38 @@ def test_real_form_matches_the_complex_exponential(p, frac):
 
 
 @pytest.mark.parametrize("p", [degenerate_params(2, 0, 4, 3, 1.5),
-                               degenerate_params(0, 1.5 + 0.5j, 4, 3, 1.5),
+                               degenerate_params(0, 2 + 0.5j, 4, 3, 1.5),
                                degenerate_params(0, 2, 0, 7, 3)],
                          ids=["eta=0", "kappa=0", "kappa=0,delta_tilde=0"])
 def test_unsqueezed_modes_print_exact_zeros(p):
     # a mode that does not squeeze (b decoupled at eta = 0; both modes at
     # kappa = 0) keeps exactly zero creation-operator entries through the
-    # squarings of the real exponential, as through the complex one
-    k = analytic._real_generators(p, p.length)[1]
-    assert np.abs(k).sum(axis=0).max() > analytic._THETA13  # it is squared
+    # squarings of the rows form, as through the complex exponential
+    x = analytic._full(analytic._row_generators(p, p.length)[1])
+    assert np.abs(x).sum(axis=0).max() > analytic._THETA13  # it is squared
     for t in (transfer_matrix(p, p.length).t,
               analytic.transfer_matrices(_stack([p]), np.array([p.length]))[0]):
         n = photon_numbers(BogoliubovMatrix(p.length, t))
         assert n.n_bs == 0.0
         if p.kappa == 0:
             assert n.n_as == 0.0
+
+
+#: the creation-operator entries of T (row, column): an annihilation output
+#: on a creation input, and the conjugate rows
+_A_CREATION = ((0, 1), (0, 3), (1, 0), (1, 2))
+_B_CREATION = ((2, 1), (2, 3), (3, 0), (3, 2))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(degenerate_points(), st.floats(0.0, 1.0))
+def test_unsqueezed_modes_keep_exact_zeros(p, frac):
+    # kappa = 0: neither mode squeezes; eta = 0: b is decoupled and does not
+    # squeeze.  Their creation entries are exactly 0 whatever the scaling.
+    z = frac * p.length
+    edges = [replace(p, kappa=0j), replace(p, eta_s=0j, eta_i=0j)]
+    batch = analytic.transfer_matrices(_stack(edges), np.full(2, z))
+    for q, t_batch, zeros in zip(edges, batch, (_A_CREATION + _B_CREATION,
+                                                _B_CREATION)):
+        for t in (transfer_matrix(q, z).t, t_batch):
+            assert all(t[ij] == 0 for ij in zeros)

@@ -321,18 +321,18 @@ def test_one_exponential_equals_the_two_branch_exponentials(p):
 
 
 def test_transfer_matrices_exponentiate_each_point_once(monkeypatch):
-    # one real stack for the 9 degenerate points of the diagonal, one complex
-    # stack for the other 72
+    # one stack of rows forms for the 9 degenerate points of the diagonal,
+    # one complex stack for the other 72
     sizes = []
     expm = analytic._expm
 
     def counted(g):
-        sizes.append((len(g), g.dtype))
+        sizes.append((g.shape, g.dtype))
         return expm(g)
 
     monkeypatch.setattr(analytic, "_expm", counted)
     res = run_scan(_mixed_spec())
-    assert sizes == [(9, np.float64), (72, np.complex128)]
+    assert sizes == [((9, 2, 4), np.complex128), ((72, 4, 4), np.complex128)]
     assert len(res.rows) + len(res.failures) == 81
 
 

@@ -11,8 +11,8 @@ import pytest
 from cascade.observables import photon_numbers, single_mode_min_variance
 from cascade import scan
 from cascade.params import ModelParams, degenerate_params, params_to_dict, validate
-from cascade.scan import (AxisSpec, ScanSpec, emit, point_params, run_scan,
-                          solve_point, sweep_gain)
+from cascade.scan import (AxisSpec, ScanSpec, degenerate_diagram_spec, emit,
+                          point_params, run_scan, solve_point, sweep_gain)
 
 
 def deg_spec(**kw):
@@ -139,6 +139,20 @@ class TestDeterminismAndParallel:
         assert one and one == two
         with pytest.raises(RuntimeError):
             run_scan(spec, strict=True, seed=3)
+
+    def test_strict_failure_counts_points_not_quantities(self, monkeypatch):
+        # a point where both quantities disagree counts once, as in the
+        # warning of `cascade scan --cross-check`
+        monkeypatch.setattr(scan, "CROSS_CHECK_RTOL", 1e-18)
+        base = dataclasses.replace(degenerate_diagram_spec().base,
+                                   eta_s=1 + 0j, eta_i=1 + 0j)
+        spec = ScanSpec(base=base, axis1=AxisSpec("delta_s", -20.0, 20.0, 30),
+                        quantities=("n_as", "n_bs"), degenerate=True)
+        found = run_scan(spec, cross_check=True).cross_check_violations
+        points = len({v["index"] for v in found})
+        assert 0 < points < len(found)
+        with pytest.raises(RuntimeError, match=f"failed at {points} point"):
+            run_scan(spec, strict=True)
 
     @pytest.mark.parametrize("solver", ["analytic", "averaged"])
     def test_scan_without_solves_starts_no_processes(self, monkeypatch, solver):

@@ -6,7 +6,7 @@ runs the two diagram scans (41x41, on 1 and on 2 workers), a 4x3 oracle
 scan, `solve` with each solver and `classify` on the README points,
 `sweep-gain` for two families and `compare` on the README point, each into
 its own file under DIR.  Run it against two source trees and compare the
-directories (`diff -r`) to see which outputs a change moves.
+directories with `tools/drift.py` to see which outputs a change moves.
 """
 
 import dataclasses
