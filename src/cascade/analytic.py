@@ -24,16 +24,19 @@ T = diag(e^{i theta z}) exp(G z); the signal/idler-swapped generator,
 P conj(G) P + i D1 I with P exchanging entries 0 <-> 1 and 2 <-> 3, adds
 nothing.  :func:`transfer_matrix` evaluates exp(G z) by [13/13] Pade
 scaling and squaring; it needs no characteristic roots and holds in every
-regime, multiple roots included.  This is the production solver.
+regime, multiple roots included.  This is the production solver.  Every
+product in it is one real matmul: the left factor's rows, viewed as reals,
+times a real operand built from the right factor by a constant table.
 
 At a degenerate point (eta_i = eta_s and delta_i = delta_s exactly) alpha_i
 = alpha_s and beta_i = beta_s, and X = G z - i (delta_tilde z / 2) I equals
 P conj(X) P: its rows 1 and 3 are rows 0 and 2 conjugated with each column
 pair exchanged.  exp(X) is then taken on rows 0 and 2 alone (the rows
-form), in real arithmetic with products in which an entry that vanishes in
-every factor stays exactly 0, so a mode that does not squeeze stays exactly
-unsqueezed, and T's idler rows are the exact conjugates of its signal rows.
-The other points keep the complex G: they have no such symmetry.
+form), with products in which an entry that vanishes in every factor stays
+exactly 0, so a mode that does not squeeze stays exactly unsqueezed, and
+T's idler rows are the exact conjugates of its signal rows.  The other
+points, which have no such symmetry, take the same products on all four
+rows of G z.
 
 :func:`full_matrix` is the paper's closed form, kept as an independent
 reference.  For distinct characteristic roots lambda_k, Y1 is a sum of four
@@ -244,25 +247,30 @@ _PADE13_TERMS = np.array([
     [_PADE13[3], _PADE13[5], _PADE13[7]],
     [_PADE13[2], _PADE13[4], _PADE13[6]],
 ])
-#: the identity terms of the four sums, one 4x4 block each
+#: the identity terms of the four sums, one 4x4 block each, as 4 x 8 reals
 _PADE13_IDENTITY = np.multiply.outer((0.0, 0.0, _PADE13[1], _PADE13[0]),
-                                     np.identity(4))[:, None]
+                                     np.identity(4))[:, None].astype(complex).view(float)
 
+# The product form.  A complex 4x4 stack Y viewed as (m, 4, 8) reals is
+# multiplied from the left by one real matmul, X Y = X @ right(Y): right(Y)
+# is the real 8x8 matrix in which each complex entry y becomes the block
+# [[Re y, Im y], [-Im y, Re y]], and it is linear in Y, one np.dot against a
+# constant table of 0 and +-1, so each of its entries is one entry of Y,
+# negated or not.
+#
 # The rows form of a degenerate point.  There X = G z - i h I, h =
 # delta_tilde z / 2, equals P conj(X) P, P exchanging entries 0 <-> 1 and
 # 2 <-> 3: rows 1 and 3 of X are rows 0 and 2 conjugated, with the columns of
 # each pair (0, 1), (2, 3) exchanged.  Products, sums with real coefficients
 # and inverses keep that symmetry, so exp(X) is taken on rows 0 and 2 alone,
-# a (2, 4) complex array viewed as 2 x 8 reals: the rows of X Y are one real
-# matmul, rows(X) @ right(Y).  An entry that vanishes in every factor (the
+# viewed as 2 x 8 reals: the rows of X Y are rows(X) @ right(Y), with right(Y)
+# read from the rows of Y.  An entry that vanishes in every factor (the
 # creation entries of a mode that does not squeeze) is then a sum of exact
 # zeros, and T's idler rows are the exact conjugates of its signal rows.
 
 #: the exchange P
 _P = [1, 0, 3, 2]
-#: the full matrices of the rows forms whose 16 reals are the unit vectors;
-#: the tables below hold only 0 and +-1, so each of their outputs is one
-#: input, negated or not
+#: the full matrices of the rows forms whose 16 reals are the unit vectors
 _UNITS_FULL = np.zeros((16, 4, 4), dtype=complex)
 _UNITS_FULL[:, ::2] = np.identity(16).view(complex).reshape(16, 2, 4)
 _UNITS_FULL[:, 1::2] = _UNITS_FULL[:, ::2, _P].conj()
@@ -271,13 +279,13 @@ _FULL = _UNITS_FULL.view(float).reshape(16, 32)
 #: rows forms of V and U side by side, as 32 reals -> the full matrices
 #: V - U and V + U, as 2 x 32 reals
 _PADE_TO_FULL = np.block([[_FULL, _FULL], [-_FULL, _FULL]])
-#: rows form of Y, as 16 reals -> the real 8x8 matrix right(Y), flat, that
-#: multiplies a row (re, im, re, im, ...) by the full Y: each complex entry
-#: y becomes the block [[Re y, Im y], [-Im y, Re y]]
-_RIGHT = (np.kron(_UNITS_FULL.real, np.identity(2))
-          + np.kron(_UNITS_FULL.imag, [[0.0, 1.0], [-1.0, 0.0]])).reshape(16, 64)
-#: _PADE13_IDENTITY in rows forms
-_PADE13_ROWS_IDENTITY = _PADE13_IDENTITY[..., ::2, :].astype(complex).view(float)
+#: the full matrices whose 32 reals are the unit vectors
+_UNITS = np.identity(32).view(complex).reshape(32, 4, 4)
+#: full matrix Y, as 32 reals -> right(Y), flat
+_RIGHT_FULL = (np.kron(_UNITS.real, np.identity(2))
+               + np.kron(_UNITS.imag, [[0.0, 1.0], [-1.0, 0.0]])).reshape(32, 64)
+#: rows form of Y, as 16 reals -> right(Y), flat
+_RIGHT_ROWS = _FULL @ _RIGHT_FULL
 
 
 def _full(rows: np.ndarray) -> np.ndarray:
@@ -289,27 +297,20 @@ def _full(rows: np.ndarray) -> np.ndarray:
     return flat.view(complex).reshape(lead + (4, 4))
 
 
-def _right(rows: np.ndarray) -> np.ndarray:
-    """right(Y) (m, 8, 8) of the rows forms of Y (m, 2, 8) as reals: the
-    right operand with which a rows form times Y is the rows form of the
-    product."""
-    m = len(rows)
-    return np.dot(rows.reshape(m, 16), _RIGHT).reshape(m, 8, 8)
-
-
 def _expm(g: np.ndarray) -> tuple[np.ndarray, bool]:
     """exp of each matrix in a stack, by [13/13] Pade scaling and squaring
     with one scaling exponent per matrix, so that a small matrix is not
     overscaled by a large stack-mate (Al-Mohy & Higham, SIAM J. Matrix Anal.
     Appl. 31(3), 2009).  Every product is one matrix's, and the extra
     squarings run only on the matrices that need them, so no result depends
-    on the rest of the stack.  A complex stack (m, 4, 4) is exponentiated as
-    it is; a stack (m, 2, 4) holds the rows forms of degenerate points
-    (above) and comes back as the rows forms of their exponentials, taken in
-    real arithmetic except for the one linear solve, which runs on the full
-    matrices.  The scaling reads the full matrices' 1-norms either way.
-    Returns the stack and whether the 1-norms add up to less than
-    _EXP_SAFE_NORM (false for NaN), so that no entry can have overflowed."""
+    on the rest of the stack.  The stack holds full complex matrices
+    (m, 4, 4), or the rows forms (m, 2, 4) of degenerate points (above),
+    which come back as the rows forms of their exponentials.  Both are taken
+    in the one product form, real rows @ right(Y), except for the one linear
+    solve, which runs on the full complex matrices; the scaling reads the
+    full matrices' 1-norms.  Returns the stack and whether the 1-norms add
+    up to less than _EXP_SAFE_NORM (false for NaN), so that no entry can
+    have overflowed."""
     m = g.shape[0]
     rows = g.shape[-2] == 2
     col = np.abs(g).sum(axis=-2, keepdims=True)
@@ -317,51 +318,48 @@ def _expm(g: np.ndarray) -> tuple[np.ndarray, bool]:
         col = col + col[..., _P]
     norm = col.max(axis=-1, keepdims=True)
     safe = sum(norm.ravel().tolist()) < _EXP_SAFE_NORM
+    table, identity = ((_RIGHT_ROWS, _PADE13_IDENTITY[..., ::2, :]) if rows
+                       else (_RIGHT_FULL, _PADE13_IDENTITY))
+
+    def right(y):  # right(Y) (n, 8, 8) of a stack Y (n, 2 or 4, 8) of reals
+        return np.dot(y.reshape(len(y), -1), table).reshape(-1, 8, 8)
+
     with nullcontext() if safe else np.errstate(over="ignore", invalid="ignore"):
         # s: the smallest s >= 0 with |g|_1 / 2^s < theta, shaped (m, 1, 1);
         # x = mant 2^s exactly, so mant / x = 2^-s
         x = np.maximum(norm / _THETA13, 0.5)
         mant, s = np.frexp(x)
-        a = g * (mant / x)
-        # every product is left @ operand(right): for rows forms, the left
-        # factor's rows times right(R) of the right factor R; for a complex
-        # stack, the plain product
-        if rows:
-            a = a.view(float)
-            operand, identity = _right, _PADE13_ROWS_IDENTITY
-        else:
-            operand, identity = np.asarray, _PADE13_IDENTITY
-        powers = np.empty((3,) + a.shape, dtype=a.dtype)
-        right_a = operand(a)
+        a = (g * (mant / x)).view(float)
+        powers = np.empty((3,) + a.shape)
+        right_a = right(a)
         np.matmul(a, right_a, out=powers[0])
-        right_a2 = operand(powers[0])
+        right_a2 = right(powers[0])
         np.matmul(powers[0], right_a2, out=powers[1])
         np.matmul(powers[1], right_a2, out=powers[2])
         # the sums (u2, v2, u1, v1), one 2-D product over every entry; the
         # first two are multiplied by A^6, with which they commute
         terms = (_PADE13_TERMS @ powers.reshape(3, -1)).reshape((4,) + a.shape) + identity
-        uv = terms[:2] @ operand(powers[2]) + terms[2:]
+        uv = terms[:2] @ right(powers[2]) + terms[2:]
+        # U = A u2 = u2 A, so it reuses A's right operand
+        u, v = uv[0] @ right_a, uv[1]
         if rows:
-            # U = A u2 = u2 A, so the rows form reuses A's right operand
-            u, v = uv[0] @ right_a, uv[1]
             dn = np.dot(np.concatenate((v, u), axis=1).reshape(m, 32), _PADE_TO_FULL)
             dn = dn.view(complex).reshape(m, 2, 4, 4)
-            r = np.linalg.solve(dn[:, 0], dn[:, 1])
-            r = np.ascontiguousarray(r[:, ::2]).view(float)
+            r = np.linalg.solve(dn[:, 0], dn[:, 1])[:, ::2]
         else:
-            u, v = a @ uv[0], uv[1]
-            r = np.linalg.solve(v - u, v + u)
+            r = np.linalg.solve((v - u).view(complex), (v + u).view(complex))
+        r = np.ascontiguousarray(r).view(float)
         s = s.ravel()
         exponents = s.tolist()
         common = min(exponents)
         for k in range(max(exponents)):
             if k < common:
-                r = r @ operand(r)
+                r = r @ right(r)
             else:
                 sel = s > k
                 q = r[sel]
-                r[sel] = q @ operand(q)
-    return (r.view(complex) if rows else r), safe
+                r[sel] = q @ right(q)
+    return r.view(complex), safe
 
 
 def _generators(params: ModelParams, z) -> tuple:
@@ -377,8 +375,8 @@ def _generators(params: ModelParams, z) -> tuple:
                   -1j * a.conjugate(), 1j * d1, zero, -1j * c,
                   1j * b, zero, 1j * d2, zero,
                   zero, -1j * c.conjugate(), zero, -1j * (d3 - d1)], dtype=complex)
-    if g.ndim > 1:  # a batch: its axes go first
-        g = np.moveaxis(g, 0, -1)
+    if g.ndim > 1:  # a batch: its axes go first, contiguous for float views
+        g = np.moveaxis(g, 0, -1).copy()
     gz = g.reshape(g.shape[:-1] + (4, 4)) * z
     # Y_k = e^{i theta_k z} X_k, and diag(G) = -i theta
     return np.exp(-gz.diagonal(axis1=-2, axis2=-1))[..., None], gz
@@ -426,7 +424,7 @@ def transfer_matrices(params: ModelParams, z) -> np.ndarray:
     """The transfer matrices T (..., 4, 4) of a batch: params' fields and z
     are arrays of one shape (...).  The same exponentials as
     :func:`transfer_matrix`, one stack of rows forms for the degenerate
-    points and one complex stack for the rest; an entry beyond double
+    points and one of full matrices for the rest; an entry beyond double
     precision comes back as inf or NaN instead of raising, so call it under
     ``np.errstate``."""
     z = np.asarray(z, dtype=float)

@@ -45,19 +45,6 @@ ENTRY_NAMES = tuple(_LAYOUT)
 #: K, L, M, N)
 _SWAP = [1, 0, 3, 2]
 
-#: where each entry of T sits in a flattened (2, 4, 2) branch array followed
-#: by its conjugate: column 2c of row r is direct[r, c], column 2c + 1 is
-#: conj(swapped[_SWAP[r], c])
-_GATHER = np.array([[r * 2 + col // 2 if col % 2 == 0
-                     else 24 + _SWAP[r] * 2 + col // 2 for col in range(4)]
-                    for r in range(4)])
-
-
-def _gather(branches: np.ndarray) -> np.ndarray:
-    """T from a stacked branch array (..., 2, 4, 2), one index gather."""
-    w = branches.reshape(branches.shape[:-3] + (16,))
-    return np.concatenate((w, w.conj()), axis=-1).take(_GATHER, axis=-1)
-
 
 @dataclass(frozen=True, eq=False)
 class BogoliubovMatrix:
@@ -104,7 +91,11 @@ class BogoliubovMatrix:
         from (1, 0, 0, 0) and from (0, 0, 1, 0) as its two columns.  The
         direct pair is columns 0 and 2 of T; the swapped pair, conjugated and
         with its signal and idler rows exchanged, is columns 1 and 3."""
-        return cls(z, _gather(np.asarray(branches)), degenerate)
+        direct, swapped = np.asarray(branches)
+        t = np.empty((4, 4), dtype=complex)
+        t[:, ::2] = direct
+        t[:, 1::2] = swapped.conj()[_SWAP]
+        return cls(z, t, degenerate)
 
     def max_abs(self) -> float:
         return max(abs(v) for row in self.rows for v in row)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from cascade import analytic
 from cascade.analytic import (MultipleRootsError, f_kernel, full_matrix,
@@ -16,7 +17,7 @@ from cascade.observables import pdc_only_reference, photon_numbers
 from cascade.oracle import (canonical_residuals, canonical_residuals_scaled,
                             matrix_at)
 from cascade.params import (ModelParams, degenerate_params, derive,
-                            three_mode_params, validate)
+                            is_degenerate, three_mode_params, validate)
 from cascade.scan import _stack
 
 
@@ -297,21 +298,21 @@ def test_transfer_matrix_is_canonical_over_magnitudes(mags, phases, mismatches,
 # the rows form of degenerate points
 
 def complex_generator_matrix(p: ModelParams, z: float) -> np.ndarray:
-    """T from the exponential of the complex rotating-frame generator, the
-    propagator of the non-degenerate points."""
+    """T from scipy's exponential of the complex rotating-frame generator, a
+    reference that shares no arithmetic with the package's exponential."""
     phase, gz = analytic._generators(p, z)
-    return phase * analytic._expm(gz[None])[0][0]
+    return phase * expm(gz)
 
 
 def test_expm_of_rows_forms_matches_the_full_exponential():
     # a stack of rows forms (rows 0 and 2 of matrices with X = P conj(X) P)
-    # comes back as rows 0 and 2 of the complex exponentials of the full
-    # matrices
+    # comes back as rows 0 and 2 of the exponentials of the full matrices,
+    # here scipy's
     rng = np.random.default_rng(11)
     rows = rng.standard_normal((64, 2, 4)) + 1j * rng.standard_normal((64, 2, 4))
     rows *= rng.uniform(0.0, 2.0, (64, 1, 1))
     got, safe = analytic._expm(rows)
-    want, _ = analytic._expm(analytic._full(rows))
+    want = expm(analytic._full(rows))
     assert safe and got.shape == (64, 2, 4) and got.dtype == np.complex128
     scale = np.abs(want).max(axis=(-2, -1))
     assert (np.abs(got - want[:, ::2]).max(axis=(-2, -1)) <= 1e-14 * scale).all()
@@ -394,3 +395,52 @@ def test_unsqueezed_modes_keep_exact_zeros(p, frac):
                                                 _B_CREATION)):
         for t in (transfer_matrix(q, z).t, t_batch):
             assert all(t[ij] == 0 for ij in zeros)
+
+
+# the full exponential of non-degenerate points against 50-digit mpmath
+
+def mpmath_transfer_matrix(p: ModelParams, z: float) -> np.ndarray:
+    """T = diag(e^{i theta z}) exp(G z) at 50 digits, with the rotating-frame
+    generator G written out from the module docstring of cascade.analytic,
+    rounded to complex doubles."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        i, z = mpmath.mpc(0, 1), mpmath.mpf(z)
+        a, b, c = (mpmath.mpc(v) for v in (p.kappa, p.eta_s, p.eta_i))
+        d1, d2, d3 = (mpmath.mpf(v) for v in (p.delta_tilde, p.delta_s, p.delta_i))
+        g = mpmath.matrix([[0, i * a, i * mpmath.conj(b), 0],
+                           [-i * mpmath.conj(a), i * d1, 0, -i * c],
+                           [i * b, 0, i * d2, 0],
+                           [0, -i * mpmath.conj(c), 0, -i * (d3 - d1)]])
+        x = mpmath.expm(g * z)
+        theta = (0, -d1, -d2, d3 - d1)
+        return np.array([[complex(mpmath.exp(i * theta[j] * z) * x[j, k])
+                          for k in range(4)] for j in range(4)])
+
+
+#: the truth panel as edits of random general points: 16 general, 16
+#: three-mode (eta_i = 0 = delta_i), 4 at kappa = 0, 4 at eta_s = eta_i = 0
+_PANEL_EDITS = (16 * [{}] + 16 * [dict(eta_i=0j, delta_i=0.0)]
+                + 4 * [dict(kappa=0j)] + 4 * [dict(eta_s=0j, eta_i=0j)])
+
+
+def truth_panel(seed: int = 1616) -> list:
+    """Seeded non-degenerate points with |kappa| L <= 10 (L <= 2.5)."""
+    rng = np.random.default_rng(seed)
+    return [replace(random_params(rng, couple_max=4.0), **edit) for edit in _PANEL_EDITS]
+
+
+def test_full_exponential_matches_mpmath():
+    # no other check holds the non-degenerate T to extended precision: the
+    # oracle agrees to about 1e-10, scipy's expm is another double-precision
+    # exponential
+    points = truth_panel()
+    batch = _stack(points)
+    assert not is_degenerate(batch).any()
+    lengths = np.array([p.length for p in points])
+    for p, t in zip(points, analytic.transfer_matrices(batch, lengths)):
+        want = mpmath_transfer_matrix(p, p.length)
+        bound = 1e-13 * np.abs(want).max()
+        assert np.abs(transfer_matrix(p, p.length).t - want).max() <= bound
+        assert np.abs(t - want).max() <= bound

@@ -322,7 +322,8 @@ def test_one_exponential_equals_the_two_branch_exponentials(p):
 
 def test_transfer_matrices_exponentiate_each_point_once(monkeypatch):
     # one stack of rows forms for the 9 degenerate points of the diagonal,
-    # one complex stack for the other 72
+    # one stack of full matrices for the other 72; both come in as complex
+    # arrays and are multiplied in the same real product form
     sizes = []
     expm = analytic._expm
 

@@ -4,9 +4,11 @@
 
 runs the two diagram scans (41x41, on 1 and on 2 workers), a 4x3 oracle
 scan, `solve` with each solver and `classify` on the README points,
-`sweep-gain` for two families and `compare` on the README point, each into
-its own file under DIR.  Run it against two source trees and compare the
-directories with `tools/drift.py` to see which outputs a change moves.
+`sweep-gain` for two families, `compare` on the README point, and `solve`
+(analytic and averaged) on a general and a three-mode point, each into its
+own file under DIR.  (`compare` exits 2 on a point that is not degenerate,
+since it prints squeezing.)  Run it against two source trees and compare
+the directories with `tools/drift.py` to see which outputs a change moves.
 """
 
 import dataclasses
@@ -22,6 +24,14 @@ README_POINTS = {
     "kappa3_eta1": ["--kappa", "3", "--length", "2", "--delta-s", "10", "--eta-s", "1",
               "--degenerate"],
     "kappa3_eta4": ["--kappa", "3", "--eta-s", "4", "--degenerate", "--length", "2"],
+}
+#: points that are not degenerate, which take the full 4x4 exponential
+OTHER_POINTS = {
+    "general": ["--kappa", "2", "--kappa-phase", "0.3", "--eta-s", "1.5", "--eta-i",
+                "0.8", "--delta-tilde", "1", "--delta-s", "4", "--delta-i", "-2",
+                "--length", "2"],
+    "three_mode": ["--kappa", "3", "--eta-s", "2", "--delta-s", "5", "--three-mode",
+                   "--length", "2"],
 }
 SWEEPS = {
     "readme": ["--delta-s-l", "47.12", "--ratio", "1", "--gamma-max", "6",
@@ -59,6 +69,9 @@ def write_outputs(out: Path) -> None:
         run(out, f"sweep_gain_{name}.csv", "sweep-gain", *flags)
     run(out, "compare_readme.json", "compare", "--kappa", "4", "--eta-s", "4",
         "--delta-s", "47.12", "--degenerate")
+    for point, flags in OTHER_POINTS.items():
+        for solver in ("analytic", "averaged"):
+            run(out, f"solve_{point}_{solver}.json", "solve", *flags, "--solver", solver)
 
 
 if __name__ == "__main__":
