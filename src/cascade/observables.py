@@ -41,8 +41,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -361,37 +362,58 @@ def lossy_approximation(kappa: complex, eta_s: complex, delta_s: float,
             (1.0 - eps2) * math.exp(-2.0 * g) + eps2)
 
 
-def zeta(delta: float, length: float) -> complex:
+#: a sine below this many ulps of its own argument is rounding noise of a
+#: zero, and is flushed to +0.0
+_FLUSH = 8.0 * sys.float_info.epsilon
+
+
+def zeta(delta, length):
     """Crystal-length average of the running phase exp(i delta z):
 
         zeta = sinc(delta L / 2) exp(i delta L / 2),  sinc(x) = sin(x)/x.
 
     A sine magnitude below the roundoff of its own argument is flushed to
     exactly zero, so delta L at an exact multiple of 2 pi (to double
-    precision) yields a vanishing averaged coupling."""
+    precision) yields a vanishing averaged coupling.  Numbers give a
+    complex number, and arrays that broadcast an array of the same values
+    elementwise: the selections are arithmetic, not branches."""
     x = delta * length / 2.0
-    if x == 0.0:
-        return 1.0 + 0j
-    s = math.sin(x)
-    if abs(s) < 8.0 * np.finfo(float).eps * abs(x):
-        s = 0.0
-    return s / x * cmath.exp(1j * x)
+    s = np.sin(x)
+    at_zero = x == 0.0
+    # the flush multiplies s by False, which leaves -0.0 for a negative s;
+    # adding at_zero (0 or 1) turns that into +0.0, and at x = +-0, where
+    # s = x, makes the numerator and the denominator both 1
+    return (s * (abs(s) >= _FLUSH * abs(x)) + at_zero) / (x + at_zero) * np.exp(1j * x)
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b of complex arrays, each part rounded as Python rounds the product
+    of two complex numbers; numpy's vector loops fuse the multiply-adds."""
+    return np.stack([a.real * b.real - a.imag * b.imag,
+                     a.real * b.imag + a.imag * b.real], axis=-1).view(complex)[..., 0]
 
 
 def averaged_model(params: ModelParams) -> ModelParams:
     """Replace the mismatched system by a phase-matched one with sinc-reduced
     coupling constants: kappa -> kappa zeta(delta_tilde), eta -> eta
     zeta(delta), all mismatches set to zero.  The result feeds the ordinary
-    solvers; it approximates the non-autonomous dynamics."""
-    validate(params)
+    solvers; it approximates the non-autonomous dynamics.
+
+    Takes one point, which it validates, or a batch whose fields are arrays
+    of one shape, which its caller validates
+    (:func:`cascade.params.validate_batch`): a point that fails gets values
+    to discard.  Each point of a batch gets its values as one point, bit
+    for bit."""
     L = params.length
-    return replace(
-        params,
-        kappa=params.kappa * zeta(params.delta_tilde, L),
-        eta_s=params.eta_s * zeta(params.delta_s, L),
-        eta_i=params.eta_i * zeta(params.delta_i, L),
-        delta_tilde=0.0, delta_s=0.0, delta_i=0.0,
-    )
+    couplings = (params.kappa, params.eta_s, params.eta_i)
+    mismatches = (params.delta_tilde, params.delta_s, params.delta_i)
+    if not isinstance(L, np.ndarray):  # one point
+        validate(params)
+        averaged = [c * complex(zeta(d, L)) for c, d in zip(couplings, mismatches)]
+        return ModelParams(*averaged, 0.0, 0.0, 0.0, L)
+    zero = np.zeros(L.shape)
+    averaged = _product(np.array(couplings), zeta(np.array(mismatches), L))
+    return ModelParams(*averaged, zero, zero, zero, L)
 
 
 def observables_summary(m: BogoliubovMatrix) -> dict:

@@ -23,14 +23,10 @@ a separate type; it is the constraint eta_i = eta_s, delta_i = delta_s (see
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-
-def _finite(x: complex) -> bool:
-    return math.isfinite(x.real) and math.isfinite(x.imag)
 
 
 @dataclass(frozen=True)
@@ -87,11 +83,8 @@ def validate(params: ModelParams) -> ModelParams:
     Raises ValueError naming the offending field for non-finite entries or a
     negative crystal length.
     """
-    for name in ("kappa", "eta_s", "eta_i"):
-        if not _finite(complex(getattr(params, name))):
-            raise ValueError(f"non-finite parameter: {name}")
-    for name in ("delta_tilde", "delta_s", "delta_i", "length"):
-        if not math.isfinite(getattr(params, name)):
+    for name in ModelParams.__dataclass_fields__:
+        if not cmath.isfinite(getattr(params, name)):
             raise ValueError(f"non-finite parameter: {name}")
     if params.length < 0:
         raise ValueError("length must be nonnegative")
@@ -108,15 +101,20 @@ def validate_batch(params: ModelParams) -> list:
     are arrays of one shape (n,): for each point None, or the ValueError
     validate raises for it."""
     checks = [(~np.isfinite(getattr(params, name)), f"non-finite parameter: {name}")
-              for name in ("kappa", "eta_s", "eta_i", "delta_tilde", "delta_s",
-                           "delta_i", "length")]
+              for name in ModelParams.__dataclass_fields__]
     checks.append((params.length < 0, "length must be nonnegative"))
     errors: list = [None] * len(params.length)
     for bad, message in checks:
-        for i in np.flatnonzero(bad):
-            if errors[i] is None:
-                errors[i] = ValueError(message)
+        record_first(errors, bad, lambda: ValueError(message))
     return errors
+
+
+def record_first(errors: list, mask, make) -> None:
+    """Record make() as the failure of every point in mask that has none:
+    the first failure of a point is the one it keeps."""
+    for i in np.flatnonzero(mask):
+        if errors[i] is None:
+            errors[i] = make()
 
 
 def derive(params: ModelParams) -> DerivedParams:

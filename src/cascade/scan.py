@@ -12,9 +12,11 @@ solver and of the oracle cross-check through :func:`_oracle_matrices` and
 evaluates the solved matrices with the same batched observables.  The
 solver picks only the propagator of T; regime, growth rate and the
 squeezing gate belong to the point.  Gain sweeps and ``cascade compare``
-run the engine exact and averaged (:func:`_compare`).  Per-point errors,
-a value beyond double precision included (OverflowError), are recorded as
-failure rows and never abort a scan or a sweep.
+run the engine exact and averaged (:func:`_compare`).  Every path keeps
+its points as one batch; only the ODE solves and the plain-PDC reference
+run point by point.  Per-point errors, a value beyond double precision
+included (OverflowError), are recorded as failure rows and never abort a
+scan or a sweep.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .bogoliubov import BogoliubovMatrix
 from .characteristic import classify_batch, growth_rate
 from .observables import (DEGENERATE_ONLY, averaged_model, pdc_only_reference,
                           stack_observables)
-from .params import (ModelParams, derive, is_degenerate, validate,
-                     validate_batch)
+from .params import (ModelParams, derive, is_degenerate, record_first,
+                     validate, validate_batch)
 
 QUANTITIES = ("regime", "n_as", "n_ai", "n_bs", "n_bi",
               "minvar_a", "minvar_b", "minvar_c", "growth_rate")
@@ -196,8 +198,9 @@ def solve_point(params: ModelParams, z: float | None = None,
     if solver == "analytic":
         return analytic.transfer_matrix(params, z)
     if solver == "averaged":
-        m = analytic.transfer_matrix(averaged_model(params), z)
-        return BogoliubovMatrix(z, m.t, is_degenerate(params))
+        with np.errstate(invalid="ignore"):  # zeta of a delta L beyond double range
+            t = analytic.transfer_matrix(averaged_model(params), z).t
+        return BogoliubovMatrix(z, t, is_degenerate(params))
     raise ValueError(f"unknown solver {solver!r}")
 
 
@@ -210,6 +213,16 @@ def _unstack(batch: ModelParams) -> list:
     """The points of a batch as ModelParams of Python numbers."""
     return [ModelParams(*values)
             for values in zip(*(getattr(batch, f).tolist() for f in _FIELDS))]
+
+
+def _broadcast(batch: ModelParams) -> ModelParams:
+    """A batch whose fields are scalars or arrays that broadcast to one
+    shape, as one whose fields are flat arrays (n,): complex couplings, the
+    rest real."""
+    fields = np.broadcast_arrays(*(
+        np.asarray(getattr(batch, f), dtype=complex if f in _COUPLINGS else float)
+        for f in _FIELDS))
+    return ModelParams(*(np.ravel(f) for f in fields))
 
 
 def _solved(fn, *args):
@@ -240,13 +253,6 @@ def _oracle_matrices(points: list, workers: int = 1) -> list:
                              chunksize=max(1, len(points) // (processes * 8))))
 
 
-def _first(errors: list, mask, make) -> None:
-    """Record make() as the failure of every point in mask that has none."""
-    for i in np.flatnonzero(mask):
-        if errors[i] is None:
-            errors[i] = make()
-
-
 def evaluate_points(points: list, quantities, solver: str) -> list:
     """The chunk engine: classification and matrix-derived observables of
     many points at once.  Returns, for each point, {quantity: value} or the
@@ -274,10 +280,7 @@ def _evaluate(batch: ModelParams, quantities: tuple, solver: str,
     solver="oracle" and a matrix quantity requested, the engine runs the ODE
     solves itself, through :func:`_oracle_matrices` on at most workers
     processes; no other case solves anything."""
-    fields = np.broadcast_arrays(*(
-        np.asarray(getattr(batch, f), dtype=complex if f in _COUPLINGS else float)
-        for f in _FIELDS))
-    batch = ModelParams(*(np.ravel(f) for f in fields))
+    batch = _broadcast(batch)
     errs = validate_batch(batch)
     values = {}
     with np.errstate(all="ignore"):
@@ -285,14 +288,14 @@ def _evaluate(batch: ModelParams, quantities: tuple, solver: str,
             values["regime"] = classify_batch(batch)
         if "growth_rate" in quantities:
             values["growth_rate"] = growth_rate(derive(batch), batch)
-            _first(errs, np.isnan(values["growth_rate"]), lambda: np.linalg.LinAlgError(
+            record_first(errs, np.isnan(values["growth_rate"]), lambda: np.linalg.LinAlgError(
                 "Array must not contain infs or NaNs"))
         if any(q in _MATRIX_QUANTITIES for q in quantities):
             values.update(_matrix_values(batch, quantities, errs, solver, workers))
         for q in quantities:
             if q != "regime":
-                _first(errs, ~np.isfinite(values[q]),
-                       lambda: OverflowError(f"{q} exceeds double precision"))
+                record_first(errs, ~np.isfinite(values[q]),
+                             lambda: OverflowError(f"{q} exceeds double precision"))
     return errs, {q: values[q].tolist() for q in quantities}
 
 
@@ -302,8 +305,7 @@ def _matrix_values(batch: ModelParams, quantities: tuple, errs: list,
     in the order the single-point functions meet them: the solve, the
     photon numbers, the squeezing of a point that is not degenerate."""
     if solver != "oracle":
-        solved = batch if solver == "analytic" else _stack(
-            [p if e else averaged_model(p) for p, e in zip(_unstack(batch), errs)])
+        solved = batch if solver == "analytic" else averaged_model(batch)
         t = analytic.transfer_matrices(solved, solved.length)
     else:
         t = np.broadcast_to(np.identity(4, dtype=complex), (len(errs), 4, 4)).copy()
@@ -312,28 +314,30 @@ def _matrix_values(batch: ModelParams, quantities: tuple, errs: list,
                 t[k] = m.t
             elif errs[k] is None:
                 errs[k] = m
-    _first(errs, ~np.isfinite(t).all(axis=(-2, -1)),
-           lambda: OverflowError("transfer matrix entries exceed double precision"))
+    record_first(errs, ~np.isfinite(t).all(axis=(-2, -1)),
+                 lambda: OverflowError("transfer matrix entries exceed double precision"))
     out = stack_observables(t, quantities)
     photons = np.isfinite(np.stack([out[q] for q in ("n_as", "n_ai", "n_bs", "n_bi")]))
-    _first(errs, ~photons.all(axis=0),
-           lambda: OverflowError("photon number exceeds double precision"))
+    record_first(errs, ~photons.all(axis=0),
+                 lambda: OverflowError("photon number exceeds double precision"))
     if any(q.startswith("minvar") for q in quantities):
-        _first(errs, ~is_degenerate(batch), lambda: ValueError(DEGENERATE_ONLY))
+        record_first(errs, ~is_degenerate(batch), lambda: ValueError(DEGENERATE_ONLY))
     return {q: out[q] for q in quantities if q in out}
 
 
-def _compare(points: list) -> tuple[list, dict]:
-    """:func:`compare_point` of many points: each point's failure (the exact
-    model's, the averaged one's, the plain-PDC reference's) and the columns
-    SWEEP_QUANTITIES, from the engine with solver "analytic" and "averaged"."""
-    batch, quantities = _stack(points), ("n_as", "n_bs", "minvar_a")
+def _compare(batch: ModelParams) -> tuple[list, dict]:
+    """:func:`compare_point` of a batch (fields as :func:`_evaluate` takes
+    them): each point's failure (the exact model's, the averaged one's, the
+    plain-PDC reference's) and the columns SWEEP_QUANTITIES, from the engine
+    with solver "analytic" and "averaged"; the reference is per point."""
+    batch, quantities = _broadcast(batch), ("n_as", "n_bs", "minvar_a")
     errs, exact = _evaluate(batch, quantities, "analytic")
     averaged_errs, averaged = _evaluate(batch, quantities, "averaged")
     errs = [e or a for e, a in zip(errs, averaged_errs)]
-    pdc = [_solved(pdc_only_reference, p.kappa, 0.0, p.length) for p in points]
+    pdc = [_solved(pdc_only_reference, k, 0.0, length)
+           for k, length in zip(batch.kappa.tolist(), batch.length.tolist())]
     failed = [isinstance(r, Exception) for r in pdc]
-    _first(errs, failed, lambda: OverflowError("pdc_n_a exceeds double precision"))
+    record_first(errs, failed, lambda: OverflowError("pdc_n_a exceeds double precision"))
     n, mv = zip(*((math.nan, math.nan) if f else r for r, f in zip(pdc, failed)))
     columns = [exact[q] for q in quantities] + [averaged[q] for q in quantities]
     return errs, dict(zip(SWEEP_QUANTITIES, columns + [n, [0.0] * len(n), mv]))
@@ -343,7 +347,7 @@ def compare_point(params: ModelParams) -> dict:
     """Exact, sinc-averaged and plain phase-matched PDC photon numbers and
     signal squeezing at one point: {"exact", "averaged", "pdc_only"}, each
     {"n_a", "n_b", "minvar_a"}; raises the point's failure."""
-    (err,), columns = _compare([params])
+    (err,), columns = _compare(params)
     if err is not None:
         raise err
     values = iter(column[0] for column in columns.values())
@@ -378,6 +382,11 @@ def _tabulate(names: list, points: list, errors: list, columns: dict) -> tuple[l
     return rows, failures
 
 
+def _grid_params(spec: ScanSpec, points: list) -> ModelParams:
+    """The parameters of grid points (v1, v2) as one batch."""
+    return point_params(spec, *(np.array([pt[k] for pt in points]) for k in (0, 1)))
+
+
 def _grid(spec: ScanSpec) -> list:
     """Deterministic point order (v1, v2): axis2 outer, axis1 inner."""
     v1s = [float(v) for v in spec.axis1.values()]
@@ -402,18 +411,17 @@ def run_scan(spec: ScanSpec, workers: int = 1, strict: bool = False,
         raise ValueError("workers must be >= 1")
     grid = _grid(spec)
     errors, columns = _chunks(len(grid), lambda s: _evaluate(
-        point_params(spec, *(np.array(v) for v in zip(*grid[s]))),
-        spec.quantities, spec.solver, workers))
+        _grid_params(spec, grid[s]), spec.quantities, spec.solver, workers))
     violations: list = []
     numeric = tuple(q for q in spec.quantities if q in _MATRIX_QUANTITIES)
     if (cross_check or strict) and numeric and spec.solver != "oracle":
         rng = np.random.default_rng(seed)
         sampled = [i for i in range(len(grid))
                    if rng.random() < CROSS_CHECK_FRACTION and errors[i] is None]
-        sample = [point_params(spec, *grid[i]) for i in sampled]
+        sample = _broadcast(_grid_params(spec, [grid[i] for i in sampled]))
         if spec.solver == "averaged":
-            sample = [averaged_model(p) for p in sample]
-        ref_errors, refs = _evaluate(_stack(sample), numeric, "oracle", workers)
+            sample = averaged_model(sample)
+        ref_errors, refs = _evaluate(sample, numeric, "oracle", workers)
         for k, idx in enumerate(sampled):
             if ref_errors[k] is not None:
                 raise ref_errors[k]
@@ -484,18 +492,26 @@ def sweep_gain(delta_s_times_length: float, ratio_r: float,
                gamma_max: float, points: int) -> ScanResult:
     """Degenerate phase-matched-PDC gain sweep: for each parametric gain
     G = |kappa| L in [0, gamma_max], :func:`compare_point` at
-    |eta_s| = r |kappa| and fixed delta_s L, flattened into SWEEP_QUANTITIES."""
+    |eta_s| = r |kappa| and fixed delta_s L, flattened into SWEEP_QUANTITIES:
+    the family is one batch, and each chunk evaluates a slice of its gains.
+    ValueError for a negative gamma_max, or naming the parameter that a
+    non-finite input feeds."""
     if points < 2:
         raise ValueError("points must be >= 2")
     L = SWEEP_LENGTH
     ds = delta_s_times_length / L
-    gammas = [float(g) for g in np.linspace(0.0, gamma_max, points)]
-    family = [validate(ModelParams(kappa=ka + 0j, eta_s=ratio_r * ka + 0j,
-                                   eta_i=ratio_r * ka + 0j, delta_tilde=0.0,
-                                   delta_s=ds, delta_i=ds, length=L))
-              for ka in (g / L for g in gammas)]
-    errors, columns = _chunks(points, lambda s: _compare(family[s]))
-    rows, failures = _tabulate(["gamma"], [(g,) for g in gammas], errors, columns)
+
+    def family(ka):  # the points at |kappa| = ka
+        return ModelParams(ka + 0j, ratio_r * ka + 0j, ratio_r * ka + 0j, 0.0, ds, ds, L)
+
+    # the couplings of gamma_max are the largest: every point's are finite
+    # if they are, and no non-finite input reaches np.linspace
+    validate(family(gamma_max / L))
+    if gamma_max < 0:
+        raise ValueError(f"gamma_max must be nonnegative, got {gamma_max!r}")
+    gammas = np.linspace(0.0, gamma_max, points)
+    errors, columns = _chunks(points, lambda s: _compare(family(gammas[s] / L)))
+    rows, failures = _tabulate(["gamma"], list(zip(gammas.tolist())), errors, columns)
     spec = {"sweep_gain": {"delta_s_times_length": delta_s_times_length,
                            "ratio_r": ratio_r, "gamma_max": gamma_max,
                            "points": points, "length": L}}

@@ -341,3 +341,26 @@ def test_squeezing_needs_exact_degeneracy_at_any_gain(capsys, tmp_path, kappa, e
         else:
             assert code == 2 and out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--delta-s-l", "nan", "non-finite parameter: delta_s"),
+    ("--delta-s-l", "inf", "non-finite parameter: delta_s"),
+    ("--ratio", "nan", "non-finite parameter: eta_s"),
+    ("--ratio", "inf", "non-finite parameter: eta_s"),
+    ("--gamma-max", "nan", "non-finite parameter: kappa"),
+    ("--gamma-max", "inf", "non-finite parameter: kappa"),
+    # gamma = |kappa| L cannot be negative; the rows of -gamma would be the
+    # rows of +gamma under another label
+    ("--gamma-max", "-5", "gamma_max must be nonnegative, got -5.0"),
+])
+def test_sweep_gain_bad_input_exits_2_with_one_line(capsys, flag, value, message):
+    # the inputs are checked before any point is built, so no numpy
+    # warning precedes the error line
+    argv = {"--delta-s-l": "3", "--ratio": "0.5", "--gamma-max": "4", flag: value}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "sweep-gain", *(f"{k}={v}" for k, v in argv.items()),
+                             "--points", "5")
+    assert code == 2 and out == "" and not caught
+    assert err == f"error: {message}\n"

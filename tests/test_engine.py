@@ -35,12 +35,12 @@ def close(got, want, rtol=1e-12):
     return abs(got - want) <= rtol * max(abs(got), abs(want))
 
 
-def single_point(p: ModelParams) -> dict:
-    """Every quantity from the public single-point functions, or the
-    exception class name a squeezing metric raises."""
+def single_point(p: ModelParams, solver: str = "analytic") -> dict:
+    """Every quantity from the public single-point functions, the matrix
+    from solve_point with solver; squeezing only at degenerate points."""
     regime = classify(p)
     out = {"regime": regime.label.value, "growth_rate": regime.max_growth_rate}
-    m = transfer_matrix(p, p.length)
+    m = scan.solve_point(p, solver=solver)
     n = photon_numbers(m)
     out.update(n_as=n.n_as, n_ai=n.n_ai, n_bs=n.n_bs, n_bi=n.n_bi)
     if is_degenerate(p):
@@ -84,17 +84,20 @@ _EDGES = [degenerate_params(0, 1.5, 0.5, 3, 1.2),
 @given(st.lists(points(), min_size=1, max_size=12))
 @example(_EDGES)
 def test_batched_rows_equal_single_point_functions(batch):
-    rows = evaluate_points(batch, QUANTITIES, "analytic")
-    for p, row in zip(batch, rows):
-        want = single_point(p)
-        if "minvar_a" not in want:
-            assert isinstance(row, ValueError)  # squeezing off degeneracy
-            continue
-        assert row["regime"] == want.pop("regime")
-        # one growth-rate function serves classify and the batch, bit for bit
-        assert row["growth_rate"] == want.pop("growth_rate"), p
-        for q, v in want.items():
-            assert close(row[q], v), (q, row[q], v, p)
+    # the averaged solver exponentiates the batch's averaged models, and
+    # solve_point the averaged model of each point
+    for solver in ("analytic", "averaged"):
+        rows = evaluate_points(batch, QUANTITIES, solver)
+        for p, row in zip(batch, rows):
+            want = single_point(p, solver)
+            if "minvar_a" not in want:
+                assert isinstance(row, ValueError)  # squeezing off degeneracy
+                continue
+            assert row["regime"] == want.pop("regime")
+            # one growth-rate function serves classify and the batch, bit for bit
+            assert row["growth_rate"] == want.pop("growth_rate"), p
+            for q, v in want.items():
+                assert close(row[q], v), (solver, q, row[q], v, p)
 
 
 def test_edge_points_classify_as_expected():

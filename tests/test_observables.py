@@ -286,6 +286,73 @@ class TestAveragedModel:
                                 di=-2.0, L=1.0))
         assert q.delta_tilde == q.delta_s == q.delta_i == 0.0
 
+    def test_batch_equals_points_bit_for_bit(self):
+        # zeta's exact 1 at delta = +-0, the flush to +0.0 at delta L = 2 pi k
+        # reached from either side, and large |delta L|; the batch is long
+        # enough for numpy's vector loops
+        lengths = (2.0, 0.7, 3.3)
+        deltas = [0.0, -0.0, 5e-324, 1.0, -7.5, 1e6, -3e9, 1e15, -2.5e100]
+        for k in range(-4, 5):
+            for L in lengths:
+                d = 2 * math.pi * k / L
+                deltas += [d, math.nextafter(d, math.inf), math.nextafter(d, -math.inf)]
+        rng = np.random.default_rng(17)
+
+        def coupling():
+            return complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-3, 2)
+
+        n = len(deltas)
+        points = [make(kappa=coupling(), eta_s=coupling(), eta_i=(0j, coupling())[i % 2],
+                       dt=d, ds=deltas[(i * 7 + 3) % n], di=-deltas[(i * 5 + 1) % n],
+                       L=lengths[i % 3])
+                  for i, d in enumerate(deltas)]
+        fields = ModelParams.__dataclass_fields__
+        batch = averaged_model(ModelParams(
+            *(np.array([getattr(p, f) for p in points]) for f in fields)))
+        for f in ("delta_tilde", "delta_s", "delta_i"):
+            assert getattr(batch, f).shape == (n,)
+        for i, p in enumerate(points):
+            one = averaged_model(p)
+            for f in fields:
+                # bytes compare the sign of a zero as well
+                want, got = np.asarray(getattr(one, f)), getattr(batch, f)[i]
+                assert want.tobytes() == np.asarray(got).tobytes(), (f, p, want, got)
+        for x in (0.0, -0.0):
+            assert np.asarray(zeta(x, 2.0)).tobytes() == np.asarray(1 + 0j).tobytes()
+        # one point is still validated, a batch by its caller
+        for f in fields:
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"non-finite parameter: {f}$"):
+                    averaged_model(ModelParams(**dict(vars(points[0]), **{f: bad})))
+
+    def test_zeta_follows_its_scalar_definition(self):
+        # the documented formula, one number at a time: a flushed sine is
+        # +0.0, so the zeros of zeta carry the signs of 0.0 / x exp(i x)
+        def reference(delta, length):
+            x = delta * length / 2.0
+            if x == 0.0:
+                return 1 + 0j
+            s = math.sin(x)
+            if abs(s) < 8.0 * np.finfo(float).eps * abs(x):
+                s = 0.0
+            return s / x * cmath.exp(1j * x)
+
+        L = 2.0
+        deltas = [d for k in range(-8, 9) for d in (
+            2 * math.pi * k / L, math.nextafter(2 * math.pi * k / L, math.inf),
+            math.nextafter(2 * math.pi * k / L, -math.inf), (k + 0.3) / L, 1e6 * k)]
+        batch = zeta(np.array(deltas), L)
+        flushed = 0
+        for d, got in zip(deltas, batch):
+            want = reference(d, L)
+            for w, g in ((want.real, got.real), (want.imag, got.imag)):
+                if w == 0.0:
+                    flushed += 1
+                    assert g == 0.0 and math.copysign(1, g) == math.copysign(1, w), (d, got, want)
+                else:
+                    assert abs(g - w) <= 4e-16 * abs(want), (d, got, want)
+        assert flushed > 20
+
 
 class TestGlobalPhaseInvariance:
     def test_observables_invariant_under_common_pump_phase(self):

@@ -3,7 +3,8 @@
     PYTHONPATH=src python tools/outputs.py DIR
 
 runs the two diagram scans (41x41, on 1 and on 2 workers), a 4x3 oracle
-scan, `solve` with each solver and `classify` on the README points,
+scan, the averaged solver on the 41x41 four-mode diagram and on a 9x9
+degenerate diagram with the oracle cross-check (as JSON), `solve` with each solver and `classify` on the README points,
 `sweep-gain` for two families, `compare` on the README point, and `solve`
 (analytic and averaged) on a general and a three-mode point, each into its
 own file under DIR.  (`compare` exits 2 on a point that is not degenerate,
@@ -46,11 +47,12 @@ def run(out: Path, name: str, *argv: str) -> None:
         raise SystemExit(f"{name}: cascade {' '.join(argv)} failed")
 
 
-def scan(out: Path, name: str, spec, threads: int) -> None:
+def scan(out: Path, name: str, spec, threads: int, *flags: str,
+         suffix: str = "csv") -> None:
     spec_file = out / f"{name}.spec.json"
     spec_file.write_text(json.dumps(spec.to_dict()))
-    run(out, f"{name}_threads{threads}.csv", "scan", "--spec", str(spec_file),
-        "--threads", str(threads))
+    run(out, f"{name}_threads{threads}.{suffix}", "scan", "--spec", str(spec_file),
+        "--threads", str(threads), *flags)
 
 
 def write_outputs(out: Path) -> None:
@@ -61,6 +63,11 @@ def write_outputs(out: Path) -> None:
     oracle = dataclasses.replace(degenerate_diagram_spec(count=4), solver="oracle",
                                  axis2=AxisSpec("eta_s_abs", 0.0, 8.0, 3))
     scan(out, "oracle_scan", oracle, 2)
+    scan(out, "four_mode_diagram_averaged",
+         dataclasses.replace(four_mode_diagram_spec(count=41), solver="averaged"), 1)
+    scan(out, "degenerate_diagram_averaged",
+         dataclasses.replace(degenerate_diagram_spec(count=9), solver="averaged"), 2,
+         "--cross-check", "--format", "json", suffix="json")
     for point, flags in README_POINTS.items():
         for solver in ("analytic", "oracle", "averaged"):
             run(out, f"solve_{point}_{solver}.json", "solve", *flags, "--solver", solver)
