@@ -14,11 +14,12 @@ from .characteristic import (Area, QuarticRoots, Regime, classify,
                              classify_degenerate, classify_general,
                              classify_three_mode, discriminant_general,
                              solve_quartic)
-from .observables import (Correlators, PhotonNumbers, SqueezingReport,
-                          averaged_model, collective_min_variance,
-                          correlators, lossy_approximation,
-                          observables_summary, pdc_only_reference,
-                          photon_numbers, single_mode_min_variance, zeta)
+from .observables import (ConvergenceError, Correlators, PhotonNumbers,
+                          SqueezingReport, averaged_model,
+                          collective_min_variance, correlators,
+                          lossy_approximation, observables_summary,
+                          pdc_only_reference, photon_numbers,
+                          single_mode_min_variance, zeta)
 from .oracle import StepSizeUnderflow, Trajectory, canonical_residuals, \
     canonical_residuals_scaled, integrate, matrix_at
 from .params import (DerivedParams, ModelParams, degenerate_params, derive,

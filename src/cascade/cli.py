@@ -9,8 +9,8 @@ regime.  `compare` prints :func:`cascade.scan.compare_point`, the comparison
 that `sweep-gain` tabulates over the parametric gain.
 
 Exit codes: 0 success, 2 invalid input, including inputs whose solution
-leaves double precision and a `solve --z` outside the crystal, 4 strict-mode
-cross-check failure.
+leaves double precision, a `solve --z` outside the crystal and a collective
+phase search that does not converge, 4 strict-mode cross-check failure.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import os
 import sys
 
 from .characteristic import classify, roots_to_json, solve_quartic
-from .observables import observables_summary
+from .observables import ConvergenceError, observables_summary
 from .params import (ModelParams, derive, params_from_dict, params_to_dict,
                      validate)
 from .scan import (SOLVERS, ScanSpec, compare_point, emit, run_scan,
@@ -240,7 +240,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:

@@ -19,15 +19,17 @@ exact for any matrix satisfying the canonical normalization.
 The balanced collective mode (a + e^{i delta} b)/sqrt(2) is minimized over
 the relative phase as well.  Its N, F and Lagrange-identity term are
 trigonometric polynomials of degree two in delta, so seven complex
-coefficients of T describe it at every phase (_collective_coefficients);
-the search refines the lowest local minimum of a 64-point phase grid, and
-the second-lowest where there is one, by a fixed number of golden-section
-steps, to brackets below 1e-10 rad.
+coefficients of T describe it at every phase (_collective_coefficients),
+and so are the exact derivatives of its logarithm.  The search refines the
+lowest local minimum of a 64-point phase grid, and the second-lowest where
+there is one, by safeguarded Newton steps (_newton) to a step below 1e-10
+rad; a search still moving at its cap fails with ConvergenceError.
 
 Every formula takes Python complex values or numpy arrays: the
 single-point functions evaluate one matrix, and :func:`stack_observables`
-a stack of them with the same formulas and the same steps, so no element's
-result depends on the rest of the stack.
+a stack of them with the same formulas and the same steps, and every
+element stops on its own state, so no element's result depends on the rest
+of the stack.
 
 Single-mode and collective squeezing metrics are defined for the degenerate
 configuration only, eta_i = eta_s and delta_i = delta_s exactly
@@ -152,13 +154,29 @@ def single_mode_min_variance(m: BogoliubovMatrix, mode: str) -> SqueezingReport:
     return SqueezingReport(min_variance=min_variance, theta_opt=theta)
 
 
-#: the coarse phase grid of the collective minimum and the fixed number of
-#: golden-section steps that shrink a bracket of two spacings below 1e-10 rad
+#: the coarse phase grid of the collective minimum; Newton steps refine its
+#: starts until a step is at most _TOL rad, or until h' times the bracket is
+#: at most _FLAT, so that the objective cannot move by more than rounding
+#: across its bracket
 _GRID_POINTS = 64
 _STEP = 2.0 * math.pi / _GRID_POINTS
 _GRID = _STEP * np.arange(_GRID_POINTS)
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_STEPS = math.ceil(math.log(2.0 * _STEP / 1e-10) / -math.log(_GOLDEN))
+_TOL = 1e-10
+_FLAT = 8.0 * sys.float_info.epsilon
+#: the steps a start may take: twice the bisections that alone shrink its
+#: bracket of two grid spacings below _TOL
+_MAX_STEPS = 2 * math.ceil(math.log2(2.0 * _STEP / _TOL))
+
+
+class ConvergenceError(ArithmeticError):
+    """The collective phase search was still moving after its last step."""
+
+
+def unconverged() -> ConvergenceError:
+    """The failure of a collective search still moving at its cap, for one
+    matrix and for a scan's failure rows."""
+    return ConvergenceError(f"minvar_c: the phase search was still moving "
+                            f"after {_MAX_STEPS} Newton steps")
 
 
 def _collective_coefficients(a_row, b_row) -> tuple:
@@ -220,28 +238,64 @@ def _starts(values: np.ndarray) -> tuple:
             np.concatenate([first, minima.argmin(axis=-1)[second]]))
 
 
-def _choose(cond, x, y):
-    return x if cond else y
+def _slopes(c: tuple, d, exp) -> tuple:
+    """h' and h'' at delta = d of h = log g, g the collective variance
+    (1 + |Lc|^2) / (m0 + Re(m1 e) + |F|) of _collective_variance, with
+    Lc = g0 + g1 e + g_{-1} e* and F = f0 + f1 e + f2 e^2: exact
+    derivatives of the trigonometric polynomials.  Squares are products
+    and a vanishing |F| divides by 1 (F = 0 at every phase at T = I), so
+    Python numbers raise nothing here that the variance does not."""
+    m0, m1, f0, f1, f2, g0, g1, gm1 = c
+    e = exp(1j * d)
+    ge, gme, fe, ffe, me = g1 * e, gm1 * e.conjugate(), f1 * e, f2 * e * e, m1 * e
+    lc, lc1, lc2 = g0 + ge + gme, 1j * (ge - gme), -(ge + gme)
+    f, fd1, fd2 = f0 + fe + ffe, 1j * (fe + 2.0 * ffe), -(fe + 4.0 * ffe)
+    p = 1.0 + (lc * lc.conjugate()).real
+    p1 = 2.0 * (lc.conjugate() * lc1).real
+    p2 = 2.0 * ((lc1 * lc1.conjugate()).real + (lc.conjugate() * lc2).real)
+    af = abs(f)
+    af0 = af + (af == 0)
+    # z = F* F' / |F|: |F|' = Re z, and |F'|^2 - (|F|')^2 = (Im z)^2
+    z = f.conjugate() * fd1 / af0
+    q = m0 + me.real + af
+    q1 = z.real - me.imag
+    q2 = (z.imag * z.imag + (f.conjugate() * fd2).real) / af0 - me.real
+    r, s = p1 / p, q1 / q
+    return r - s, p2 / p - r * r - q2 / q + s * s
 
 
-def _golden(f, lo, width: float, select):
-    """Minimum of f on [lo, lo + width] by _GOLDEN_STEPS golden-section
-    steps; the midpoint of the last bracket.  lo is a scalar with
-    select=_choose, or an array with select=np.where: every element takes
-    the same steps, so the bracket width stays one number."""
-    a = lo
-    inner = 1.0 - _GOLDEN  # = _GOLDEN^2: where the interior points sit
-    f1, f2 = f(a + inner * width), f(a + _GOLDEN * width)
-    for _ in range(_GOLDEN_STEPS):
-        # the minimum is in the left or the right _GOLDEN of the bracket;
-        # the interior point inside it is the new bracket's other one
-        left = f1 < f2
-        a = select(left, a, a + inner * width)
-        width *= _GOLDEN
-        kept = select(left, f1, f2)
-        new = f(a + select(left, inner, _GOLDEN) * width)
-        f1, f2 = select(left, new, kept), select(left, kept, new)
-    return a + width / 2
+def _where(cond, x, y):
+    """x where cond holds, else y: np.where for arrays, a branch for the
+    Python numbers of one matrix (np.where would make them numpy's)."""
+    return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
+
+
+def _newton(c: tuple, d, exp) -> tuple:
+    """Refine grid starts d to a local minimum of the collective variance
+    with coefficients c, by Newton steps on h' with a bisection safeguard
+    (Numerical Recipes, 3rd ed., section 9.4).  d and c are Python numbers
+    with exp=cmath.exp, or arrays of one shape with exp=np.exp.
+
+    Each start keeps a closed bracket, at first one grid spacing on either
+    side, which the sign of h' shrinks to one side of the iterate.  It
+    bisects where h'' <= 0 or the Newton step leaves the bracket, and it
+    freezes once its step is at most _TOL rad or |h'| times the bracket is
+    at most _FLAT.  The loop runs until every element is frozen, for at
+    most _MAX_STEPS steps; every test is elementwise, so no element depends
+    on the others.  Returns the refined phases and whether each element was
+    still moving after the last step."""
+    lo, hi = d - _STEP, d + _STEP
+    moving = True
+    for _ in range(_MAX_STEPS):
+        h1, h2 = _slopes(c, d, exp)
+        lo, hi = _where(h1 < 0, d, lo), _where(h1 > 0, d, hi)
+        newton = d - h1 / (h2 + (h2 == 0))  # at h2 = 0 it bisects: no step
+        nxt = _where((h2 > 0) & (lo <= newton) & (newton <= hi), newton, (lo + hi) / 2)
+        moving = moving & (abs(nxt - d) > _TOL) & (abs(h1) * (hi - lo) > _FLAT)
+        if not np.count_nonzero(moving):
+            break
+        d = _where(moving, nxt, d)
+    return d, moving
 
 
 def collective_min_variance(m: BogoliubovMatrix) -> SqueezingReport:
@@ -253,12 +307,13 @@ def collective_min_variance(m: BogoliubovMatrix) -> SqueezingReport:
     coefficients of T (see _collective_coefficients; the expanded
     1 + N_a + N_b + 2 Re[G e^{i d}] - |F(d)| cancels at high gain).  The
     lowest local minimum of a 64-point grid over [0, 2 pi), and the
-    second-lowest where there is one (see _starts), are each refined by a
-    fixed number of golden-section steps to a bracket below 1e-10 rad, and
-    the lower one is reported: the same starts and steps
-    :func:`stack_observables` runs on arrays.  Since the report minimizes
-    over the phase, bare carrier wavevectors (which only shift it) never
-    enter.
+    second-lowest where there is one (see _starts), are each refined by
+    safeguarded Newton steps (see _newton), and the lower one is reported:
+    the same starts and steps :func:`stack_observables` runs on arrays.
+    Since the report minimizes over the phase, bare carrier wavevectors
+    (which only shift it) never enter.  OverflowError where the variance
+    leaves double precision; ConvergenceError where a start is still moving
+    after its last step.
     """
     _require_degenerate(m)
     a_row, _, b_row, _ = m.rows
@@ -270,8 +325,10 @@ def collective_min_variance(m: BogoliubovMatrix) -> SqueezingReport:
         _, phases = _starts(grid[None])
         best = None
         for k in phases.tolist():
-            d = _golden(variance, k * _STEP - _STEP, 2.0 * _STEP, _choose)
-            value = float(variance(d))
+            d, moving = _newton(c, k * _STEP, cmath.exp)
+            value = variance(d)
+            if moving:
+                raise unconverged()
             if best is None or value < best[0]:
                 best = value, d
     except OverflowError:
@@ -291,8 +348,10 @@ def stack_observables(t: np.ndarray, quantities) -> dict:
     quantities ("minvar_a", "minvar_b", "minvar_c"), as arrays (n,): the
     formulas and the phase search of the single-point functions: the
     collective search refines every point's grid starts (see _starts) as one
-    flat array and keeps each point's lowest result.  The minima are
-    meaningful at degenerate points only; the caller reads
+    flat array and keeps each point's lowest result; with it comes
+    "unconverged", True at the points with a finite minimum where a start
+    was still moving after its last step.  The minima are meaningful at
+    degenerate points only; the caller reads
     :func:`cascade.params.is_degenerate` of the stack's parameters."""
     rows = np.moveaxis(t, (-2, -1), (0, 1))
     out = dict(zip(("n_as", "n_ai", "n_bs", "n_bi"), _occupations(rows)))
@@ -303,10 +362,13 @@ def stack_observables(t: np.ndarray, quantities) -> dict:
     if "minvar_c" in quantities:
         c = _collective_coefficients(rows[0], rows[2])
         points, phases = _starts(_collective_variance([v[:, None] for v in c], np.exp)(_GRID))
-        variance = _collective_variance([v[points] for v in c], np.exp)
-        d = _golden(variance, phases * _STEP - _STEP, 2.0 * _STEP, np.where)
+        c = [v[points] for v in c]
+        d, moving = _newton(c, phases * _STEP, np.exp)
+        values = _collective_variance(c, np.exp)(d)
         out["minvar_c"] = np.full(len(t), np.inf)
-        np.minimum.at(out["minvar_c"], points, variance(d))
+        np.minimum.at(out["minvar_c"], points, values)
+        out["unconverged"] = np.zeros(len(t), dtype=bool)
+        out["unconverged"][points[moving & np.isfinite(values)]] = True
     return out
 
 
@@ -402,13 +464,18 @@ def averaged_model(params: ModelParams) -> ModelParams:
     Takes one point, which it validates, or a batch whose fields are arrays
     of one shape, which its caller validates
     (:func:`cascade.params.validate_batch`): a point that fails gets values
-    to discard.  Each point of a batch gets its values as one point, bit
+    to discard.  One point whose mismatch times the length leaves double
+    precision raises OverflowError naming the mismatch; in a batch its
+    couplings are NaN.  Each point of a batch gets its values as one point, bit
     for bit."""
     L = params.length
     couplings = (params.kappa, params.eta_s, params.eta_i)
     mismatches = (params.delta_tilde, params.delta_s, params.delta_i)
     if not isinstance(L, np.ndarray):  # one point
         validate(params)
+        for name, d in zip(("delta_tilde", "delta_s", "delta_i"), mismatches):
+            if math.isinf(d * L):
+                raise OverflowError(f"{name} * length exceeds double precision")
         averaged = [c * complex(zeta(d, L)) for c, d in zip(couplings, mismatches)]
         return ModelParams(*averaged, 0.0, 0.0, 0.0, L)
     zero = np.zeros(L.shape)

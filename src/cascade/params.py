@@ -112,6 +112,8 @@ def validate_batch(params: ModelParams) -> list:
 def record_first(errors: list, mask, make) -> None:
     """Record make() as the failure of every point in mask that has none:
     the first failure of a point is the one it keeps."""
+    if not np.count_nonzero(mask):  # most masks are empty
+        return
     for i in np.flatnonzero(mask):
         if errors[i] is None:
             errors[i] = make()

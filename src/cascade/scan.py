@@ -33,7 +33,7 @@ from . import analytic, oracle
 from .bogoliubov import BogoliubovMatrix
 from .characteristic import classify_batch, growth_rate
 from .observables import (DEGENERATE_ONLY, averaged_model, pdc_only_reference,
-                          stack_observables)
+                          stack_observables, unconverged)
 from .params import (ModelParams, derive, is_degenerate, record_first,
                      validate, validate_batch)
 
@@ -198,8 +198,7 @@ def solve_point(params: ModelParams, z: float | None = None,
     if solver == "analytic":
         return analytic.transfer_matrix(params, z)
     if solver == "averaged":
-        with np.errstate(invalid="ignore"):  # zeta of a delta L beyond double range
-            t = analytic.transfer_matrix(averaged_model(params), z).t
+        t = analytic.transfer_matrix(averaged_model(params), z).t
         return BogoliubovMatrix(z, t, is_degenerate(params))
     raise ValueError(f"unknown solver {solver!r}")
 
@@ -267,20 +266,19 @@ def evaluate_points(points: list, quantities, solver: str) -> list:
     if not points:
         return []
     quantities = tuple(quantities)
-    errs, columns = _evaluate(_stack(points), quantities, solver)
+    errs, columns = _evaluate(_broadcast(_stack(points)), quantities, solver)
     rows = zip(*columns.values()) if quantities else [()] * len(errs)
     return [e or dict(zip(quantities, row)) for e, row in zip(errs, rows)]
 
 
 def _evaluate(batch: ModelParams, quantities: tuple, solver: str,
               workers: int = 1) -> tuple[list, dict]:
-    """:func:`evaluate_points` of a batch, a ModelParams whose fields are
-    scalars or arrays that broadcast to one shape (n,): each point's failure
-    (None for none), and each quantity's values as a list.  With
+    """:func:`evaluate_points` of a batch whose fields are flat arrays (n,),
+    as :func:`_broadcast` gives them: each point's failure (None for none),
+    and each quantity's values as a list.  With
     solver="oracle" and a matrix quantity requested, the engine runs the ODE
     solves itself, through :func:`_oracle_matrices` on at most workers
     processes; no other case solves anything."""
-    batch = _broadcast(batch)
     errs = validate_batch(batch)
     values = {}
     with np.errstate(all="ignore"):
@@ -303,7 +301,8 @@ def _matrix_values(batch: ModelParams, quantities: tuple, errs: list,
                    solver: str, workers: int) -> dict:
     """Photon numbers and squeezing minima of a batch; failures go to errs
     in the order the single-point functions meet them: the solve, the
-    photon numbers, the squeezing of a point that is not degenerate."""
+    photon numbers, the squeezing of a point that is not degenerate, a
+    collective search still moving at its cap."""
     if solver != "oracle":
         solved = batch if solver == "analytic" else averaged_model(batch)
         t = analytic.transfer_matrices(solved, solved.length)
@@ -322,12 +321,14 @@ def _matrix_values(batch: ModelParams, quantities: tuple, errs: list,
                  lambda: OverflowError("photon number exceeds double precision"))
     if any(q.startswith("minvar") for q in quantities):
         record_first(errs, ~is_degenerate(batch), lambda: ValueError(DEGENERATE_ONLY))
+    if "minvar_c" in quantities:
+        record_first(errs, out["unconverged"], unconverged)
     return {q: out[q] for q in quantities if q in out}
 
 
 def _compare(batch: ModelParams) -> tuple[list, dict]:
-    """:func:`compare_point` of a batch (fields as :func:`_evaluate` takes
-    them): each point's failure (the exact model's, the averaged one's, the
+    """:func:`compare_point` of a batch, a ModelParams whose fields are
+    scalars or arrays that broadcast to one shape: each point's failure (the exact model's, the averaged one's, the
     plain-PDC reference's) and the columns SWEEP_QUANTITIES, from the engine
     with solver "analytic" and "averaged"; the reference is per point."""
     batch, quantities = _broadcast(batch), ("n_as", "n_bs", "minvar_a")
@@ -383,8 +384,9 @@ def _tabulate(names: list, points: list, errors: list, columns: dict) -> tuple[l
 
 
 def _grid_params(spec: ScanSpec, points: list) -> ModelParams:
-    """The parameters of grid points (v1, v2) as one batch."""
-    return point_params(spec, *(np.array([pt[k] for pt in points]) for k in (0, 1)))
+    """The parameters of grid points (v1, v2) as one flat batch."""
+    return _broadcast(point_params(spec, *(np.array([pt[k] for pt in points])
+                                           for k in (0, 1))))
 
 
 def _grid(spec: ScanSpec) -> list:
@@ -418,7 +420,7 @@ def run_scan(spec: ScanSpec, workers: int = 1, strict: bool = False,
         rng = np.random.default_rng(seed)
         sampled = [i for i in range(len(grid))
                    if rng.random() < CROSS_CHECK_FRACTION and errors[i] is None]
-        sample = _broadcast(_grid_params(spec, [grid[i] for i in sampled]))
+        sample = _grid_params(spec, [grid[i] for i in sampled])
         if spec.solver == "averaged":
             sample = averaged_model(sample)
         ref_errors, refs = _evaluate(sample, numeric, "oracle", workers)

@@ -108,10 +108,12 @@ def test_edge_points_classify_as_expected():
 
 def dense_collective_minimum(m: BogoliubovMatrix, phases: int) -> float:
     """The stable collective variance of the rows (a + e b)/sqrt(2) of T,
-    minimized over a dense phase grid."""
-    a, _, b, _ = m.t
-    e = np.exp(1j * np.linspace(0.0, 2 * math.pi, phases, endpoint=False))[:, None]
-    x1, y1, x2, y2 = ((a + e * b) / math.sqrt(2)).T
+    minimized over a dense phase grid, in long double: in double its
+    Lagrange minor rounds by about 1e-12 relative at kappa L = 8."""
+    a, _, b, _ = m.t.astype(np.clongdouble)
+    grid = np.linspace(0.0, 2 * math.pi, phases, endpoint=False).astype(np.longdouble)
+    e = np.exp(1j * grid)[:, None]
+    x1, y1, x2, y2 = ((a + e * b) / np.sqrt(np.longdouble(2))).T
     return ((1 + 4 * abs(x1 * y2.conj() - x2 * y1.conj()) ** 2)
             / (1 + 2 * (abs(y1) ** 2 + abs(y2) ** 2) + 2 * abs(x1 * y1 + x2 * y2))).min()
 
@@ -368,15 +370,15 @@ def test_row_formatted_csv_matches_per_cell_reference():
 
 
 def test_collective_search_refines_only_grid_minima(monkeypatch):
-    # one golden-section start per point, plus one where the 64-phase grid
-    # has a second local minimum (a point without one is flat)
-    calls, golden = [], observables._golden
+    # one Newton start per point, plus one where the 64-phase grid has a
+    # second local minimum (a point without one is flat)
+    calls, newton = [], observables._newton
 
-    def counting(f, lo, *args):
-        calls.append(np.size(lo))
-        return golden(f, lo, *args)
+    def counting(c, d, exp):
+        calls.append(np.size(d))
+        return newton(c, d, exp)
 
-    monkeypatch.setattr(observables, "_golden", counting)
+    monkeypatch.setattr(observables, "_newton", counting)
     spec = scan.degenerate_diagram_spec(count=41)
     run_scan(spec)
     batch = scan._stack([scan.point_params(spec, v1, v2) for v1, v2 in scan._grid(spec)])
@@ -399,13 +401,73 @@ def test_collective_minimum_with_b_in_vacuum(kappa_l):
 
 
 @settings(max_examples=60, **SETTINGS)
-@given(kappa_l=st.floats(0.0, 12.0), kappa_phase=_PHASE, eta=st.floats(0.0, 8.0),
+@given(kind=st.sampled_from(("random", "kappa = 0", "eta = 0", "R = 0", "R = P^2/4")),
+       kappa_l=st.floats(0.0, 12.0), kappa_phase=_PHASE, eta=st.floats(0.0, 8.0),
        eta_phase=_PHASE, dt=st.floats(-20.0, 20.0), ds=st.floats(-20.0, 20.0),
        length=st.floats(0.2, 3.0))
-def test_collective_minimum_not_above_dense_brute_force(kappa_l, kappa_phase, eta,
+def test_collective_minimum_not_above_dense_brute_force(kind, kappa_l, kappa_phase, eta,
                                                         eta_phase, dt, ds, length):
-    p = degenerate_params(kappa_l / length * cmath.exp(1j * kappa_phase),
+    # the degenerate area-V boundaries at delta_tilde = 0: R = |eta|^4 -
+    # |kappa|^2 delta_s^2 vanishes at |eta|^2 = |kappa delta_s|, and
+    # R = P^2/4 at delta_s = 0, |eta| = |kappa|/2
+    kappa = kappa_l / length
+    if kind == "kappa = 0":
+        kappa = 0.0
+    elif kind == "eta = 0":
+        eta = 0.0
+    elif kind == "R = 0":
+        dt, eta = 0.0, math.sqrt(kappa * abs(ds))
+    elif kind == "R = P^2/4":
+        dt, ds, eta = 0.0, 0.0, kappa / 2
+    p = degenerate_params(kappa * cmath.exp(1j * kappa_phase),
                           eta * cmath.exp(1j * eta_phase), dt, ds, length)
-    brute = dense_collective_minimum(transfer_matrix(p, length), 4096)
+    m = transfer_matrix(p, length)
+    brute = dense_collective_minimum(m, 16384)
     (row,) = evaluate_points([p], ("minvar_c",), "analytic")
-    assert row["minvar_c"] <= brute * (1 + 1e-12), (row["minvar_c"], brute, p)
+    for got in (row["minvar_c"], collective_min_variance(m).min_variance):
+        assert got <= brute * (1 + 1e-12), (got, brute, p)
+
+
+def test_collective_search_of_a_point_ignores_its_stack():
+    # each start freezes on its own state: a point's minimum and phases are
+    # the same, bit for bit, alone and inside a 512-point stack
+    rng = np.random.default_rng(18)
+    points = [degenerate_params(rng.uniform(0, 5) * cmath.exp(2j * math.pi * rng.random()),
+                                rng.uniform(0, 5) * cmath.exp(2j * math.pi * rng.random()),
+                                rng.uniform(-12, 12), rng.uniform(-12, 12), rng.uniform(0.2, 2))
+              for _ in range(512)]
+    batch = scan._stack(points)
+    t = analytic.transfer_matrices(batch, batch.length)
+
+    def search(t):
+        """minvar_c, and each start's point, delta and theta = -arg(2 F)/2"""
+        rows = np.moveaxis(t, (-2, -1), (0, 1))
+        c = observables._collective_coefficients(rows[0], rows[2])
+        grid = observables._collective_variance([v[:, None] for v in c], np.exp)(observables._GRID)
+        points, phases = observables._starts(grid)
+        _, _, f0, f1, f2, _, _, _ = (v[points] for v in c)
+        d, _ = observables._newton([v[points] for v in c], phases * observables._STEP, np.exp)
+        e = np.exp(1j * d)
+        theta = -np.angle(f0 + (f1 + f2 * e) * e) / 2
+        return observables.stack_observables(t, ("minvar_c",))["minvar_c"], points, d, theta
+
+    minvar, owner, delta, theta = search(t)
+    for k in range(len(t)):
+        alone = search(t[k:k + 1])
+        assert alone[0][0] == minvar[k], k
+        for got, want in zip(alone[2:], (delta[owner == k], theta[owner == k])):
+            assert got.tobytes() == want.tobytes(), k
+
+
+def test_collective_search_at_its_cap_fails_by_name(monkeypatch, capsys):
+    # a search still moving after its last step is a failure row in a scan
+    # and exit 2 with one error line on the command line, not a value
+    monkeypatch.setattr(observables, "_MAX_STEPS", 2)
+    res = run_scan(scan.degenerate_diagram_spec(count=5))
+    assert {f["error"] for f in res.failures} == {"ConvergenceError"}
+    assert len(res.rows) + len(res.failures) == 25 and res.rows  # flat rows stop early
+    code = main(["solve", "--kappa", "3", "--eta-s", "1", "--delta-s", "10",
+                 "--length", "2", "--degenerate"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: minvar_c: the phase search was still moving after 2 Newton steps\n"

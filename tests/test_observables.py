@@ -219,6 +219,15 @@ class TestCollectiveVariance:
                 collective_min_variance(m)
 
 
+def test_averaged_model_names_an_overflowing_mismatch():
+    # delta_s L = 1e310 passes validate, but its sinc and phase do not exist
+    # in double precision
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="delta_s \\* length exceeds double precision"):
+            averaged_model(degenerate_params(3, 1, 0, 1e300, 1e10))
+
+
 class TestPdcOnlyReference:
     def test_phase_matched(self):
         n, mv = pdc_only_reference(3 + 0j, 0.0, 1.0)
