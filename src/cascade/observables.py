@@ -19,8 +19,8 @@ exact for any matrix satisfying the canonical normalization.
 The balanced collective mode (a + e^{i delta} b)/sqrt(2) is minimized over
 the relative phase as well.  Its N, F and Lagrange-identity term are
 trigonometric polynomials of degree two in delta, so seven complex
-coefficients of T describe it at every phase (_collective_coefficients),
-and so are the exact derivatives of its logarithm.  The search refines the
+coefficients of T describe it, and the exact derivatives of its logarithm,
+at every phase (_collective_coefficients, _slopes).  The search refines the
 lowest local minimum of a 64-point phase grid, and the second-lowest where
 there is one, by safeguarded Newton steps (_newton) to a step below 1e-10
 rad; a search still moving at its cap fails with ConvergenceError.

@@ -275,10 +275,10 @@ def _evaluate(batch: ModelParams, quantities: tuple, solver: str,
               workers: int = 1) -> tuple[list, dict]:
     """:func:`evaluate_points` of a batch whose fields are flat arrays (n,),
     as :func:`_broadcast` gives them: each point's failure (None for none),
-    and each quantity's values as a list.  With
-    solver="oracle" and a matrix quantity requested, the engine runs the ODE
-    solves itself, through :func:`_oracle_matrices` on at most workers
-    processes; no other case solves anything."""
+    and each quantity's values as a list.  With solver="oracle" and a matrix
+    quantity requested, the engine runs the ODE solves itself, through
+    :func:`_oracle_matrices` on at most workers processes; no other case
+    solves anything."""
     errs = validate_batch(batch)
     values = {}
     with np.errstate(all="ignore"):
@@ -328,9 +328,10 @@ def _matrix_values(batch: ModelParams, quantities: tuple, errs: list,
 
 def _compare(batch: ModelParams) -> tuple[list, dict]:
     """:func:`compare_point` of a batch, a ModelParams whose fields are
-    scalars or arrays that broadcast to one shape: each point's failure (the exact model's, the averaged one's, the
-    plain-PDC reference's) and the columns SWEEP_QUANTITIES, from the engine
-    with solver "analytic" and "averaged"; the reference is per point."""
+    scalars or arrays that broadcast to one shape: each point's failure (the
+    exact model's, the averaged one's, the plain-PDC reference's) and the
+    columns SWEEP_QUANTITIES, from the engine with solver "analytic" and
+    "averaged"; the reference is per point."""
     batch, quantities = _broadcast(batch), ("n_as", "n_bs", "minvar_a")
     errs, exact = _evaluate(batch, quantities, "analytic")
     averaged_errs, averaged = _evaluate(batch, quantities, "averaged")

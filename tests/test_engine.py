@@ -432,23 +432,24 @@ def test_collective_search_of_a_point_ignores_its_stack():
     # each start freezes on its own state: a point's minimum and phases are
     # the same, bit for bit, alone and inside a 512-point stack
     rng = np.random.default_rng(18)
-    points = [degenerate_params(rng.uniform(0, 5) * cmath.exp(2j * math.pi * rng.random()),
+    params = [degenerate_params(rng.uniform(0, 5) * cmath.exp(2j * math.pi * rng.random()),
                                 rng.uniform(0, 5) * cmath.exp(2j * math.pi * rng.random()),
                                 rng.uniform(-12, 12), rng.uniform(-12, 12), rng.uniform(0.2, 2))
               for _ in range(512)]
-    batch = scan._stack(points)
+    batch = scan._stack(params)
     t = analytic.transfer_matrices(batch, batch.length)
 
     def search(t):
-        """minvar_c, and each start's point, delta and theta = -arg(2 F)/2"""
+        """minvar_c, and each start's point, delta and theta_opt"""
         rows = np.moveaxis(t, (-2, -1), (0, 1))
         c = observables._collective_coefficients(rows[0], rows[2])
         grid = observables._collective_variance([v[:, None] for v in c], np.exp)(observables._GRID)
         points, phases = observables._starts(grid)
-        _, _, f0, f1, f2, _, _, _ = (v[points] for v in c)
-        d, _ = observables._newton([v[points] for v in c], phases * observables._STEP, np.exp)
+        c = [v[points] for v in c]
+        d, _ = observables._newton(c, phases * observables._STEP, np.exp)
+        _, _, f0, f1, f2, _, _, _ = c
         e = np.exp(1j * d)
-        theta = -np.angle(f0 + (f1 + f2 * e) * e) / 2
+        theta = (math.pi - np.angle(f0 + (f1 + f2 * e) * e)) / 2
         return observables.stack_observables(t, ("minvar_c",))["minvar_c"], points, d, theta
 
     minvar, owner, delta, theta = search(t)
