@@ -464,10 +464,10 @@ def averaged_model(params: ModelParams) -> ModelParams:
     Takes one point, which it validates, or a batch whose fields are arrays
     of one shape, which its caller validates
     (:func:`cascade.params.validate_batch`): a point that fails gets values
-    to discard.  One point whose mismatch times the length leaves double
-    precision raises OverflowError naming the mismatch; in a batch its
-    couplings are NaN.  Each point of a batch gets its values as one point, bit
-    for bit."""
+    to discard.  Each point of a batch gets its values as one point, bit
+    for bit, except that one point whose mismatch times the length leaves
+    double precision raises OverflowError naming the mismatch, where a
+    batch gives it NaN couplings."""
     L = params.length
     couplings = (params.kappa, params.eta_s, params.eta_i)
     mismatches = (params.delta_tilde, params.delta_s, params.delta_i)
