@@ -20,10 +20,13 @@ The balanced collective mode (a + e^{i delta} b)/sqrt(2) is minimized over
 the relative phase as well.  Its N, F and Lagrange-identity term are
 trigonometric polynomials of degree two in delta, so seven complex
 coefficients of T describe it, and the exact derivatives of its logarithm,
-at every phase (_collective_coefficients, _slopes).  The search refines the
-lowest local minimum of a 64-point phase grid, and the second-lowest where
-there is one, by safeguarded Newton steps (_newton) to a step below 1e-10
-rad; a search still moving at its cap fails with ConvergenceError.
+at every phase (_collective_coefficients, _slopes).  The search evaluates
+a 64-point phase grid in real arithmetic, the polynomials' coefficients
+times constant tables of cos and sin (_grid), and refines its lowest local
+minimum, and the second-lowest where there is one, by safeguarded Newton
+steps (_newton) to a step below 1e-10 rad, each start leaving the working
+arrays once it stops; a search still moving at its cap fails with
+ConvergenceError.
 
 Every formula takes Python complex values or numpy arrays: the
 single-point functions evaluate one matrix, and :func:`stack_observables`
@@ -219,6 +222,44 @@ def _collective_variance(c: tuple, exp):
     return variance
 
 
+#: the trigonometric basis of the grid: rows 1, cos d, sin d, cos 2d and
+#: sin 2d at the grid phases
+_BASIS = np.array([np.ones(_GRID_POINTS), np.cos(_GRID), np.sin(_GRID),
+                   np.cos(2.0 * _GRID), np.sin(2.0 * _GRID)])
+
+
+def _grid(c: tuple) -> np.ndarray:
+    """The collective variance with coefficients c at the grid phases, in
+    real arithmetic.  With A = g1 + g_{-1} and B = g1 - g_{-1},
+
+        Re Lc = Re g0 + Re A cos d - Im B sin d
+        Im Lc = Im g0 + Im A cos d + Re B sin d
+        1 + 2N = m0 + Re m1 cos d - Im m1 sin d
+
+    and Re F, Im F are polynomials of degree two in cos d, sin d, cos 2d and
+    sin 2d, so the five are one table of coefficients times _BASIS, and
+
+        g = (1 + (Re Lc)^2 + (Im Lc)^2) / (1 + 2N + sqrt((Re F)^2 + (Im F)^2)).
+
+    c holds Python numbers (one matrix; values (64,)) or arrays (n,)
+    (values (n, 64)).  The products are one np.einsum: it sums each value
+    in the same order in both cases and whatever n is, where a BLAS product
+    would not, so no value depends on the rest of its stack."""
+    m0, m1, f0, f1, f2, g0, g1, gm1 = c
+    a, b = g1 + gm1, g1 - gm1
+    zero = np.zeros(m0.shape) if isinstance(m0, np.ndarray) else 0.0
+    # one row per basis function: the coefficients of Re Lc, Im Lc, 1 + 2N,
+    # Re F and Im F; transposed to (..., 5 polynomials, 5 basis functions)
+    table = np.array([[g0.real, g0.imag, m0, f0.real, f0.imag],
+                      [a.real, a.imag, m1.real, f1.real, f1.imag],
+                      [-b.imag, b.real, -m1.imag, -f1.imag, f1.real],
+                      [zero, zero, zero, f2.real, f2.imag],
+                      [zero, zero, zero, -f2.imag, f2.real]])
+    re_l, im_l, n, re_f, im_f = np.einsum("...pk,kj->p...j", np.ascontiguousarray(table.T),
+                                          _BASIS)
+    return (1.0 + re_l * re_l + im_l * im_l) / (n + np.sqrt(re_f * re_f + im_f * im_f))
+
+
 def _starts(values: np.ndarray) -> tuple:
     """The grid starts of the collective search as flat index arrays
     (points, phases), from values (n, _GRID_POINTS) on the periodic phase
@@ -270,32 +311,54 @@ def _where(cond, x, y):
     return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
 
 
+def _step(c: tuple, d, lo, hi, exp) -> tuple:
+    """One safeguarded Newton step of _newton from d in the bracket
+    [lo, hi]: the next iterate, the shrunk bracket, and whether the start
+    still moves (elementwise for arrays)."""
+    h1, h2 = _slopes(c, d, exp)
+    lo, hi = _where(h1 < 0, d, lo), _where(h1 > 0, d, hi)
+    newton = d - h1 / (h2 + (h2 == 0))  # at h2 = 0 it bisects: no step
+    nxt = _where((h2 > 0) & (lo <= newton) & (newton <= hi), newton, (lo + hi) / 2)
+    return nxt, lo, hi, (abs(nxt - d) > _TOL) & (abs(h1) * (hi - lo) > _FLAT)
+
+
 def _newton(c: tuple, d, exp) -> tuple:
     """Refine grid starts d to a local minimum of the collective variance
     with coefficients c, by Newton steps on h' with a bisection safeguard
     (Numerical Recipes, 3rd ed., section 9.4).  d and c are Python numbers
-    with exp=cmath.exp, or arrays of one shape with exp=np.exp.
+    with exp=cmath.exp (one start), or arrays of one shape (n,) with
+    exp=np.exp.
 
     Each start keeps a closed bracket, at first one grid spacing on either
     side, which the sign of h' shrinks to one side of the iterate.  It
     bisects where h'' <= 0 or the Newton step leaves the bracket, and it
-    freezes once its step is at most _TOL rad or |h'| times the bracket is
-    at most _FLAT.  The loop runs until every element is frozen, for at
-    most _MAX_STEPS steps; every test is elementwise, so no element depends
-    on the others.  Returns the refined phases and whether each element was
+    freezes, keeping its iterate, once its step is at most _TOL rad or
+    |h'| times the bracket is at most _FLAT.  A frozen start leaves the
+    working arrays (its coefficients, iterate and bracket) and is written
+    to the output at its index; the loop runs until no start moves, for at
+    most _MAX_STEPS steps.  Every test is elementwise, so no start depends
+    on the others.  Returns the refined phases and whether each start was
     still moving after the last step."""
     lo, hi = d - _STEP, d + _STEP
-    moving = True
+    if not isinstance(d, np.ndarray):  # one start
+        for _ in range(_MAX_STEPS):
+            nxt, lo, hi, moving = _step(c, d, lo, hi, exp)
+            if not moving:
+                return d, False
+            d = nxt
+        return d, True
+    out, at = d.copy(), np.arange(len(d))
     for _ in range(_MAX_STEPS):
-        h1, h2 = _slopes(c, d, exp)
-        lo, hi = _where(h1 < 0, d, lo), _where(h1 > 0, d, hi)
-        newton = d - h1 / (h2 + (h2 == 0))  # at h2 = 0 it bisects: no step
-        nxt = _where((h2 > 0) & (lo <= newton) & (newton <= hi), newton, (lo + hi) / 2)
-        moving = moving & (abs(nxt - d) > _TOL) & (abs(h1) * (hi - lo) > _FLAT)
-        if not np.count_nonzero(moving):
-            break
-        d = _where(moving, nxt, d)
-    return d, moving
+        nxt, lo, hi, moving = _step(c, d, lo, hi, exp)
+        out[at] = np.where(moving, nxt, d)
+        keep = np.flatnonzero(moving)
+        if not len(keep):
+            return out, np.zeros(len(out), dtype=bool)
+        at, d, lo, hi = at[keep], nxt[keep], lo[keep], hi[keep]
+        c = [v[keep] for v in c]
+    still = np.zeros(len(out), dtype=bool)
+    still[at] = True
+    return out, still
 
 
 def collective_min_variance(m: BogoliubovMatrix) -> SqueezingReport:
@@ -321,7 +384,7 @@ def collective_min_variance(m: BogoliubovMatrix) -> SqueezingReport:
         c = _collective_coefficients(a_row, b_row)
         variance = _collective_variance(c, cmath.exp)
         with np.errstate(over="ignore", invalid="ignore"):
-            grid = _collective_variance(c, np.exp)(_GRID)
+            grid = _grid(c)
         _, phases = _starts(grid[None])
         best = None
         for k in phases.tolist():
@@ -361,7 +424,7 @@ def stack_observables(t: np.ndarray, quantities) -> dict:
             out[q] = _stable_min_variance(x1, x2, y1, y2)
     if "minvar_c" in quantities:
         c = _collective_coefficients(rows[0], rows[2])
-        points, phases = _starts(_collective_variance([v[:, None] for v in c], np.exp)(_GRID))
+        points, phases = _starts(_grid(c))
         c = [v[points] for v in c]
         d, moving = _newton(c, phases * _STEP, np.exp)
         values = _collective_variance(c, np.exp)(d)
@@ -455,6 +518,18 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                      a.real * b.imag + a.imag * b.real], axis=-1).view(complex)[..., 0]
 
 
+#: the mismatches, in the order the averaged model checks their products
+#: with the length
+MISMATCHES = ("delta_tilde", "delta_s", "delta_i")
+
+
+def mismatch_overflow(name: str) -> OverflowError:
+    """The failure of the averaged model where the mismatch name times the
+    length leaves double precision, for one point and for a batch's failure
+    rows."""
+    return OverflowError(f"{name} * length exceeds double precision")
+
+
 def averaged_model(params: ModelParams) -> ModelParams:
     """Replace the mismatched system by a phase-matched one with sinc-reduced
     coupling constants: kappa -> kappa zeta(delta_tilde), eta -> eta
@@ -466,16 +541,16 @@ def averaged_model(params: ModelParams) -> ModelParams:
     (:func:`cascade.params.validate_batch`): a point that fails gets values
     to discard.  Each point of a batch gets its values as one point, bit
     for bit, except that one point whose mismatch times the length leaves
-    double precision raises OverflowError naming the mismatch, where a
-    batch gives it NaN couplings."""
+    double precision raises :func:`mismatch_overflow`, where a batch gives
+    it NaN couplings and the engine records that error as its failure."""
     L = params.length
     couplings = (params.kappa, params.eta_s, params.eta_i)
     mismatches = (params.delta_tilde, params.delta_s, params.delta_i)
     if not isinstance(L, np.ndarray):  # one point
         validate(params)
-        for name, d in zip(("delta_tilde", "delta_s", "delta_i"), mismatches):
+        for name, d in zip(MISMATCHES, mismatches):
             if math.isinf(d * L):
-                raise OverflowError(f"{name} * length exceeds double precision")
+                raise mismatch_overflow(name)
         averaged = [c * complex(zeta(d, L)) for c, d in zip(couplings, mismatches)]
         return ModelParams(*averaged, 0.0, 0.0, 0.0, L)
     zero = np.zeros(L.shape)

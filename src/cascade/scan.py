@@ -32,8 +32,9 @@ import numpy as np
 from . import analytic, oracle
 from .bogoliubov import BogoliubovMatrix
 from .characteristic import classify_batch, growth_rate
-from .observables import (DEGENERATE_ONLY, averaged_model, pdc_only_reference,
-                          stack_observables, unconverged)
+from .observables import (DEGENERATE_ONLY, MISMATCHES, averaged_model,
+                          mismatch_overflow, pdc_only_reference, stack_observables,
+                          unconverged)
 from .params import (ModelParams, derive, is_degenerate, record_first,
                      validate, validate_batch)
 
@@ -300,9 +301,14 @@ def _evaluate(batch: ModelParams, quantities: tuple, solver: str,
 def _matrix_values(batch: ModelParams, quantities: tuple, errs: list,
                    solver: str, workers: int) -> dict:
     """Photon numbers and squeezing minima of a batch; failures go to errs
-    in the order the single-point functions meet them: the solve, the
-    photon numbers, the squeezing of a point that is not degenerate, a
-    collective search still moving at its cap."""
+    in the order the single-point functions meet them: a mismatch times the
+    length that leaves double precision (averaged), the solve, the photon
+    numbers, the squeezing of a point that is not degenerate, a collective
+    search still moving at its cap."""
+    if solver == "averaged":
+        for name in MISMATCHES:
+            record_first(errs, np.isinf(getattr(batch, name) * batch.length),
+                         lambda name=name: mismatch_overflow(name))
     if solver != "oracle":
         solved = batch if solver == "analytic" else averaged_model(batch)
         t = analytic.transfer_matrices(solved, solved.length)

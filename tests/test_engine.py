@@ -383,8 +383,7 @@ def test_collective_search_refines_only_grid_minima(monkeypatch):
     run_scan(spec)
     batch = scan._stack([scan.point_params(spec, v1, v2) for v1, v2 in scan._grid(spec)])
     rows = np.moveaxis(analytic.transfer_matrices(batch, batch.length), (-2, -1), (0, 1))
-    c = observables._collective_coefficients(rows[0], rows[2])
-    grid = observables._collective_variance([v[:, None] for v in c], np.exp)(observables._GRID)
+    grid = observables._grid(observables._collective_coefficients(rows[0], rows[2]))
     local = (grid < np.roll(grid, 1, axis=-1)) & (grid <= np.roll(grid, -1, axis=-1))
     assert sum(calls) == len(grid) + np.count_nonzero(local.sum(axis=-1) >= 2)
 
@@ -443,8 +442,7 @@ def test_collective_search_of_a_point_ignores_its_stack():
         """minvar_c, and each start's point, delta and theta_opt"""
         rows = np.moveaxis(t, (-2, -1), (0, 1))
         c = observables._collective_coefficients(rows[0], rows[2])
-        grid = observables._collective_variance([v[:, None] for v in c], np.exp)(observables._GRID)
-        points, phases = observables._starts(grid)
+        points, phases = observables._starts(observables._grid(c))
         c = [v[points] for v in c]
         d, _ = observables._newton(c, phases * observables._STEP, np.exp)
         _, _, f0, f1, f2, _, _, _ = c
@@ -472,3 +470,82 @@ def test_collective_search_at_its_cap_fails_by_name(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err == "error: minvar_c: the phase search was still moving after 2 Newton steps\n"
+
+
+def _degenerate_stack(seed: int, count: int, kappa_l_max: float) -> tuple:
+    """The collective coefficients of count seeded degenerate points with
+    kappa L up to kappa_l_max, as arrays (count,)."""
+    rng = np.random.default_rng(seed)
+    params = []
+    for _ in range(count):
+        length = rng.uniform(0.2, 3.0)
+        params.append(degenerate_params(
+            rng.uniform(0, kappa_l_max) / length * cmath.exp(2j * math.pi * rng.random()),
+            rng.uniform(0, 8) * cmath.exp(2j * math.pi * rng.random()),
+            rng.uniform(-20, 20), rng.uniform(-20, 20), length))
+    batch = scan._stack(params)
+    rows = np.moveaxis(analytic.transfer_matrices(batch, batch.length), (-2, -1), (0, 1))
+    return observables._collective_coefficients(rows[0], rows[2])
+
+
+def test_real_grid_matches_the_complex_variance():
+    # the grid's real trigonometric tables give the variance of the complex
+    # formula; each evaluation rounds Lc at eps of its largest term, so the
+    # bound is relative to the value or to (1 + S^2) / (m0 - |m1|), S =
+    # |g0| + |g1| + |g_{-1}|, whichever is larger (1 + 2N >= m0 - |m1| >= 1)
+    c = _degenerate_stack(19, 400, 40.0)
+    m0, m1, _, _, _, g0, g1, gm1 = c
+    grid = observables._grid(c)
+    want = observables._collective_variance([v[:, None] for v in c], np.exp)(observables._GRID)
+    assert grid.shape == (400, observables._GRID_POINTS) and np.isfinite(grid).all()
+    s = abs(g0) + abs(g1) + abs(gm1)
+    scale = np.maximum(want, ((1 + s * s) / (m0 - abs(m1)))[:, None])
+    assert (abs(grid - want) <= 1e-13 * scale).all()
+    # one matrix (Python numbers) and one-point stacks give the stack's bytes
+    for k in range(0, 400, 7):
+        one = [v[k].item() for v in c]
+        assert observables._grid(one).tobytes() == grid[k].tobytes(), k
+        assert observables._grid([v[k:k + 1] for v in c])[0].tobytes() == grid[k].tobytes(), k
+
+
+def test_newton_drops_frozen_starts(monkeypatch):
+    # each step evaluates only the starts still moving: on the first chunk
+    # of the 41x41 diagram the counts never grow, and the last step
+    # evaluates fewer than a tenth of the starts
+    counts, slopes = [], observables._slopes
+    spec = scan.degenerate_diagram_spec(count=41)
+    batch = scan._grid_params(spec, scan._grid(spec)[:scan.CHUNK_POINTS])
+    t = analytic.transfer_matrices(batch, batch.length)
+
+    def counting(c, d, exp):
+        counts.append(np.size(d))
+        return slopes(c, d, exp)
+
+    monkeypatch.setattr(observables, "_slopes", counting)
+    with np.errstate(all="ignore"):
+        out = observables.stack_observables(t, ("minvar_c",))
+    starts = counts[0]
+    assert starts >= len(t) and not out["unconverged"].any()
+    assert all(b <= a for a, b in zip(counts, counts[1:])), counts
+    assert counts[-1] < starts / 10, counts
+
+
+@pytest.mark.parametrize("name", ["delta_tilde", "delta_s", "delta_i"])
+def test_averaged_batch_names_an_overflowing_mismatch(name):
+    # a mismatch times the length beyond the double range fails a batch's
+    # point with the error the one-point averaged solve raises
+    fields = dict(kappa=3, eta_s=1, eta_i=1, delta_tilde=0.0, delta_s=0.0,
+                  delta_i=0.0, length=1e10)
+    fields[name] = 1e300
+    p = ModelParams(**fields)
+    with pytest.raises(OverflowError) as one:
+        scan.solve_point(p, solver="averaged")
+    assert str(one.value) == f"{name} * length exceeds double precision"
+    fine = degenerate_params(3, 1, 0, 10, 2)
+    bad, good = evaluate_points([p, fine], ("n_as", "n_bs"), "averaged")
+    assert type(bad) is OverflowError and str(bad) == str(one.value)
+    assert set(good) == {"n_as", "n_bs"} and math.isfinite(good["n_as"])
+    spec = ScanSpec(base=p, axis1=AxisSpec("length", 1e10, 2.0, 2), quantities=("n_as",),
+                    solver="averaged")
+    res = run_scan(spec)
+    assert [f["error"] for f in res.failures] == ["OverflowError"] and len(res.rows) == 1

@@ -6,20 +6,24 @@ takes the first CHUNK_POINTS (512) points of the 41x41 degenerate diagram
 and of the 41x41 four-mode diagram and times, for each chunk, the layers
 the chunk engine runs: validate + derive, `classify_batch`, `growth_rate`,
 `transfer_matrices`, photon numbers + single-mode minima, and, on the
-degenerate chunk, the collective search's grid + starts and its Newton
-refinement.  Each layer takes the previous layers' results as inputs, made
-before timing.  The rounds interleave the layers and the two chunks; the
-table gives each layer's median and quartiles [ms], the sum of the layers
-the engine runs for the chunk's quantities (neither diagram asks for the
-growth rate, marked *), and the whole chunk through the engine
-(`scan._evaluate`) for comparison.  OpenBLAS runs on one thread, as in a
-single-process scan on a busy host.
+degenerate chunk, the collective search's grid + starts (`_grid`,
+`_starts`) and its Newton refinement, as `stack_observables` runs them.
+Each layer takes the previous layers' results as inputs, made before
+timing.  The rounds interleave the layers and the two chunks; the table
+gives each layer's median and quartiles [ms], the sum of the layers the
+engine runs for the chunk's quantities (neither diagram asks for the growth
+rate, marked *), and the whole chunk through the engine (`scan._evaluate`)
+for comparison.  A last table times the collective search of one matrix
+(`collective_min_variance` on the README point kappa = 3, eta_s = 1,
+delta_s = 10, L = 2) and its two parts [us].  OpenBLAS runs on one thread,
+as in a single-process scan on a busy host.
 """
 
 import os
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads OpenBLAS
 
+import cmath  # noqa: E402
 import statistics  # noqa: E402
 import time  # noqa: E402
 
@@ -27,9 +31,10 @@ import numpy as np  # noqa: E402
 
 from cascade import analytic, observables, scan  # noqa: E402
 from cascade.characteristic import classify_batch, growth_rate  # noqa: E402
-from cascade.params import derive, validate_batch  # noqa: E402
+from cascade.params import degenerate_params, derive, validate_batch  # noqa: E402
 
 ROUNDS = 40
+REPEATS = 50  # calls per round of the one-matrix search, timed together
 
 
 def layers(spec) -> dict:
@@ -51,9 +56,7 @@ def layers(spec) -> dict:
 
         def grid_and_starts():
             c = observables._collective_coefficients(rows[0], rows[2])
-            values = observables._collective_variance([v[:, None] for v in c],
-                                                      np.exp)(observables._GRID)
-            return c, observables._starts(values)
+            return c, observables._starts(observables._grid(c))
 
         c, (points, phases) = grid_and_starts()
 
@@ -71,20 +74,43 @@ def layers(spec) -> dict:
     return out
 
 
+def one_matrix() -> dict:
+    """{part: a function of no arguments} of the collective search of one
+    matrix, as `collective_min_variance` runs it."""
+    m = scan.solve_point(degenerate_params(3, 1, 0, 10, 2))
+    a_row, _, b_row, _ = m.rows
+    c = observables._collective_coefficients(a_row, b_row)
+
+    def grid_and_starts():
+        with np.errstate(over="ignore", invalid="ignore"):
+            return observables._starts(observables._grid(c)[None])
+
+    _, phases = grid_and_starts()
+    return {"collective_min_variance": lambda: observables.collective_min_variance(m),
+            "grid + starts": grid_and_starts,
+            "refinement": lambda: [observables._newton(c, k * observables._STEP, cmath.exp)
+                                   for k in phases.tolist()]}
+
+
 def main() -> None:
     chunks = {"degenerate": layers(scan.degenerate_diagram_spec(count=41)),
               "four-mode": layers(scan.four_mode_diagram_spec(count=41))}
+    single = one_matrix()
     times = {(chunk, name): [] for chunk, fns in chunks.items() for name in fns}
+    times.update({("one", name): [] for name in single})
     with np.errstate(all="ignore"):  # as the engine runs them
-        for fns in chunks.values():
+        for fns in [*chunks.values(), single]:
             for fn in fns.values():
                 fn()  # warm up
         for _ in range(ROUNDS):
-            for chunk, fns in chunks.items():
+            for chunk, fns in [*chunks.items(), ("one", single)]:
                 for name, fn in fns.items():
                     start = time.perf_counter()
-                    fn()
-                    times[chunk, name].append(1e3 * (time.perf_counter() - start))
+                    for _ in range(REPEATS if chunk == "one" else 1):
+                        fn()
+                    elapsed = time.perf_counter() - start
+                    times[chunk, name].append(
+                        1e6 * elapsed / REPEATS if chunk == "one" else 1e3 * elapsed)
     names = list(chunks["degenerate"])
     whole = names.pop()
     for c, fns in chunks.items():
@@ -100,6 +126,9 @@ def main() -> None:
     for name in names + ["sum of the layers", whole]:
         print(f"{name:<40}" + "".join(
             f"{cell(times[c, name]) if (c, name) in times else '-':>22}" for c in chunks))
+    print(f"\n{'one matrix [us], median (q1-q3)':<40}{'README point':>22}")
+    for name in single:
+        print(f"{name:<40}{cell(times['one', name]):>22}")
 
 
 if __name__ == "__main__":
