@@ -4,16 +4,15 @@ accompanied by cascaded up-conversion in a finite nonlinear crystal.
 The package solves the four coupled mode systems exactly (a rotating-frame
 matrix exponential, with the paper's closed form and an independent adaptive
 ODE integrator as references), classifies generation regimes from the
-characteristic quartic, evaluates photon numbers and quadrature squeezing,
+characteristic quartic (one ``classify`` for the general, degenerate and
+three-mode configurations), evaluates photon numbers and quadrature squeezing,
 and scans parameter grids deterministically.
 """
 
 from .analytic import MultipleRootsError, f_kernel, full_matrix, transfer_matrix
 from .bogoliubov import BogoliubovMatrix
 from .characteristic import (Area, QuarticRoots, Regime, classify,
-                             classify_degenerate, classify_general,
-                             classify_three_mode, discriminant_general,
-                             solve_quartic)
+                             discriminant_general, solve_quartic)
 from .observables import (ConvergenceError, Correlators, PhotonNumbers,
                           SqueezingReport, averaged_model,
                           collective_min_variance, correlators,

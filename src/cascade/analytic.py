@@ -56,7 +56,6 @@ ill-conditioned, in which case MultipleRootsError is raised.
 from __future__ import annotations
 
 import cmath
-from contextlib import nullcontext
 from dataclasses import fields
 
 import numpy as np
@@ -233,11 +232,6 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            16380.0, 182.0, 1.0)
 _THETA13 = 5.371920351148152
 
-#: 1-norm of A up to which exp(A) cannot overflow, since |exp(A)| <= exp(|A|)
-#: and the largest double is about exp(709.8); above it the squaring may
-#: overflow, which the callers report as OverflowError, not as warnings
-_EXP_SAFE_NORM = 700.0
-
 #: the Pade approximant is (V - U)^-1 (V + U) with U odd and V even in A;
 #: rows: the coefficients of (A^2, A^4, A^6) in the two sums that A^6
 #: multiplies, then in the two sums added to those products
@@ -297,7 +291,7 @@ def _full(rows: np.ndarray) -> np.ndarray:
     return flat.view(complex).reshape(lead + (4, 4))
 
 
-def _expm(g: np.ndarray) -> tuple[np.ndarray, bool]:
+def _expm(g: np.ndarray) -> np.ndarray:
     """exp of each matrix in a stack, by [13/13] Pade scaling and squaring
     with one scaling exponent per matrix, so that a small matrix is not
     overscaled by a large stack-mate (Al-Mohy & Higham, SIAM J. Matrix Anal.
@@ -308,58 +302,56 @@ def _expm(g: np.ndarray) -> tuple[np.ndarray, bool]:
     which come back as the rows forms of their exponentials.  Both are taken
     in the one product form, real rows @ right(Y), except for the one linear
     solve, which runs on the full complex matrices; the scaling reads the
-    full matrices' 1-norms.  Returns the stack and whether the 1-norms add
-    up to less than _EXP_SAFE_NORM (false for NaN), so that no entry can
-    have overflowed."""
+    full matrices' 1-norms.  An entry beyond double precision comes back as
+    inf or NaN, with numpy warnings unless the caller is under
+    ``np.errstate``."""
     m = g.shape[0]
     rows = g.shape[-2] == 2
     col = np.abs(g).sum(axis=-2, keepdims=True)
     if rows:  # column j of the full matrix holds rows 0 and 2 at j and P j
         col = col + col[..., _P]
     norm = col.max(axis=-1, keepdims=True)
-    safe = sum(norm.ravel().tolist()) < _EXP_SAFE_NORM
     table, identity = ((_RIGHT_ROWS, _PADE13_IDENTITY[..., ::2, :]) if rows
                        else (_RIGHT_FULL, _PADE13_IDENTITY))
 
     def right(y):  # right(Y) (n, 8, 8) of a stack Y (n, 2 or 4, 8) of reals
         return np.dot(y.reshape(len(y), -1), table).reshape(-1, 8, 8)
 
-    with nullcontext() if safe else np.errstate(over="ignore", invalid="ignore"):
-        # s: the smallest s >= 0 with |g|_1 / 2^s < theta, shaped (m, 1, 1);
-        # x = mant 2^s exactly, so mant / x = 2^-s
-        x = np.maximum(norm / _THETA13, 0.5)
-        mant, s = np.frexp(x)
-        a = (g * (mant / x)).view(float)
-        powers = np.empty((3,) + a.shape)
-        right_a = right(a)
-        np.matmul(a, right_a, out=powers[0])
-        right_a2 = right(powers[0])
-        np.matmul(powers[0], right_a2, out=powers[1])
-        np.matmul(powers[1], right_a2, out=powers[2])
-        # the sums (u2, v2, u1, v1), one 2-D product over every entry; the
-        # first two are multiplied by A^6, with which they commute
-        terms = (_PADE13_TERMS @ powers.reshape(3, -1)).reshape((4,) + a.shape) + identity
-        uv = terms[:2] @ right(powers[2]) + terms[2:]
-        # U = A u2 = u2 A, so it reuses A's right operand
-        u, v = uv[0] @ right_a, uv[1]
-        if rows:
-            dn = np.dot(np.concatenate((v, u), axis=1).reshape(m, 32), _PADE_TO_FULL)
-            dn = dn.view(complex).reshape(m, 2, 4, 4)
-            r = np.linalg.solve(dn[:, 0], dn[:, 1])[:, ::2]
+    # s: the smallest s >= 0 with |g|_1 / 2^s < theta, shaped (m, 1, 1);
+    # x = mant 2^s exactly, so mant / x = 2^-s
+    x = np.maximum(norm / _THETA13, 0.5)
+    mant, s = np.frexp(x)
+    a = (g * (mant / x)).view(float)
+    powers = np.empty((3,) + a.shape)
+    right_a = right(a)
+    np.matmul(a, right_a, out=powers[0])
+    right_a2 = right(powers[0])
+    np.matmul(powers[0], right_a2, out=powers[1])
+    np.matmul(powers[1], right_a2, out=powers[2])
+    # the sums (u2, v2, u1, v1), one 2-D product over every entry; the
+    # first two are multiplied by A^6, with which they commute
+    terms = (_PADE13_TERMS @ powers.reshape(3, -1)).reshape((4,) + a.shape) + identity
+    uv = terms[:2] @ right(powers[2]) + terms[2:]
+    # U = A u2 = u2 A, so it reuses A's right operand
+    u, v = uv[0] @ right_a, uv[1]
+    if rows:
+        dn = np.dot(np.concatenate((v, u), axis=1).reshape(m, 32), _PADE_TO_FULL)
+        dn = dn.view(complex).reshape(m, 2, 4, 4)
+        r = np.linalg.solve(dn[:, 0], dn[:, 1])[:, ::2]
+    else:
+        r = np.linalg.solve((v - u).view(complex), (v + u).view(complex))
+    r = np.ascontiguousarray(r).view(float)
+    s = s.ravel()
+    exponents = s.tolist()
+    common = min(exponents)
+    for k in range(max(exponents)):
+        if k < common:
+            r = r @ right(r)
         else:
-            r = np.linalg.solve((v - u).view(complex), (v + u).view(complex))
-        r = np.ascontiguousarray(r).view(float)
-        s = s.ravel()
-        exponents = s.tolist()
-        common = min(exponents)
-        for k in range(max(exponents)):
-            if k < common:
-                r = r @ right(r)
-            else:
-                sel = s > k
-                q = r[sel]
-                r[sel] = q @ right(q)
-    return r.view(complex), safe
+            sel = s > k
+            q = r[sel]
+            r[sel] = q @ right(q)
+    return r.view(complex)
 
 
 def _generators(params: ModelParams, z) -> tuple:
@@ -412,11 +404,11 @@ def transfer_matrix(params: ModelParams, z: float) -> BogoliubovMatrix:
     Raises OverflowError when an entry exceeds double precision.
     """
     degenerate = is_degenerate(params)
-    phases, g = (_row_generators if degenerate else _generators)(params, z)
-    r, safe = _expm(g[None])
-    if not (safe or np.isfinite(r).all()):
+    with np.errstate(all="ignore"):
+        phases, g = (_row_generators if degenerate else _generators)(params, z)
+        t = phases * _expm(g[None])[0]
+    if not np.isfinite(t).all():
         raise OverflowError("transfer matrix entries exceed double precision")
-    t = phases * r[0]
     return BogoliubovMatrix(z, _full(t) if degenerate else t, degenerate)
 
 
@@ -432,11 +424,11 @@ def transfer_matrices(params: ModelParams, z) -> np.ndarray:
     t = np.empty(degenerate.shape + (4, 4), dtype=complex)
     if degenerate.any():
         phases, x = _row_generators(_select(params, degenerate), z[degenerate])
-        t[degenerate] = _full(phases * _expm(x)[0])
+        t[degenerate] = _full(phases * _expm(x))
     if not degenerate.all():
         rest = ~degenerate
         phases, gz = _generators(_select(params, rest), z[rest][:, None, None])
-        t[rest] = phases * _expm(gz)[0]
+        t[rest] = phases * _expm(gz)
     return t
 
 

@@ -142,20 +142,19 @@ def _biquadratic_growth(params: ModelParams, d: DerivedParams, sqrt):
     return abs(sqrt(x).real), abs(sqrt(y).real)
 
 
-def growth_rate(d: DerivedParams, params: ModelParams | None = None):
+def growth_rate(d: DerivedParams, params: ModelParams):
     """The largest Re(lambda) [cm^-1]: a float for one point, or for a batch
-    (params required) an array, NaN where a coefficient is not finite.
-    Degenerate points of params (:func:`is_degenerate`, so Q = 0) take the
-    biquadratic's closed form, and three-mode points (:func:`is_three_mode`)
-    max(0, Im s) over the cubic's roots s: at weak pump the quartic has a
-    (near-)double root there, where companion eigenvalues lose about
-    sqrt(eps).  Elsewhere, and for d alone, Im mu over the quartic's roots
-    mu."""
-    degenerate = params is not None and is_degenerate(params)
+    an array, NaN where a coefficient is not finite.  Degenerate points of
+    params (:func:`is_degenerate`, so Q = 0) take the biquadratic's closed
+    form, and three-mode points (:func:`is_three_mode`) max(0, Im s) over
+    the cubic's roots s: at weak pump the quartic has a (near-)double root
+    there, where companion eigenvalues lose about sqrt(eps).  Elsewhere Im
+    mu over the quartic's roots mu."""
+    degenerate = is_degenerate(params)
     if not isinstance(d.p_coef, np.ndarray):
         if degenerate:
             return max(_biquadratic_growth(params, d, cmath.sqrt))
-        if params is not None and is_three_mode(params):
+        if is_three_mode(params):
             p3, q3, _ = _three_mode_discriminant(params, d)
             return float(max(_roots(0.0, -p3, q3).imag.max(), 0.0))
         return float(_roots(0.0, -d.p_coef, d.q_coef, d.r_coef).imag.max())
@@ -217,80 +216,52 @@ def _three_mode_label(params: ModelParams, d: DerivedParams):
     return _label([(Area.V, abs(d3) <= tol), (Area.II, d3 > 0)], Area.I)
 
 
-def _regime(label: Area, d: DerivedParams, params: ModelParams | None = None) -> Regime:
-    """label with :func:`growth_rate`, raising the LinAlgError a scan records
-    where the growth rate is NaN (a coefficient overflowed)."""
-    rate = growth_rate(d, params)
-    if cmath.isnan(rate):
-        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    return Regime(label=label, max_growth_rate=rate)
+def classify(params: ModelParams) -> Regime:
+    """The regime from the most specific label the parameters admit, as
+    :func:`classify_batch` picks it, and :func:`growth_rate`; LinAlgError
+    where a coefficient overflowed.  The special cases are equalities with
+    no tolerance (:func:`is_degenerate`, :func:`is_three_mode`): a point
+    only near one takes the general label.
 
+    Degenerate points (eta_i = eta_s, delta_i = delta_s): the quartic is
+    biquadratic (Q = 0), lambda^2 = (-P +- sqrt(P^2 - 4R))/2, and
 
-def classify_general(d: DerivedParams) -> Regime:
-    """Regime of the full four-mode interaction from the quartic discriminant.
+        I: P>0 and 0<R<P^2/4;  II: R<0;  III: R>P^2/4;
+        IV: P<0 and 0<R<P^2/4;  V: R=0 or R=P^2/4 within tolerance.
 
-    D > 0, P > 0, R < P^2/4  ->  I   (all mu real: all lambda imaginary)
-    D < 0                    ->  II  (two real lambda, two imaginary)
-    D > 0 otherwise          ->  III (no real mu; the all-real-lambda case
-                                      is folded in here, so consumers needing
-                                      the I..IV distinction should use
-                                      max_growth_rate)
-    D = 0 within tolerance   ->  V
-    max_growth_rate is :func:`growth_rate` of d alone.
-    """
-    return _regime(_general_label(d), d)
-
-
-def classify_degenerate(params: ModelParams) -> Regime:
-    """Regime for the degenerate configuration (eta_i = eta_s,
-    delta_i = delta_s), where the quartic is biquadratic (Q = 0) and
-    lambda^2 = (-P +- sqrt(P^2 - 4R))/2.
-
-    I: P>0 and 0<R<P^2/4;  II: R<0;  III: R>P^2/4;
-    IV: P<0 and 0<R<P^2/4;  V: R=0 or R=P^2/4 within tolerance.
-    max_growth_rate is :func:`growth_rate`, from that closed form.  The
-    parameters must satisfy :func:`is_degenerate`, equality with no
-    tolerance: a point only near it has Q != 0 and the general label.
-    """
-    if not is_degenerate(params):
-        raise ValueError("classify_degenerate requires eta_i = eta_s and delta_i = delta_s")
-    d = derive(params)
-    return _regime(_degenerate_label(d), d, params)
-
-
-def classify_three_mode(params: ModelParams) -> tuple[Regime, complex]:
-    """Regime for the three-mode interaction (eta_i = 0, delta_i = 0).
-
-    One root is always lambda_4 = i phi / 2 and the quartic reduces to a
-    cubic.  In the real variable s = i lambda - phi/6 the cubic reads
-    s^3 - P3 s + Q3 = 0 with
+    Three-mode points (eta_i = 0, delta_i = 0): one root is always
+    lambda_4 = i phi / 2 and the quartic reduces to a cubic.  In the real
+    variable s = i lambda - phi/6 the cubic reads s^3 - P3 s + Q3 = 0 with
 
         P3 = g_s^2 - |kappa|^2 + phi^2/3
         Q3 = (delta_s/2)|kappa|^2 - (2 phi/3)(g_s^2 + |kappa|^2/2 - phi^2/9)
 
-    and amplification exists exactly when that real cubic has a complex-
-    conjugate pair, i.e. when D3 = 27 Q3^2 - 4 P3^3 > 0.  D3 < 0 gives three
-    real s (all lambda imaginary, oscillating solutions); D3 = 0 multiple
-    roots.  max_growth_rate is :func:`growth_rate`, from that cubic.  The
-    parameters must satisfy :func:`is_three_mode`, eta_i = 0 = delta_i
-    exactly.  Returns (regime, lambda_4).
+    and amplification (II) exists exactly when that real cubic has a
+    complex-conjugate pair, i.e. when D3 = 27 Q3^2 - 4 P3^3 > 0.  D3 < 0
+    gives three real s (I: all lambda imaginary, oscillating solutions);
+    D3 = 0 within tolerance multiple roots (V).
+
+    Every other point, from the quartic discriminant D:
+
+        D > 0, P > 0, R < P^2/4  ->  I   (all mu real: all lambda imaginary)
+        D < 0                    ->  II  (two real lambda, two imaginary)
+        D > 0 otherwise          ->  III (no real mu; the all-real-lambda case
+                                          is folded in here, so consumers
+                                          needing the I..IV distinction
+                                          should use max_growth_rate)
+        D = 0 within tolerance   ->  V
     """
-    if not is_three_mode(params):
-        raise ValueError("classify_three_mode requires eta_i = 0 and delta_i = 0")
-    d = derive(params)
-    return _regime(_three_mode_label(params, d), d, params), 1j * d.phi / 2
-
-
-def classify(params: ModelParams) -> Regime:
-    """The regime from the most specific label the parameters admit, as
-    :func:`classify_batch` picks it, and :func:`growth_rate`; LinAlgError
-    where a coefficient overflowed."""
     d = derive(params)
     if is_degenerate(params):
-        return _regime(_degenerate_label(d), d, params)
-    if is_three_mode(params):
-        return _regime(_three_mode_label(params, d), d, params)
-    return _regime(_general_label(d), d, params)
+        label = _degenerate_label(d)
+    elif is_three_mode(params):
+        label = _three_mode_label(params, d)
+    else:
+        label = _general_label(d)
+    rate = growth_rate(d, params)
+    if cmath.isnan(rate):
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    return Regime(label=label, max_growth_rate=rate)
 
 
 def classify_batch(params: ModelParams) -> np.ndarray:

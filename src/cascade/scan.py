@@ -25,7 +25,7 @@ import cmath
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -101,15 +101,13 @@ class ScanSpec:
 
         d = {
             "base": params_to_dict(self.base),
-            "axis1": {"name": self.axis1.name, "min": self.axis1.min,
-                      "max": self.axis1.max, "count": self.axis1.count},
+            "axis1": asdict(self.axis1),
             "quantities": list(self.quantities),
             "solver": self.solver,
             "degenerate": self.degenerate,
         }
         if self.axis2 is not None:
-            d["axis2"] = {"name": self.axis2.name, "min": self.axis2.min,
-                          "max": self.axis2.max, "count": self.axis2.count}
+            d["axis2"] = asdict(self.axis2)
         return d
 
     @classmethod

@@ -108,7 +108,7 @@ def test_criterion_03_pdc_only_limit():
 def test_criterion_04_regime_ground_truth():
     expected = {(10.0, 1.0): "II", (0.0, 1.0): "IV",
                 (0.0, 4.0): "III", (0.5, 4.0): "III"}
-    got = {key: c.classify_degenerate(
+    got = {key: c.classify(
         c.degenerate_params(3, key[1], 0, key[0], 2)).label.value
         for key in expected}
     report(4, "degenerate regime labels at the reference points",
@@ -195,7 +195,7 @@ def test_criterion_09_three_mode_criterion():
         for eta in grid:
             if abs(ka - eta) < 1e-6:
                 continue  # boundary band excluded
-            r, _ = c.classify_three_mode(c.three_mode_params(ka, eta, 0, 0, 1))
+            r = c.classify(c.three_mode_params(ka, eta, 0, 0, 1))
             want = "II" if ka > eta else "I"
             if r.label.value != want:
                 bad += 1

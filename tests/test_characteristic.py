@@ -6,8 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from cascade.characteristic import (Area, classify, classify_degenerate,
-                                    classify_general, classify_three_mode,
+from cascade.characteristic import (Area, Regime, _general_label, classify,
                                     discriminant_general, solve_quartic)
 from cascade.params import (ModelParams, degenerate_params, derive,
                             three_mode_params, validate)
@@ -18,6 +17,13 @@ def make(kappa=0j, eta_s=0j, eta_i=0j, dt=0.0, ds=0.0, di=0.0, L=1.0):
     return validate(ModelParams(kappa=kappa, eta_s=eta_s, eta_i=eta_i,
                                 delta_tilde=dt, delta_s=ds, delta_i=di,
                                 length=L))
+
+
+def _general_regime(p: ModelParams) -> Regime:
+    """The general four-mode table's label of p and its growth rate, max Re
+    lambda over the quartic's roots, whatever special case p is."""
+    d = derive(p)
+    return Regime(_general_label(d), max(x.real for x in solve_quartic(d).roots))
 
 
 def random_params(rng, couple_max=10.0, mismatch_max=10.0):
@@ -106,28 +112,29 @@ class TestDiscriminant:
 class TestClassifyGeneral:
     def test_cascaded_phase_matching_area_ii(self):
         # on the Phi_i = 0 line away from the crossing
-        r = classify_general(derive(make(kappa=3 + 0j, eta_s=3 + 0j,
-                                         eta_i=3 + 0j, dt=30, ds=60, di=30)))
+        r = classify(make(kappa=3 + 0j, eta_s=3 + 0j, eta_i=3 + 0j,
+                          dt=30, ds=60, di=30))
         assert r.label is Area.II
         assert r.max_growth_rate > 0
 
     def test_far_from_cascade_lines_area_i(self):
         # both cascaded mismatches at -30: oscillating solutions
-        r = classify_general(derive(make(kappa=3 + 0j, eta_s=3 + 0j,
-                                         eta_i=3 + 0j, dt=30, ds=60, di=60)))
+        r = classify(make(kappa=3 + 0j, eta_s=3 + 0j, eta_i=3 + 0j,
+                          dt=30, ds=60, di=60))
         assert r.label is Area.I
         assert abs(r.max_growth_rate) < 1e-9
 
     def test_crossing_of_cascade_lines_area_iii(self):
         # Phi_s = Phi_i = 0 simultaneously: complex roots appear
-        # (P = 459, Q = 0, R = 52731 > P^2/4 = 52670.25)
-        r = classify_general(derive(make(kappa=3 + 0j, eta_s=3 + 0j,
-                                         eta_i=3 + 0j, dt=30, ds=30, di=30)))
+        # (P = 459, Q = 0, R = 52731 > P^2/4 = 52670.25); the point is
+        # degenerate, and the biquadratic's table labels it III too
+        r = classify(make(kappa=3 + 0j, eta_s=3 + 0j, eta_i=3 + 0j,
+                          dt=30, ds=30, di=30))
         assert r.label is Area.III
         assert r.max_growth_rate > 0
 
     def test_all_zero_is_area_v(self):
-        assert classify_general(derive(make())).label is Area.V
+        assert classify(make()).label is Area.V
 
 
 class TestClassifyDegenerate:
@@ -139,47 +146,38 @@ class TestClassifyDegenerate:
         (0.5, 4.0, Area.III),
     ])
     def test_reference_points(self, ds, eta, want):
-        r = classify_degenerate(degenerate_params(3, eta, 0, ds, 2))
+        r = classify(degenerate_params(3, eta, 0, ds, 2))
         assert r.label is want
-
-    def test_rejects_non_degenerate(self):
-        with pytest.raises(ValueError):
-            classify_degenerate(make(kappa=3 + 0j, eta_s=1 + 0j, eta_i=2 + 0j))
 
     def test_area_v_on_boundaries(self):
         # R = 0 at eta = 0 with ds = 0
-        r = classify_degenerate(degenerate_params(3, 0, 0, 0, 1))
+        r = classify(degenerate_params(3, 0, 0, 0, 1))
         assert r.label is Area.V
 
 
 class TestClassifyThreeMode:
     def test_amplified_when_pdc_dominates(self):
-        r, lam4 = classify_three_mode(three_mode_params(3, 1, 0, 0, 1))
+        p = three_mode_params(3, 1, 0, 0, 1)
+        r = classify(p)
         assert r.label is Area.II
-        assert lam4 == 0j
+        # the guaranteed root lambda_4 = i phi / 2 is 0 at phi = 0
+        assert 1j * derive(p).phi / 2 == 0j
 
     def test_oscillating_when_upconversion_dominates(self):
-        r, _ = classify_three_mode(three_mode_params(1, 3, 0, 0, 1))
+        r = classify(three_mode_params(1, 3, 0, 0, 1))
         assert r.label is Area.I
 
     def test_boundary(self):
-        r, _ = classify_three_mode(three_mode_params(3, 3, 0, 0, 1))
+        r = classify(three_mode_params(3, 3, 0, 0, 1))
         assert r.label is Area.V
 
     def test_guaranteed_root(self):
-        p = three_mode_params(3, 1, 6.0, 4.0, 1)
-        _, lam4 = classify_three_mode(p)
+        d = derive(three_mode_params(3, 1, 6.0, 4.0, 1))
+        lam4 = 1j * d.phi / 2
         # lambda_4 = i phi / 2 with phi = delta_tilde - delta_s / 2
         assert lam4 == pytest.approx(1j * (6.0 - 2.0) / 2)
-        d = derive(p)
         res = abs(lam4**4 + d.p_coef * lam4**2 + 1j * d.q_coef * lam4 + d.r_coef)
         assert res < 1e-9
-
-    def test_rejects_nonzero_idler_arm(self):
-        with pytest.raises(ValueError):
-            classify_three_mode(make(kappa=3 + 0j, eta_s=1 + 0j, eta_i=1e-3 + 0j))
-        with pytest.raises(ValueError):
-            classify_three_mode(make(kappa=3 + 0j, eta_s=1 + 0j, di=2.0))
 
 
 class TestCrossConsistency:
@@ -194,8 +192,8 @@ class TestCrossConsistency:
             p = degenerate_params(mag[0] * np.exp(1j * ph), mag[1],
                                   rng.uniform(-10, 10), rng.uniform(-10, 10),
                                   1.0)
-            a = classify_degenerate(p)
-            b = classify_general(derive(p))
+            a = classify(p)
+            b = _general_regime(p)
             if Area.V in (a.label, b.label):
                 continue  # tolerance bands at the boundary may differ
             assert fold.get(a.label, a.label) is b.label
@@ -207,8 +205,8 @@ class TestCrossConsistency:
             p = three_mode_params(rng.uniform(0, 8) * np.exp(1j * rng.uniform(0, 2 * np.pi)),
                                   rng.uniform(0, 8), rng.uniform(-10, 10),
                                   rng.uniform(-10, 10), 1.0)
-            a, _ = classify_three_mode(p)
-            b = classify_general(derive(p))
+            a = classify(p)
+            b = _general_regime(p)
             if Area.V in (a.label, b.label):
                 continue
             assert a.label is b.label
@@ -235,7 +233,7 @@ class TestRootProperties:
         found = 0
         while found < 40:
             p = random_params(rng)
-            if classify_general(derive(p)).label is not Area.I:
+            if _general_label(derive(p)) is not Area.I:
                 continue
             found += 1
             r = solve_quartic(derive(p))
@@ -309,23 +307,21 @@ def _random_regimes(rng, count=1000) -> list:
 class TestClassifyDispatch:
     def test_regimes_unchanged(self):
         # sha256 of the pickled regimes as classify gave them when it
-        # dispatched to classify_degenerate / classify_three_mode /
-        # classify_general
+        # dispatched to separate degenerate, three-mode and general
+        # classifiers
         regimes = _random_regimes(np.random.default_rng(29))
         digest = hashlib.sha256(b"".join(pickle.dumps(r, protocol=4) for r in regimes))
         assert digest.hexdigest() == "4e813a35e33e152f4b839cf54af2c4f6ba4334a7bc710b931c13b89a915f4f34"
 
-    @pytest.mark.parametrize("p, specific", [
-        (degenerate_params(1e160, 1, 0, 0, 2), classify_degenerate),
-        (three_mode_params(1e160, 1, 0, 0, 2), lambda p: classify_three_mode(p)[0]),
-        (make(kappa=1e160 + 0j, eta_s=1 + 0j, eta_i=2 + 0j, L=2.0),
-         lambda p: classify_general(derive(p))),
+    @pytest.mark.parametrize("p", [
+        degenerate_params(1e160, 1, 0, 0, 2),
+        three_mode_params(1e160, 1, 0, 0, 2),
+        make(kappa=1e160 + 0j, eta_s=1 + 0j, eta_i=2 + 0j, L=2.0),
     ], ids=["degenerate", "three_mode", "general"])
-    def test_overflowing_coefficients_raise_the_scan_failure(self, p, specific):
+    def test_overflowing_coefficients_raise_the_scan_failure(self, p):
         (failure,) = evaluate_points([p], ("regime", "growth_rate"), "analytic")
         assert isinstance(failure, np.linalg.LinAlgError)
-        for call in (classify, specific):
-            with pytest.raises(np.linalg.LinAlgError) as err:
-                call(p)
-            assert type(err.value).__name__ == type(failure).__name__
-            assert str(err.value) == str(failure)
+        with pytest.raises(np.linalg.LinAlgError) as err:
+            classify(p)
+        assert type(err.value).__name__ == type(failure).__name__
+        assert str(err.value) == str(failure)

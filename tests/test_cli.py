@@ -258,6 +258,24 @@ def test_solve_beyond_double_precision_stderr_is_one_line():
         "transfer matrix entries exceed double precision"]
 
 
+@pytest.mark.parametrize("flags", [
+    ["--delta-s", "1e300", "--degenerate"],
+    ["--eta-i", "2", "--delta-s", "1e300"],
+    ["--delta-tilde", "1e300", "--degenerate"],
+], ids=["degenerate", "general", "delta_tilde"])
+def test_solve_overflowing_phase_exits_2_without_warnings(capsys, flags):
+    # a mismatch times the length beyond double precision overflows the
+    # generator and the rotating-frame phases before the exponential; the
+    # exact solver names it with no numpy warning ahead of the error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "solve", "--kappa", "3", "--eta-s", "1",
+                             "--length", "1e10", *flags)
+    assert code == 2 and out == ""
+    assert err == ("error: solution leaves double precision: "
+                   "transfer matrix entries exceed double precision\n")
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_scan_threads_below_one_exits_2(capsys, tmp_path, threads):
     spec = tmp_path / "spec.json"

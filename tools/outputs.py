@@ -4,12 +4,14 @@
 
 runs the two diagram scans (41x41, on 1 and on 2 workers), a 4x3 oracle
 scan, the averaged solver on the 41x41 four-mode diagram and on a 9x9
-degenerate diagram with the oracle cross-check (as JSON), `solve` with each solver and `classify` on the README points,
-`sweep-gain` for two families, `compare` on the README point, and `solve`
-(analytic and averaged) on a general and a three-mode point, each into its
-own file under DIR.  (`compare` exits 2 on a point that is not degenerate,
-since it prints squeezing.)  Run it against two source trees and compare
-the directories with `tools/drift.py` to see which outputs a change moves.
+degenerate diagram with the oracle cross-check (as JSON), `solve` with each
+solver and `classify` on the README points, `sweep-gain` for two families,
+`compare` on the README point, and `solve` (analytic and averaged) and
+`classify` on a general and a three-mode point, each into its own file under
+DIR; the four `classify` files cover its degenerate, three-mode and general
+labels.  (`compare` exits 2 on a point that is not degenerate, since it
+prints squeezing.)  Run it against two source trees and compare the
+directories with `tools/drift.py` to see which outputs a change moves.
 """
 
 import dataclasses
@@ -79,6 +81,7 @@ def write_outputs(out: Path) -> None:
     for point, flags in OTHER_POINTS.items():
         for solver in ("analytic", "averaged"):
             run(out, f"solve_{point}_{solver}.json", "solve", *flags, "--solver", solver)
+        run(out, f"classify_{point}.json", "classify", *flags)
 
 
 if __name__ == "__main__":
