@@ -328,12 +328,18 @@ def _expm(g: np.ndarray) -> np.ndarray:
     right_a2 = right(powers[0])
     np.matmul(powers[0], right_a2, out=powers[1])
     np.matmul(powers[1], right_a2, out=powers[2])
+    del right_a2  # each temporary goes at its last use: a chunk's stack is large
     # the sums (u2, v2, u1, v1), one 2-D product over every entry; the
     # first two are multiplied by A^6, with which they commute
-    terms = (_PADE13_TERMS @ powers.reshape(3, -1)).reshape((4,) + a.shape) + identity
-    uv = terms[:2] @ right(powers[2]) + terms[2:]
+    terms = (_PADE13_TERMS @ powers.reshape(3, -1)).reshape((4,) + a.shape)
+    terms += identity
+    uv = terms[:2] @ right(powers[2])
+    del powers
+    uv += terms[2:]
+    del terms
     # U = A u2 = u2 A, so it reuses A's right operand
     u, v = uv[0] @ right_a, uv[1]
+    del right_a
     if rows:
         dn = np.dot(np.concatenate((v, u), axis=1).reshape(m, 32), _PADE_TO_FULL)
         dn = dn.view(complex).reshape(m, 2, 4, 4)

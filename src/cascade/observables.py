@@ -257,7 +257,18 @@ def _grid(c: tuple) -> np.ndarray:
                       [zero, zero, zero, -f2.imag, f2.real]])
     re_l, im_l, n, re_f, im_f = np.einsum("...pk,kj->p...j", np.ascontiguousarray(table.T),
                                           _BASIS)
-    return (1.0 + re_l * re_l + im_l * im_l) / (n + np.sqrt(re_f * re_f + im_f * im_f))
+    # the formula above in place, operation for operation: a chunk's
+    # values are large
+    re_l *= re_l
+    re_l += 1.0
+    im_l *= im_l
+    re_l += im_l
+    re_f *= re_f
+    im_f *= im_f
+    re_f += im_f
+    np.sqrt(re_f, out=re_f)
+    n += re_f
+    return re_l / n  # a new array, so the einsum's block goes on return
 
 
 def _starts(values: np.ndarray) -> tuple:

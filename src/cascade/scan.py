@@ -4,9 +4,12 @@ One chunk engine, :func:`evaluate_points`, evaluates many points at once:
 every layer (validation, the regime masks, the growth rates, the transfer
 matrices, the photon numbers and squeezing minima) is an array expression
 over the points, and no point's arithmetic depends on its chunk-mates.
-Scans evaluate their grid in grid order, one chunk of CHUNK_POINTS points
-at a time in the calling process; chunks only bound a batch's memory, and
-output is byte-identical for any chunk size and worker count.  Worker
+Scans evaluate their grid in grid order, one chunk of CHUNK_POINTS (2048)
+points at a time in the calling process, so a 41x41 diagram is one batch;
+chunks only bound a batch's memory, and output is byte-identical for any
+chunk size and worker count.  Each chunk pays a fixed cost per layer (the
+Pade steps, the Newton steps of the collective search, the regime masks),
+so fewer, larger chunks are faster, up to about this size.  Worker
 processes run ODE solves only: the engine solves the points of the oracle
 solver and of the oracle cross-check through :func:`_oracle_matrices` and
 evaluates the solved matrices with the same batched observables.  The
@@ -24,7 +27,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -50,7 +52,7 @@ CROSS_CHECK_RTOL = 1e-5
 CROSS_CHECK_FRACTION = 0.05
 
 #: grid points per chunk, the most a scan evaluates as one batch
-CHUNK_POINTS = 512
+CHUNK_POINTS = 2048
 
 _MATRIX_QUANTITIES = ("n_as", "n_ai", "n_bs", "n_bi",
                       "minvar_a", "minvar_b", "minvar_c")
@@ -246,6 +248,9 @@ def _oracle_matrices(points: list, workers: int = 1) -> list:
     processes = min(workers, len(points))
     if processes < 2:
         return list(map(_oracle_matrix, points))
+    # imported here: it loads multiprocessing, which no other path needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(processes) as pool:
         return list(pool.map(_oracle_matrix, points,
                              chunksize=max(1, len(points) // (processes * 8))))

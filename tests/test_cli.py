@@ -10,7 +10,8 @@ import pytest
 
 import cascade
 from cascade.cli import main
-from cascade.scan import SWEEP_LENGTH, SWEEP_QUANTITIES, sweep_gain
+from cascade.scan import (SWEEP_LENGTH, SWEEP_QUANTITIES, degenerate_diagram_spec,
+                          sweep_gain)
 
 
 def run(capsys, *argv):
@@ -220,6 +221,26 @@ def test_solve_does_not_load_scipy():
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(cascade.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code, os.devnull], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_solve_and_analytic_scan_load_no_process_pool(tmp_path):
+    # worker processes run only the ODE solves of a scan: a cold `cascade
+    # solve` and an analytic `cascade scan`, two threads allowed, must not
+    # pay for importing the process pool and multiprocessing
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(degenerate_diagram_spec(count=5).to_dict()))
+    code = ("import sys, cascade, cascade.cli\n"
+            "cascade.cli.main(['solve', '--kappa', '3', '--eta-s', '1',\n"
+            "                  '--delta-s', '3', '--degenerate', '--length', '2',\n"
+            "                  '--output', sys.argv[1]])\n"
+            "cascade.cli.main(['scan', '--spec', sys.argv[2], '--threads', '2',\n"
+            "                  '--output', sys.argv[1]])\n"
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')\n"
+            "             if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cascade.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, os.devnull, str(spec)], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
 

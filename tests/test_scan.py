@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -162,7 +163,7 @@ class TestDeterminismAndParallel:
 
         spec = deg_spec(quantities=("regime", "n_as", "minvar_a"), solver=solver)
         one = emit(run_scan(spec), "csv")
-        monkeypatch.setattr(scan, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert emit(run_scan(spec, workers=4), "csv") == one
 
     def test_oracle_scan_byte_identical_across_workers(self, monkeypatch):

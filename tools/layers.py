@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python tools/layers.py
 
-takes the first CHUNK_POINTS (512) points of the 41x41 degenerate diagram
-and of the 41x41 four-mode diagram and times, for each chunk, the layers
+takes the first CHUNK_POINTS (2048) points of the 41x41 degenerate diagram
+and of the 41x41 four-mode diagram, so each chunk is the whole diagram
+(1681 points), and times, for each chunk, the layers
 the chunk engine runs: validate + derive, `classify_batch`, `growth_rate`,
 `transfer_matrices`, photon numbers + single-mode minima, and, on the
 degenerate chunk, the collective search's grid + starts (`_grid`,
