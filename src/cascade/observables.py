@@ -244,19 +244,25 @@ def _grid(c: tuple) -> np.ndarray:
     c holds Python numbers (one matrix; values (64,)) or arrays (n,)
     (values (n, 64)).  The products are one np.einsum: it sums each value
     in the same order in both cases and whatever n is, where a BLAS product
-    would not, so no value depends on the rest of its stack."""
+    would not, so no value depends on the rest of its stack.  The einsum
+    lays its output out in its table's memory order, and the tail below
+    runs on each of the five polynomials' planes, so the table is
+    polynomial-major, (5 polynomials, n, 5 basis functions): each plane is
+    then one contiguous (n, 64) block.  A point-major table (n, 5, 5) would
+    leave each plane runs of 64 values with the other four planes' runs in
+    between, on which the tail runs several times slower."""
     m0, m1, f0, f1, f2, g0, g1, gm1 = c
     a, b = g1 + gm1, g1 - gm1
     zero = np.zeros(m0.shape) if isinstance(m0, np.ndarray) else 0.0
-    # one row per basis function: the coefficients of Re Lc, Im Lc, 1 + 2N,
-    # Re F and Im F; transposed to (..., 5 polynomials, 5 basis functions)
-    table = np.array([[g0.real, g0.imag, m0, f0.real, f0.imag],
-                      [a.real, a.imag, m1.real, f1.real, f1.imag],
-                      [-b.imag, b.real, -m1.imag, -f1.imag, f1.real],
-                      [zero, zero, zero, f2.real, f2.imag],
-                      [zero, zero, zero, -f2.imag, f2.real]])
-    re_l, im_l, n, re_f, im_f = np.einsum("...pk,kj->p...j", np.ascontiguousarray(table.T),
-                                          _BASIS)
+    # one row per polynomial (Re Lc, Im Lc, 1 + 2N, Re F, Im F), one column
+    # per basis function, then the points' axis: (5, 5, n), made (5, n, 5)
+    table = np.array([[g0.real, a.real, -b.imag, zero, zero],
+                      [g0.imag, a.imag, b.real, zero, zero],
+                      [m0, m1.real, -m1.imag, zero, zero],
+                      [f0.real, f1.real, -f1.imag, f2.real, -f2.imag],
+                      [f0.imag, f1.imag, f1.real, f2.imag, f2.real]])
+    re_l, im_l, n, re_f, im_f = np.einsum(
+        "p...k,kj->p...j", np.ascontiguousarray(table.swapaxes(1, -1)), _BASIS)
     # the formula above in place, operation for operation: a chunk's
     # values are large
     re_l *= re_l

@@ -169,9 +169,10 @@ def test_diagram_bytes_independent_of_chunk_size(monkeypatch, diagram):
 
 
 def test_diagram_chunk_memory():
-    # tracemalloc peak of the 41x41 degenerate diagram as one chunk: 6.60 MB
-    # measured (6.67 MB on a process's first scan); it is 8.32 MB if _expm
-    # and _grid keep their temporaries to the end
+    # tracemalloc peak of the 41x41 degenerate diagram as one chunk: 6.47 MB
+    # measured (6.54 MB on a process's first scan; 6.60 MB with a
+    # point-major _grid table); it is 8.32 MB if _expm and _grid keep their
+    # temporaries to the end
     spec = scan.degenerate_diagram_spec(count=41)
     tracemalloc.start()
     try:
@@ -533,6 +534,38 @@ def test_real_grid_matches_the_complex_variance():
         one = [v[k].item() for v in c]
         assert observables._grid(one).tobytes() == grid[k].tobytes(), k
         assert observables._grid([v[k:k + 1] for v in c])[0].tobytes() == grid[k].tobytes(), k
+
+
+def _point_major_grid(c: tuple) -> np.ndarray:
+    """_grid with a point-major coefficient table (n, 5 polynomials, 5 basis
+    functions): the same products and tail in another memory layout."""
+    m0, m1, f0, f1, f2, g0, g1, gm1 = c
+    a, b = g1 + gm1, g1 - gm1
+    zero = np.zeros(m0.shape)
+    table = np.array([[g0.real, g0.imag, m0, f0.real, f0.imag],
+                      [a.real, a.imag, m1.real, f1.real, f1.imag],
+                      [-b.imag, b.real, -m1.imag, -f1.imag, f1.real],
+                      [zero, zero, zero, f2.real, f2.imag],
+                      [zero, zero, zero, -f2.imag, f2.real]])
+    re_l, im_l, n, re_f, im_f = np.einsum("...pk,kj->p...j", np.ascontiguousarray(table.T),
+                                          observables._BASIS)
+    return (1.0 + re_l * re_l + im_l * im_l) / (n + np.sqrt(re_f * re_f + im_f * im_f))
+
+
+def test_grid_layout_changes_no_bit():
+    # the polynomial-major table gives the point-major table's bytes and
+    # starts, on seeded points and on the 41x41 diagram's chunk, so the
+    # summation order is the einsum's, not the layout's
+    spec = scan.degenerate_diagram_spec(count=41)
+    batch = scan._grid_params(spec, scan._grid(spec)[:scan.CHUNK_POINTS])
+    rows = np.moveaxis(analytic.transfer_matrices(batch, batch.length), (-2, -1), (0, 1))
+    for c in (_degenerate_stack(19, 400, 40.0),
+              observables._collective_coefficients(rows[0], rows[2])):
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid, want = observables._grid(c), _point_major_grid(c)
+        assert grid.tobytes() == want.tobytes()
+        for got, ref in zip(observables._starts(grid), observables._starts(want)):
+            assert np.array_equal(got, ref)
 
 
 def test_newton_drops_frozen_starts(monkeypatch):

@@ -7,8 +7,9 @@ and of the 41x41 four-mode diagram, so each chunk is the whole diagram
 (1681 points), and times, for each chunk, the layers
 the chunk engine runs: validate + derive, `classify_batch`, `growth_rate`,
 `transfer_matrices`, photon numbers + single-mode minima, and, on the
-degenerate chunk, the collective search's grid + starts (`_grid`,
-`_starts`) and its Newton refinement, as `stack_observables` runs them.
+degenerate chunk, the collective search's parts as `stack_observables`
+runs them: its coefficients (`_collective_coefficients`), its 64-phase grid
+(`_grid`), the grid starts (`_starts`) and their Newton refinement.
 Each layer takes the previous layers' results as inputs, made before
 timing.  The rounds interleave the layers and the two chunks; the table
 gives each layer's median and quartiles [ms], the sum of the layers the
@@ -16,8 +17,8 @@ engine runs for the chunk's quantities (neither diagram asks for the growth
 rate, marked *), and the whole chunk through the engine (`scan._evaluate`)
 for comparison.  A last table times the collective search of one matrix
 (`collective_min_variance` on the README point kappa = 3, eta_s = 1,
-delta_s = 10, L = 2) and its two parts [us].  OpenBLAS runs on one thread,
-as in a single-process scan on a busy host.
+delta_s = 10, L = 2) and its grid, starts and refinement [us].  OpenBLAS
+runs on one thread, as in a single-process scan on a busy host.
 """
 
 import os
@@ -55,11 +56,12 @@ def layers(spec) -> dict:
     if "minvar_c" in spec.quantities:
         rows = np.moveaxis(t, (-2, -1), (0, 1))
 
-        def grid_and_starts():
-            c = observables._collective_coefficients(rows[0], rows[2])
-            return c, observables._starts(observables._grid(c))
+        def coefficients():
+            return observables._collective_coefficients(rows[0], rows[2])
 
-        c, (points, phases) = grid_and_starts()
+        c = coefficients()
+        values = observables._grid(c)
+        points, phases = observables._starts(values)
 
         def refinement():  # as stack_observables refines the starts
             starts = [v[points] for v in c]
@@ -68,7 +70,9 @@ def layers(spec) -> dict:
             np.minimum.at(minimum, points, observables._collective_variance(starts, np.exp)(d))
             return minimum
 
-        out["collective grid + starts"] = grid_and_starts
+        out["collective coefficients"] = coefficients
+        out["collective grid (_grid)"] = lambda: observables._grid(c)
+        out["collective starts (_starts)"] = lambda: observables._starts(values)
         out["collective refinement"] = refinement
     out["whole chunk (scan._evaluate)"] = lambda: scan._evaluate(
         batch, spec.quantities, spec.solver)
@@ -82,13 +86,15 @@ def one_matrix() -> dict:
     a_row, _, b_row, _ = m.rows
     c = observables._collective_coefficients(a_row, b_row)
 
-    def grid_and_starts():
+    def grid():
         with np.errstate(over="ignore", invalid="ignore"):
-            return observables._starts(observables._grid(c)[None])
+            return observables._grid(c)
 
-    _, phases = grid_and_starts()
+    values = grid()[None]
+    _, phases = observables._starts(values)
     return {"collective_min_variance": lambda: observables.collective_min_variance(m),
-            "grid + starts": grid_and_starts,
+            "grid (_grid)": grid,
+            "starts (_starts)": lambda: observables._starts(values),
             "refinement": lambda: [observables._newton(c, k * observables._STEP, cmath.exp)
                                    for k in phases.tolist()]}
 
