@@ -60,7 +60,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .bogoliubov import BogoliubovMatrix
+from .bogoliubov import _SWAP, BogoliubovMatrix
 from .characteristic import QuarticRoots, solve_quartic
 from .params import ModelParams, derive, is_degenerate
 
@@ -254,20 +254,19 @@ _PADE13_IDENTITY = np.multiply.outer((0.0, 0.0, _PADE13[1], _PADE13[0]),
 #
 # The rows form of a degenerate point.  There X = G z - i h I, h =
 # delta_tilde z / 2, equals P conj(X) P, P exchanging entries 0 <-> 1 and
-# 2 <-> 3: rows 1 and 3 of X are rows 0 and 2 conjugated, with the columns of
-# each pair (0, 1), (2, 3) exchanged.  Products, sums with real coefficients
-# and inverses keep that symmetry, so exp(X) is taken on rows 0 and 2 alone,
-# viewed as 2 x 8 reals: the rows of X Y are rows(X) @ right(Y), with right(Y)
-# read from the rows of Y.  An entry that vanishes in every factor (the
-# creation entries of a mode that does not squeeze) is then a sum of exact
-# zeros, and T's idler rows are the exact conjugates of its signal rows.
+# 2 <-> 3 (the signal/idler exchange _SWAP of T's layout): rows 1 and 3 of X
+# are rows 0 and 2 conjugated, with the columns of each pair (0, 1), (2, 3)
+# exchanged.  Products, sums with real coefficients and inverses keep that
+# symmetry, so exp(X) is taken on rows 0 and 2 alone, viewed as 2 x 8 reals:
+# the rows of X Y are rows(X) @ right(Y), with right(Y) read from the rows of
+# Y.  An entry that vanishes in every factor (the creation entries of a mode
+# that does not squeeze) is then a sum of exact zeros, and T's idler rows are
+# the exact conjugates of its signal rows.
 
-#: the exchange P
-_P = [1, 0, 3, 2]
 #: the full matrices of the rows forms whose 16 reals are the unit vectors
 _UNITS_FULL = np.zeros((16, 4, 4), dtype=complex)
 _UNITS_FULL[:, ::2] = np.identity(16).view(complex).reshape(16, 2, 4)
-_UNITS_FULL[:, 1::2] = _UNITS_FULL[:, ::2, _P].conj()
+_UNITS_FULL[:, 1::2] = _UNITS_FULL[:, ::2, _SWAP].conj()
 #: rows form, as 16 reals -> its full matrix, as 32 reals
 _FULL = _UNITS_FULL.view(float).reshape(16, 32)
 #: rows forms of V and U side by side, as 32 reals -> the full matrices
@@ -309,7 +308,7 @@ def _expm(g: np.ndarray) -> np.ndarray:
     rows = g.shape[-2] == 2
     col = np.abs(g).sum(axis=-2, keepdims=True)
     if rows:  # column j of the full matrix holds rows 0 and 2 at j and P j
-        col = col + col[..., _P]
+        col = col + col[..., _SWAP]
     norm = col.max(axis=-1, keepdims=True)
     table, identity = ((_RIGHT_ROWS, _PADE13_IDENTITY[..., ::2, :]) if rows
                        else (_RIGHT_FULL, _PADE13_IDENTITY))

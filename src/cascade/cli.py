@@ -45,10 +45,14 @@ _PARAM_FLAGS = (
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
     for flag, help_text in _PARAM_FLAGS:
         p.add_argument(f"--{flag}", type=float, default=None, help=help_text)
-    p.add_argument("--degenerate", action="store_true",
-                   help="enforce eta_i = eta_s and delta_i = delta_s [dimensionless]")
-    p.add_argument("--three-mode", action="store_true",
-                   help="zero the idler up-conversion arm (eta_i = 0, delta_i = 0)")
+    # the two configurations contradict each other: together a usage error
+    configuration = p.add_mutually_exclusive_group()
+    configuration.add_argument("--degenerate", action="store_true",
+                               help="enforce eta_i = eta_s and delta_i = delta_s "
+                                    "[dimensionless]")
+    configuration.add_argument("--three-mode", action="store_true",
+                               help="zero the idler up-conversion arm (eta_i = 0, "
+                                    "delta_i = 0)")
     p.add_argument("--config", type=str, default=None,
                    help="JSON parameter file; explicit flags win on conflict")
 

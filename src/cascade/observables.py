@@ -19,14 +19,15 @@ exact for any matrix satisfying the canonical normalization.
 The balanced collective mode (a + e^{i delta} b)/sqrt(2) is minimized over
 the relative phase as well.  Its N, F and Lagrange-identity term are
 trigonometric polynomials of degree two in delta, so seven complex
-coefficients of T describe it, and the exact derivatives of its logarithm,
-at every phase (_collective_coefficients, _slopes).  The search evaluates
-a 64-point phase grid in real arithmetic, the polynomials' coefficients
-times constant tables of cos and sin (_grid), and refines its lowest local
-minimum, and the second-lowest where there is one, by safeguarded Newton
-steps (_newton) to a step below 1e-10 rad, each start leaving the working
-arrays once it stops; a search still moving at its cap fails with
-ConvergenceError.
+coefficients of T describe it (_collective_coefficients), and one
+evaluator gives its variance and the exact derivatives of its logarithm at
+any phase (_objective).  The search evaluates a 64-point phase grid in real
+arithmetic, the polynomials' coefficients times constant tables of cos and
+sin (_grid), and refines its lowest local minimum, and the second-lowest
+where there is one, by safeguarded Newton steps (_newton) to a step below
+1e-10 rad, each start leaving the working arrays once it stops; the
+reported minimum is the evaluator's variance at the phase where its start
+stopped, and a search still moving at its cap fails with ConvergenceError.
 
 Every formula takes Python complex values or numpy arrays: the
 single-point functions evaluate one matrix, and :func:`stack_observables`
@@ -208,20 +209,6 @@ def _collective_coefficients(a_row, b_row) -> tuple:
             a0 * b3c - a2 * b1c)
 
 
-def _collective_variance(c: tuple, exp):
-    """Minimal quadrature variance of the collective mode as a function of
-    the relative phase delta, from its coefficients c; exp is cmath.exp for
-    scalars or np.exp for arrays that broadcast against c."""
-    m0, m1, f0, f1, f2, g0, g1, gm1 = c
-
-    def variance(delta):
-        e = exp(1j * delta)
-        gap = abs(g0 + g1 * e + gm1 * e.conjugate()) ** 2
-        return (1.0 + gap) / (m0 + (m1 * e).real + abs(f0 + (f1 + f2 * e) * e))
-
-    return variance
-
-
 #: the trigonometric basis of the grid: rows 1, cos d, sin d, cos 2d and
 #: sin 2d at the grid phases
 _BASIS = np.array([np.ones(_GRID_POINTS), np.cos(_GRID), np.sin(_GRID),
@@ -296,19 +283,24 @@ def _starts(values: np.ndarray) -> tuple:
             np.concatenate([first, minima.argmin(axis=-1)[second]]))
 
 
-def _slopes(c: tuple, d, exp) -> tuple:
-    """h' and h'' at delta = d of h = log g, g the collective variance
-    (1 + |Lc|^2) / (m0 + Re(m1 e) + |F|) of _collective_variance, with
-    Lc = g0 + g1 e + g_{-1} e* and F = f0 + f1 e + f2 e^2: exact
-    derivatives of the trigonometric polynomials.  Squares are products
-    and a vanishing |F| divides by 1 (F = 0 at every phase at T = I), so
-    Python numbers raise nothing here that the variance does not."""
+def _objective(c: tuple, d) -> tuple:
+    """The collective variance g with coefficients c at delta = d, and h'
+    and h'' of h = log g: with e = e^{i d}, Lc = g0 + g1 e + g_{-1} e* and
+    F = f0 + (f1 + f2 e) e,
+
+        g = (1 + |Lc|^2) / (m0 + Re(m1 e) + |F|),
+
+    and the derivatives are exact ones of the trigonometric polynomials.
+    c and d are Python numbers (cmath) or arrays that broadcast (numpy).  A
+    vanishing |F| divides by 1 (F = 0 at every phase at T = I), so Python
+    numbers raise OverflowError where g leaves double precision and
+    nothing else."""
     m0, m1, f0, f1, f2, g0, g1, gm1 = c
-    e = exp(1j * d)
+    e = np.exp(1j * d) if isinstance(d, np.ndarray) else cmath.exp(1j * d)
     ge, gme, fe, ffe, me = g1 * e, gm1 * e.conjugate(), f1 * e, f2 * e * e, m1 * e
     lc, lc1, lc2 = g0 + ge + gme, 1j * (ge - gme), -(ge + gme)
-    f, fd1, fd2 = f0 + fe + ffe, 1j * (fe + 2.0 * ffe), -(fe + 4.0 * ffe)
-    p = 1.0 + (lc * lc.conjugate()).real
+    f, fd1, fd2 = f0 + (f1 + f2 * e) * e, 1j * (fe + 2.0 * ffe), -(fe + 4.0 * ffe)
+    p = 1.0 + abs(lc) ** 2
     p1 = 2.0 * (lc.conjugate() * lc1).real
     p2 = 2.0 * ((lc1 * lc1.conjugate()).real + (lc.conjugate() * lc2).real)
     af = abs(f)
@@ -319,7 +311,7 @@ def _slopes(c: tuple, d, exp) -> tuple:
     q1 = z.real - me.imag
     q2 = (z.imag * z.imag + (f.conjugate() * fd2).real) / af0 - me.real
     r, s = p1 / p, q1 / q
-    return r - s, p2 / p - r * r - q2 / q + s * s
+    return p / q, r - s, p2 / p - r * r - q2 / q + s * s
 
 
 def _where(cond, x, y):
@@ -328,23 +320,22 @@ def _where(cond, x, y):
     return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
 
 
-def _step(c: tuple, d, lo, hi, exp) -> tuple:
+def _step(c: tuple, d, lo, hi) -> tuple:
     """One safeguarded Newton step of _newton from d in the bracket
-    [lo, hi]: the next iterate, the shrunk bracket, and whether the start
-    still moves (elementwise for arrays)."""
-    h1, h2 = _slopes(c, d, exp)
+    [lo, hi]: the variance at d, the next iterate, the shrunk bracket, and
+    whether the start still moves (elementwise for arrays)."""
+    g, h1, h2 = _objective(c, d)
     lo, hi = _where(h1 < 0, d, lo), _where(h1 > 0, d, hi)
     newton = d - h1 / (h2 + (h2 == 0))  # at h2 = 0 it bisects: no step
     nxt = _where((h2 > 0) & (lo <= newton) & (newton <= hi), newton, (lo + hi) / 2)
-    return nxt, lo, hi, (abs(nxt - d) > _TOL) & (abs(h1) * (hi - lo) > _FLAT)
+    return g, nxt, lo, hi, (abs(nxt - d) > _TOL) & (abs(h1) * (hi - lo) > _FLAT)
 
 
-def _newton(c: tuple, d, exp) -> tuple:
+def _newton(c: tuple, d) -> tuple:
     """Refine grid starts d to a local minimum of the collective variance
     with coefficients c, by Newton steps on h' with a bisection safeguard
     (Numerical Recipes, 3rd ed., section 9.4).  d and c are Python numbers
-    with exp=cmath.exp (one start), or arrays of one shape (n,) with
-    exp=np.exp.
+    (one start), or arrays of one shape (n,).
 
     Each start keeps a closed bracket, at first one grid spacing on either
     side, which the sign of h' shrinks to one side of the iterate.  It
@@ -354,28 +345,28 @@ def _newton(c: tuple, d, exp) -> tuple:
     working arrays (its coefficients, iterate and bracket) and is written
     to the output at its index; the loop runs until no start moves, for at
     most _MAX_STEPS steps.  Every test is elementwise, so no start depends
-    on the others.  Returns the refined phases and whether each start was
-    still moving after the last step."""
+    on the others.  Returns the iterate each start stopped on (its last
+    evaluated one), the variance there, and whether the start was still
+    moving after the last step."""
     lo, hi = d - _STEP, d + _STEP
     if not isinstance(d, np.ndarray):  # one start
-        for _ in range(_MAX_STEPS):
-            nxt, lo, hi, moving = _step(c, d, lo, hi, exp)
-            if not moving:
-                return d, False
+        for k in range(_MAX_STEPS):
+            g, nxt, lo, hi, moving = _step(c, d, lo, hi)
+            if not moving or k == _MAX_STEPS - 1:
+                return d, g, moving
             d = nxt
-        return d, True
-    out, at = d.copy(), np.arange(len(d))
+    out, values, at = np.empty_like(d), np.empty_like(d), np.arange(len(d))
     for _ in range(_MAX_STEPS):
-        nxt, lo, hi, moving = _step(c, d, lo, hi, exp)
-        out[at] = np.where(moving, nxt, d)
+        g, nxt, lo, hi, moving = _step(c, d, lo, hi)
+        out[at], values[at] = d, g
         keep = np.flatnonzero(moving)
         if not len(keep):
-            return out, np.zeros(len(out), dtype=bool)
+            return out, values, np.zeros(len(out), dtype=bool)
         at, d, lo, hi = at[keep], nxt[keep], lo[keep], hi[keep]
         c = [v[keep] for v in c]
     still = np.zeros(len(out), dtype=bool)
     still[at] = True
-    return out, still
+    return out, values, still
 
 
 def collective_min_variance(m: BogoliubovMatrix) -> SqueezingReport:
@@ -388,8 +379,9 @@ def collective_min_variance(m: BogoliubovMatrix) -> SqueezingReport:
     1 + N_a + N_b + 2 Re[G e^{i d}] - |F(d)| cancels at high gain).  The
     lowest local minimum of a 64-point grid over [0, 2 pi), and the
     second-lowest where there is one (see _starts), are each refined by
-    safeguarded Newton steps (see _newton), and the lower one is reported:
-    the same starts and steps :func:`stack_observables` runs on arrays.
+    safeguarded Newton steps (see _newton), and the lower of the variances
+    where they stopped is reported: the same starts and steps
+    :func:`stack_observables` runs on arrays.
     Since the report minimizes over the phase, bare carrier wavevectors
     (which only shift it) never enter.  OverflowError where the variance
     leaves double precision; ConvergenceError where a start is still moving
@@ -399,14 +391,12 @@ def collective_min_variance(m: BogoliubovMatrix) -> SqueezingReport:
     a_row, _, b_row, _ = m.rows
     try:
         c = _collective_coefficients(a_row, b_row)
-        variance = _collective_variance(c, cmath.exp)
         with np.errstate(over="ignore", invalid="ignore"):
             grid = _grid(c)
         _, phases = _starts(grid[None])
         best = None
         for k in phases.tolist():
-            d, moving = _newton(c, k * _STEP, cmath.exp)
-            value = variance(d)
+            d, value, moving = _newton(c, k * _STEP)
             if moving:
                 raise unconverged()
             if best is None or value < best[0]:
@@ -443,8 +433,7 @@ def stack_observables(t: np.ndarray, quantities) -> dict:
         c = _collective_coefficients(rows[0], rows[2])
         points, phases = _starts(_grid(c))
         c = [v[points] for v in c]
-        d, moving = _newton(c, phases * _STEP, np.exp)
-        values = _collective_variance(c, np.exp)(d)
+        _, values, moving = _newton(c, phases * _STEP)
         out["minvar_c"] = np.full(len(t), np.inf)
         np.minimum.at(out["minvar_c"], points, values)
         out["unconverged"] = np.zeros(len(t), dtype=bool)

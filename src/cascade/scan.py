@@ -37,8 +37,9 @@ from .characteristic import classify_batch, growth_rate
 from .observables import (DEGENERATE_ONLY, MISMATCHES, averaged_model,
                           mismatch_overflow, pdc_only_reference, stack_observables,
                           unconverged)
-from .params import (ModelParams, derive, is_degenerate, record_first,
-                     validate, validate_batch)
+from .params import (ModelParams, _convert, _entry, derive, is_degenerate,
+                     params_from_dict, params_to_dict, record_first, validate,
+                     validate_batch)
 
 QUANTITIES = ("regime", "n_as", "n_ai", "n_bs", "n_bi",
               "minvar_a", "minvar_b", "minvar_c", "growth_rate")
@@ -99,8 +100,6 @@ class ScanSpec:
             raise ValueError(f"unknown solver {self.solver!r}")
 
     def to_dict(self) -> dict:
-        from .params import params_to_dict
-
         d = {
             "base": params_to_dict(self.base),
             "axis1": asdict(self.axis1),
@@ -116,7 +115,6 @@ class ScanSpec:
     def from_dict(cls, data: dict) -> "ScanSpec":
         """The spec of a decoded JSON document; ValueError naming a missing
         or malformed key."""
-        from .params import _convert, _entry, params_from_dict
 
         def _axis(key: str) -> AxisSpec:
             a = _entry(data, key, "scan spec")

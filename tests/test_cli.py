@@ -99,6 +99,18 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["regime"] == "I"
 
+    @pytest.mark.parametrize("command", ["classify", "solve"])
+    def test_degenerate_and_three_mode_exclude_each_other(self, capsys, command):
+        # the two configurations contradict each other: asking for both is a
+        # usage error (exit 2), not a silently built three-mode point
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--kappa", "3", "--eta-s", "1", "--delta-s", "2",
+                  "--degenerate", "--three-mode", "--length", "2"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "not allowed with argument" in out.err
+
 
 class TestCompare:
     def test_no_upconversion_columns_identical(self, capsys):
@@ -247,12 +259,14 @@ def test_solve_and_analytic_scan_load_no_process_pool(tmp_path):
 
 @pytest.mark.parametrize("kappa, message", [
     ("100", "minvar_a exceeds double precision"),
+    ("178", "photon number exceeds double precision"),
     ("400", "transfer matrix entries exceed double precision"),
-], ids=["100", "400"])
+], ids=["100", "178", "400"])
 def test_solve_beyond_double_precision_exits_2(kappa, message):
-    # at kappa = 100 the squeezing minimum's terms overflow, at 400 the
-    # transfer matrix itself: both are a documented exit 2, not a traceback,
-    # with the message a scan's chunk engine gives the same value
+    # at kappa = 100 the squeezing minimum's terms overflow, at 178 the
+    # photon numbers, at 400 the transfer matrix itself: each is a
+    # documented exit 2, not a traceback, with the message a scan's chunk
+    # engine gives the same value
     argv = ["solve", "--kappa", kappa, "--eta-s", "1", "--delta-s", "3",
             "--degenerate", "--length", "2"]
     env = dict(os.environ, PYTHONPATH=str(Path(cascade.__file__).parents[1]))

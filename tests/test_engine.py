@@ -402,9 +402,9 @@ def test_collective_search_refines_only_grid_minima(monkeypatch):
     # second local minimum (a point without one is flat)
     calls, newton = [], observables._newton
 
-    def counting(c, d, exp):
+    def counting(c, d):
         calls.append(np.size(d))
-        return newton(c, d, exp)
+        return newton(c, d)
 
     monkeypatch.setattr(observables, "_newton", counting)
     spec = scan.degenerate_diagram_spec(count=41)
@@ -472,7 +472,7 @@ def test_collective_search_of_a_point_ignores_its_stack():
         c = observables._collective_coefficients(rows[0], rows[2])
         points, phases = observables._starts(observables._grid(c))
         c = [v[points] for v in c]
-        d, _ = observables._newton(c, phases * observables._STEP, np.exp)
+        d, _, _ = observables._newton(c, phases * observables._STEP)
         _, _, f0, f1, f2, _, _, _ = c
         e = np.exp(1j * d)
         theta = (math.pi - np.angle(f0 + (f1 + f2 * e) * e)) / 2
@@ -524,7 +524,7 @@ def test_real_grid_matches_the_complex_variance():
     c = _degenerate_stack(19, 400, 40.0)
     m0, m1, _, _, _, g0, g1, gm1 = c
     grid = observables._grid(c)
-    want = observables._collective_variance([v[:, None] for v in c], np.exp)(observables._GRID)
+    want = observables._objective([v[:, None] for v in c], observables._GRID)[0]
     assert grid.shape == (400, observables._GRID_POINTS) and np.isfinite(grid).all()
     s = abs(g0) + abs(g1) + abs(gm1)
     scale = np.maximum(want, ((1 + s * s) / (m0 - abs(m1)))[:, None])
@@ -572,16 +572,16 @@ def test_newton_drops_frozen_starts(monkeypatch):
     # each step evaluates only the starts still moving: on the first chunk
     # of the 41x41 diagram (the whole diagram) the counts never grow, and
     # the last step evaluates fewer than a tenth of the starts
-    counts, slopes = [], observables._slopes
+    counts, objective = [], observables._objective
     spec = scan.degenerate_diagram_spec(count=41)
     batch = scan._grid_params(spec, scan._grid(spec)[:scan.CHUNK_POINTS])
     t = analytic.transfer_matrices(batch, batch.length)
 
-    def counting(c, d, exp):
+    def counting(c, d):
         counts.append(np.size(d))
-        return slopes(c, d, exp)
+        return objective(c, d)
 
-    monkeypatch.setattr(observables, "_slopes", counting)
+    monkeypatch.setattr(observables, "_objective", counting)
     with np.errstate(all="ignore"):
         out = observables.stack_observables(t, ("minvar_c",))
     starts = counts[0]

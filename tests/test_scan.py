@@ -9,7 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from cascade.observables import photon_numbers, single_mode_min_variance
+from cascade.observables import (averaged_model, photon_numbers,
+                                 single_mode_min_variance)
 from cascade import scan
 from cascade.params import ModelParams, degenerate_params, params_to_dict, validate
 from cascade.scan import (AxisSpec, ScanSpec, degenerate_diagram_spec, emit,
@@ -284,3 +285,24 @@ def test_cross_check_without_matrix_quantities_solves_nothing(monkeypatch, quant
     res = run_scan(spec, cross_check=True)
     assert res.cross_check_violations == []
     assert len(res.rows) == 21 * 21
+
+
+def test_averaged_cross_check_solves_the_averaged_model(monkeypatch):
+    # the oracle re-solves the averaged model of each sampled point of an
+    # averaged scan, not the mismatched point itself, and agrees with it
+    solved, oracle_matrices = [], scan._oracle_matrices
+
+    def recording(points, workers=1):
+        solved.extend(points)
+        return oracle_matrices(points, workers)
+
+    monkeypatch.setattr(scan, "_oracle_matrices", recording)
+    spec = dataclasses.replace(degenerate_diagram_spec(count=9), solver="averaged")
+    res = run_scan(spec, cross_check=True, seed=0)
+    averaged = {(q.kappa, q.eta_s, q.eta_i, q.length): q for q in (
+        averaged_model(point_params(spec, v1, v2)) for v1, v2 in scan._grid(spec))}
+    assert solved and not res.failures
+    for p in solved:
+        assert (p.delta_tilde, p.delta_s, p.delta_i) == (0.0, 0.0, 0.0), p
+        assert (p.kappa, p.eta_s, p.eta_i, p.length) in averaged, p
+    assert res.cross_check_violations == []

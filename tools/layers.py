@@ -25,7 +25,6 @@ import os
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads OpenBLAS
 
-import cmath  # noqa: E402
 import statistics  # noqa: E402
 import time  # noqa: E402
 
@@ -65,9 +64,9 @@ def layers(spec) -> dict:
 
         def refinement():  # as stack_observables refines the starts
             starts = [v[points] for v in c]
-            d, _ = observables._newton(starts, phases * observables._STEP, np.exp)
+            _, values, _ = observables._newton(starts, phases * observables._STEP)
             minimum = np.full(len(t), np.inf)
-            np.minimum.at(minimum, points, observables._collective_variance(starts, np.exp)(d))
+            np.minimum.at(minimum, points, values)
             return minimum
 
         out["collective coefficients"] = coefficients
@@ -95,7 +94,7 @@ def one_matrix() -> dict:
     return {"collective_min_variance": lambda: observables.collective_min_variance(m),
             "grid (_grid)": grid,
             "starts (_starts)": lambda: observables._starts(values),
-            "refinement": lambda: [observables._newton(c, k * observables._STEP, cmath.exp)
+            "refinement": lambda: [observables._newton(c, k * observables._STEP)
                                    for k in phases.tolist()]}
 
 

@@ -3,15 +3,19 @@
     PYTHONPATH=src python tools/outputs.py DIR
 
 runs the two diagram scans (41x41, on 1 and on 2 workers), a 4x3 oracle
-scan, the averaged solver on the 41x41 four-mode diagram and on a 9x9
-degenerate diagram with the oracle cross-check (as JSON), `solve` with each
-solver and `classify` on the README points, `sweep-gain` for two families,
-`compare` on the README point, and `solve` (analytic and averaged) and
-`classify` on a general and a three-mode point, each into its own file under
-DIR; the four `classify` files cover its degenerate, three-mode and general
-labels.  (`compare` exits 2 on a point that is not degenerate, since it
-prints squeezing.)  Run it against two source trees and compare the
-directories with `tools/drift.py` to see which outputs a change moves.
+scan, the overflow-boundary scan (the degenerate diagram's quantities at
+eta_s = 1, L = 2, |kappa| 1..400 cm^-1 in 401 steps against delta_s
+-10..10 cm^-1 in 21; about three quarters of its points are failure rows,
+so a drift shows whether failure rows or high-gain values move), the
+averaged solver on the 41x41 four-mode diagram and on a 9x9 degenerate
+diagram with the oracle cross-check (as JSON), `solve` with each solver and
+`classify` on the README points, `sweep-gain` for two families, `compare`
+on the README point, and `solve` (analytic and averaged) and `classify` on
+a general and a three-mode point, each into its own file under DIR; the
+four `classify` files cover its degenerate, three-mode and general labels.
+(`compare` exits 2 on a point that is not degenerate, since it prints
+squeezing.)  Run it against two source trees and compare the directories
+with `tools/drift.py` to see which outputs a change moves.
 """
 
 import dataclasses
@@ -20,6 +24,7 @@ import sys
 from pathlib import Path
 
 from cascade.cli import main
+from cascade.params import degenerate_params
 from cascade.scan import (AxisSpec, degenerate_diagram_spec,
                           four_mode_diagram_spec)
 
@@ -65,6 +70,11 @@ def write_outputs(out: Path) -> None:
     oracle = dataclasses.replace(degenerate_diagram_spec(count=4), solver="oracle",
                                  axis2=AxisSpec("eta_s_abs", 0.0, 8.0, 3))
     scan(out, "oracle_scan", oracle, 2)
+    boundary = dataclasses.replace(degenerate_diagram_spec(),
+                                   base=degenerate_params(1, 1, 0, 0, 2),
+                                   axis1=AxisSpec("kappa_abs", 1.0, 400.0, 401),
+                                   axis2=AxisSpec("delta_s", -10.0, 10.0, 21))
+    scan(out, "overflow_boundary_scan", boundary, 1)
     scan(out, "four_mode_diagram_averaged",
          dataclasses.replace(four_mode_diagram_spec(count=41), solver="averaged"), 1)
     scan(out, "degenerate_diagram_averaged",
