@@ -56,13 +56,12 @@ ill-conditioned, in which case MultipleRootsError is raised.
 from __future__ import annotations
 
 import cmath
-from dataclasses import fields
 
 import numpy as np
 
 from .bogoliubov import _SWAP, BogoliubovMatrix
 from .characteristic import QuarticRoots, solve_quartic
-from .params import ModelParams, derive, is_degenerate
+from .params import ModelParams, derive, is_degenerate, select
 
 #: estimated relative forward error above which the Vandermonde solve is
 #: considered unusable (MultipleRootsError)
@@ -428,16 +427,11 @@ def transfer_matrices(params: ModelParams, z) -> np.ndarray:
     degenerate = is_degenerate(params)
     t = np.empty(degenerate.shape + (4, 4), dtype=complex)
     if degenerate.any():
-        phases, x = _row_generators(_select(params, degenerate), z[degenerate])
+        phases, x = _row_generators(select(params, degenerate), z[degenerate])
         t[degenerate] = _full(phases * _expm(x))
     if not degenerate.all():
         rest = ~degenerate
-        phases, gz = _generators(_select(params, rest), z[rest][:, None, None])
+        phases, gz = _generators(select(params, rest), z[rest][:, None, None])
         t[rest] = phases * _expm(gz)
     return t
 
-
-def _select(params: ModelParams, mask: np.ndarray) -> ModelParams:
-    """The points of a batch where mask holds, as a batch (n,)."""
-    return ModelParams(*(np.asarray(getattr(params, f.name))[mask]
-                         for f in fields(ModelParams)))

@@ -23,8 +23,8 @@ import sys
 
 from .characteristic import classify, roots_to_json, solve_quartic
 from .observables import ConvergenceError, observables_summary
-from .params import (ModelParams, derive, params_from_dict, params_to_dict,
-                     validate)
+from .params import (COUPLINGS, FIELDS, ModelParams, derive, params_from_dict,
+                     params_to_dict, unit_phase, validate)
 from .scan import (SOLVERS, ScanSpec, compare_point, emit, run_scan,
                    solve_point, sweep_gain)
 
@@ -58,39 +58,24 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _build_params(args: argparse.Namespace) -> ModelParams:
-    base = {
-        "kappa": [0.0, 0.0], "eta_s": [0.0, 0.0], "eta_i": [0.0, 0.0],
-        "delta_tilde": 0.0, "delta_s": 0.0, "delta_i": 0.0, "length": 1.0,
-    }
+    base = params_to_dict(ModelParams(0j, 0j, 0j, 0.0, 0.0, 0.0, 1.0))
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError("--config must hold a JSON object")
         base.update(config)
-    p = params_from_dict(base)
-
-    def flag(name):
-        return getattr(args, name.replace("-", "_"))
-
-    def coupling(mag_flag, phase_flag, current: complex) -> complex:
-        mag = flag(mag_flag)
-        phase = flag(phase_flag)
-        if mag is None and phase is None:
-            return current
-        m = mag if mag is not None else abs(current)
-        ph = phase if phase is not None else (cmath.phase(current) if current != 0 else 0.0)
-        return m * cmath.exp(1j * ph)
-
-    kw = dict(
-        kappa=coupling("kappa", "kappa-phase", p.kappa),
-        eta_s=coupling("eta-s", "eta-s-phase", p.eta_s),
-        eta_i=coupling("eta-i", "eta-i-phase", p.eta_i),
-        delta_tilde=flag("delta-tilde") if flag("delta-tilde") is not None else p.delta_tilde,
-        delta_s=flag("delta-s") if flag("delta-s") is not None else p.delta_s,
-        delta_i=flag("delta-i") if flag("delta-i") is not None else p.delta_i,
-        length=flag("length") if flag("length") is not None else p.length,
-    )
+    kw = dict(vars(params_from_dict(base)))
+    # a flag of the magnitude or of the phase keeps the coupling's other part
+    for name in COUPLINGS:
+        mag, phase = getattr(args, name), getattr(args, f"{name}_phase")
+        if mag is not None or phase is not None:
+            z = kw[name]
+            kw[name] = (abs(z) if mag is None else mag) * (
+                unit_phase(z) if phase is None else cmath.exp(1j * phase))
+    for name in FIELDS[3:]:
+        if getattr(args, name) is not None:
+            kw[name] = getattr(args, name)
     if args.degenerate:
         kw["eta_i"] = kw["eta_s"]
         kw["delta_i"] = kw["delta_s"]

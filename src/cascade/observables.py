@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogoliubov import BogoliubovMatrix
-from .params import ModelParams, validate
+from .params import COUPLINGS, FIELDS, ModelParams, validate
 
 
 @dataclass(frozen=True)
@@ -526,7 +526,7 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 #: the mismatches, in the order the averaged model checks their products
 #: with the length
-MISMATCHES = ("delta_tilde", "delta_s", "delta_i")
+MISMATCHES = FIELDS[3:6]
 
 
 def mismatch_overflow(name: str) -> OverflowError:
@@ -550,8 +550,8 @@ def averaged_model(params: ModelParams) -> ModelParams:
     double precision raises :func:`mismatch_overflow`, where a batch gives
     it NaN couplings and the engine records that error as its failure."""
     L = params.length
-    couplings = (params.kappa, params.eta_s, params.eta_i)
-    mismatches = (params.delta_tilde, params.delta_s, params.delta_i)
+    couplings = [getattr(params, name) for name in COUPLINGS]
+    mismatches = [getattr(params, name) for name in MISMATCHES]
     if not isinstance(L, np.ndarray):  # one point
         validate(params)
         for name, d in zip(MISMATCHES, mismatches):

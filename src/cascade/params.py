@@ -19,6 +19,12 @@ Units are fixed: cm^-1 for couplings and mismatches, cm for lengths.  There
 is no unit-system abstraction.  The degenerate two-mode configuration is not
 a separate type; it is the constraint eta_i = eta_s, delta_i = delta_s (see
 :func:`degenerate_params`).
+
+This module is the one that knows a point's fields: FIELDS lists them in
+the order above and COUPLINGS the complex ones, and every other module
+reads the names from here.  It also owns the batch form of a point, a
+ModelParams whose fields are arrays over many points (:func:`stack`,
+:func:`unstack`, :func:`broadcast`, :func:`select`).
 """
 
 from __future__ import annotations
@@ -52,6 +58,12 @@ class ModelParams:
                        delta_s=self.delta_i, delta_i=self.delta_s)
 
 
+#: a point's fields in declaration order: three complex couplings, three
+#: real mismatches, the crystal length
+FIELDS = tuple(ModelParams.__dataclass_fields__)
+COUPLINGS = FIELDS[:3]
+
+
 @dataclass(frozen=True)
 class DerivedParams:
     """Scalar quantities derived from :class:`ModelParams`.
@@ -83,7 +95,7 @@ def validate(params: ModelParams) -> ModelParams:
     Raises ValueError naming the offending field for non-finite entries or a
     negative crystal length.
     """
-    for name in ModelParams.__dataclass_fields__:
+    for name in FIELDS:
         if not cmath.isfinite(getattr(params, name)):
             raise ValueError(f"non-finite parameter: {name}")
     if params.length < 0:
@@ -101,12 +113,44 @@ def validate_batch(params: ModelParams) -> list:
     are arrays of one shape (n,): for each point None, or the ValueError
     validate raises for it."""
     checks = [(~np.isfinite(getattr(params, name)), f"non-finite parameter: {name}")
-              for name in ModelParams.__dataclass_fields__]
+              for name in FIELDS]
     checks.append((params.length < 0, "length must be nonnegative"))
     errors: list = [None] * len(params.length)
     for bad, message in checks:
         record_first(errors, bad, lambda: ValueError(message))
     return errors
+
+
+def stack(points: list) -> ModelParams:
+    """One ModelParams whose fields are arrays over the points."""
+    return ModelParams(*(np.array([getattr(p, f) for p in points]) for f in FIELDS))
+
+
+def unstack(batch: ModelParams) -> list:
+    """The points of a batch as ModelParams of Python numbers."""
+    return [ModelParams(*values)
+            for values in zip(*(getattr(batch, f).tolist() for f in FIELDS))]
+
+
+def broadcast(batch: ModelParams) -> ModelParams:
+    """A batch whose fields are scalars or arrays that broadcast to one
+    shape, as one whose fields are flat arrays (n,): complex couplings, the
+    rest real."""
+    fields = np.broadcast_arrays(*(
+        np.asarray(getattr(batch, f), dtype=complex if f in COUPLINGS else float)
+        for f in FIELDS))
+    return ModelParams(*(np.ravel(f) for f in fields))
+
+
+def select(batch: ModelParams, mask: np.ndarray) -> ModelParams:
+    """The points of a batch where mask holds, as a batch (n,)."""
+    return ModelParams(*(np.asarray(getattr(batch, f))[mask] for f in FIELDS))
+
+
+def unit_phase(z: complex) -> complex:
+    """e^{i arg z}, and 1 at z = 0: the phase a coupling keeps when a scan
+    axis or a command-line flag sets only its magnitude."""
+    return cmath.exp(1j * cmath.phase(z)) if z != 0 else 1.0 + 0j
 
 
 def record_first(errors: list, mask, make) -> None:
@@ -182,15 +226,9 @@ def is_three_mode(params: ModelParams):
 # JSON wire format: complex numbers as [re, im] pairs, field names fixed.
 
 def params_to_dict(params: ModelParams) -> dict:
-    return {
-        "kappa": [params.kappa.real, params.kappa.imag],
-        "eta_s": [params.eta_s.real, params.eta_s.imag],
-        "eta_i": [params.eta_i.real, params.eta_i.imag],
-        "delta_tilde": params.delta_tilde,
-        "delta_s": params.delta_s,
-        "delta_i": params.delta_i,
-        "length": params.length,
-    }
+    values = {name: getattr(params, name) for name in FIELDS}
+    return {name: [v.real, v.imag] if name in COUPLINGS else v
+            for name, v in values.items()}
 
 
 def _entry(data, key: str, what: str):
@@ -218,6 +256,6 @@ def params_from_dict(data: dict) -> ModelParams:
     """ModelParams from the JSON wire format; ValueError naming a missing
     or malformed key."""
     return validate(ModelParams(**{
-        name: _convert(complex if name in ("kappa", "eta_s", "eta_i") else float,
+        name: _convert(complex if name in COUPLINGS else float,
                        _entry(data, name, "parameters"), name)
-        for name in ModelParams.__dataclass_fields__}))
+        for name in FIELDS}))

@@ -4,8 +4,11 @@ One chunk engine, :func:`evaluate_points`, evaluates many points at once:
 every layer (validation, the regime masks, the growth rates, the transfer
 matrices, the photon numbers and squeezing minima) is an array expression
 over the points, and no point's arithmetic depends on its chunk-mates.
-Scans evaluate their grid in grid order, one chunk of CHUNK_POINTS (2048)
-points at a time in the calling process, so a 41x41 diagram is one batch;
+A scan's grid is one flat array of values per axis (axis2 outer, axis1
+inner), and its axes are the fields of :mod:`cascade.params`, which also
+owns the batch form of a point.  Scans evaluate their grid in grid order,
+one chunk of CHUNK_POINTS (2048) points, a slice of the axis arrays, at a
+time in the calling process, so a 41x41 diagram is one batch;
 chunks only bound a batch's memory, and output is byte-identical for any
 chunk size and worker count.  Each chunk pays a fixed cost per layer (the
 Pade steps, the Newton steps of the collective search, the regime masks),
@@ -24,7 +27,6 @@ scan or a sweep.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -37,15 +39,16 @@ from .characteristic import classify_batch, growth_rate
 from .observables import (DEGENERATE_ONLY, MISMATCHES, averaged_model,
                           mismatch_overflow, pdc_only_reference, stack_observables,
                           unconverged)
-from .params import (ModelParams, _convert, _entry, derive, is_degenerate,
-                     params_from_dict, params_to_dict, record_first, validate,
+from .params import (COUPLINGS, FIELDS, ModelParams, _convert, _entry, broadcast,
+                     derive, is_degenerate, params_from_dict, params_to_dict,
+                     record_first, stack, unit_phase, unstack, validate,
                      validate_batch)
 
 QUANTITIES = ("regime", "n_as", "n_ai", "n_bs", "n_bi",
               "minvar_a", "minvar_b", "minvar_c", "growth_rate")
 
-SCALAR_AXES = ("delta_tilde", "delta_s", "delta_i", "length")
-MAGNITUDE_AXES = ("kappa_abs", "eta_s_abs", "eta_i_abs")
+SCALAR_AXES = FIELDS[3:]
+MAGNITUDE_AXES = tuple(f"{name}_abs" for name in COUPLINGS)
 
 SOLVERS = ("analytic", "oracle", "averaged")
 
@@ -57,8 +60,9 @@ CHUNK_POINTS = 2048
 
 _MATRIX_QUANTITIES = ("n_as", "n_ai", "n_bs", "n_bi",
                       "minvar_a", "minvar_b", "minvar_c")
-_COUPLINGS = ("kappa", "eta_s", "eta_i")
-_FIELDS = _COUPLINGS + ("delta_tilde", "delta_s", "delta_i", "length")
+#: the lock of a degenerate scan: each idler-arm field takes the value of
+#: its signal-arm field
+_DEGENERATE_LOCK = {"eta_i": "eta_s", "delta_i": "delta_s"}
 
 
 @dataclass(frozen=True)
@@ -68,11 +72,13 @@ class AxisSpec:
     max: float
     count: int
 
-    def values(self) -> np.ndarray:
-        if self.count < 1:
-            raise ValueError("axis count must be >= 1")
+    def __post_init__(self):
         if self.name not in SCALAR_AXES + MAGNITUDE_AXES:
             raise ValueError(f"unknown axis parameter {self.name!r}")
+        if self.count < 1:
+            raise ValueError("axis count must be >= 1")
+
+    def values(self) -> np.ndarray:
         return np.linspace(self.min, self.max, self.count)
 
 
@@ -81,7 +87,8 @@ class ScanSpec:
     """Grid description: base parameters, one or two axes, the quantities to
     evaluate and the solver.  With degenerate=True the idler-arm parameters
     are locked to the signal arm after each axis application (the natural
-    axes of degenerate-configuration diagrams)."""
+    axes of degenerate-configuration diagrams), so a degenerate spec takes
+    no delta_i or eta_i_abs axis.  The two axes name different parameters."""
 
     base: ModelParams
     axis1: AxisSpec
@@ -98,6 +105,12 @@ class ScanSpec:
             raise ValueError(f"quantities: repeated entry in {list(self.quantities)}")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
+        if self.axis2 is not None and self.axis2.name == self.axis1.name:
+            raise ValueError(f"axis2.name: repeats axis1's parameter {self.axis1.name!r}")
+        for key, axis in (("axis1", self.axis1), ("axis2", self.axis2)):
+            if self.degenerate and axis and axis.name.removesuffix("_abs") in _DEGENERATE_LOCK:
+                raise ValueError(f"{key}.name: a degenerate scan locks {axis.name!r} "
+                                 "to the signal arm")
 
     def to_dict(self) -> dict:
         d = {
@@ -156,13 +169,11 @@ def _apply_axis(fields: dict, name: str, value) -> None:
     if name in SCALAR_AXES:
         fields[name] = value if isinstance(value, np.ndarray) else float(value)
         return
-    field = {"kappa_abs": "kappa", "eta_s_abs": "eta_s", "eta_i_abs": "eta_i"}[name]
-    old = fields[field]
-    phase = cmath.exp(1j * cmath.phase(old)) if old != 0 else 1.0 + 0j
-    fields[field] = value * phase
+    field = name.removesuffix("_abs")
+    fields[field] = value * unit_phase(fields[field])
 
 
-def point_params(spec: ScanSpec, v1, v2) -> ModelParams:
+def point_params(spec: ScanSpec, v1, v2=None) -> ModelParams:
     """The parameters at axis values (v1, v2), v2 None for one axis; arrays
     of axis values give a batch, whose fields the axes do not set stay
     scalars."""
@@ -171,7 +182,8 @@ def point_params(spec: ScanSpec, v1, v2) -> ModelParams:
     if spec.axis2 is not None and v2 is not None:
         _apply_axis(fields, spec.axis2.name, v2)
     if spec.degenerate:
-        fields["eta_i"], fields["delta_i"] = fields["eta_s"], fields["delta_s"]
+        for idler, signal in _DEGENERATE_LOCK.items():
+            fields[idler] = fields[signal]
     return ModelParams(**fields)
 
 
@@ -200,27 +212,6 @@ def solve_point(params: ModelParams, z: float | None = None,
         t = analytic.transfer_matrix(averaged_model(params), z).t
         return BogoliubovMatrix(z, t, is_degenerate(params))
     raise ValueError(f"unknown solver {solver!r}")
-
-
-def _stack(points: list) -> ModelParams:
-    """One ModelParams whose fields are arrays over the points."""
-    return ModelParams(*(np.array([getattr(p, f) for p in points]) for f in _FIELDS))
-
-
-def _unstack(batch: ModelParams) -> list:
-    """The points of a batch as ModelParams of Python numbers."""
-    return [ModelParams(*values)
-            for values in zip(*(getattr(batch, f).tolist() for f in _FIELDS))]
-
-
-def _broadcast(batch: ModelParams) -> ModelParams:
-    """A batch whose fields are scalars or arrays that broadcast to one
-    shape, as one whose fields are flat arrays (n,): complex couplings, the
-    rest real."""
-    fields = np.broadcast_arrays(*(
-        np.asarray(getattr(batch, f), dtype=complex if f in _COUPLINGS else float)
-        for f in _FIELDS))
-    return ModelParams(*(np.ravel(f) for f in fields))
 
 
 def _solved(fn, *args):
@@ -268,7 +259,7 @@ def evaluate_points(points: list, quantities, solver: str) -> list:
     if not points:
         return []
     quantities = tuple(quantities)
-    errs, columns = _evaluate(_broadcast(_stack(points)), quantities, solver)
+    errs, columns = _evaluate(broadcast(stack(points)), quantities, solver)
     rows = zip(*columns.values()) if quantities else [()] * len(errs)
     return [e or dict(zip(quantities, row)) for e, row in zip(errs, rows)]
 
@@ -276,8 +267,9 @@ def evaluate_points(points: list, quantities, solver: str) -> list:
 def _evaluate(batch: ModelParams, quantities: tuple, solver: str,
               workers: int = 1) -> tuple[list, dict]:
     """:func:`evaluate_points` of a batch whose fields are flat arrays (n,),
-    as :func:`_broadcast` gives them: each point's failure (None for none),
-    and each quantity's values as a list.  With solver="oracle" and a matrix
+    as :func:`cascade.params.broadcast` gives them: each point's failure
+    (None for none), and each quantity's values as a list.  With
+    solver="oracle" and a matrix
     quantity requested, the engine runs the ODE solves itself, through
     :func:`_oracle_matrices` on at most workers processes; no other case
     solves anything."""
@@ -315,7 +307,7 @@ def _matrix_values(batch: ModelParams, quantities: tuple, errs: list,
         t = analytic.transfer_matrices(solved, solved.length)
     else:
         t = np.broadcast_to(np.identity(4, dtype=complex), (len(errs), 4, 4)).copy()
-        for k, m in enumerate(_oracle_matrices(_unstack(batch), workers)):
+        for k, m in enumerate(_oracle_matrices(unstack(batch), workers)):
             if isinstance(m, BogoliubovMatrix):
                 t[k] = m.t
             elif errs[k] is None:
@@ -339,7 +331,7 @@ def _compare(batch: ModelParams) -> tuple[list, dict]:
     exact model's, the averaged one's, the plain-PDC reference's) and the
     columns SWEEP_QUANTITIES, from the engine with solver "analytic" and
     "averaged"; the reference is per point."""
-    batch, quantities = _broadcast(batch), ("n_as", "n_bs", "minvar_a")
+    batch, quantities = broadcast(batch), ("n_as", "n_bs", "minvar_a")
     errs, exact = _evaluate(batch, quantities, "analytic")
     averaged_errs, averaged = _evaluate(batch, quantities, "averaged")
     errs = [e or a for e, a in zip(errs, averaged_errs)]
@@ -391,18 +383,11 @@ def _tabulate(names: list, points: list, errors: list, columns: dict) -> tuple[l
     return rows, failures
 
 
-def _grid_params(spec: ScanSpec, points: list) -> ModelParams:
-    """The parameters of grid points (v1, v2) as one flat batch."""
-    return _broadcast(point_params(spec, *(np.array([pt[k] for pt in points])
-                                           for k in (0, 1))))
-
-
 def _grid(spec: ScanSpec) -> list:
-    """Deterministic point order (v1, v2): axis2 outer, axis1 inner."""
-    v1s = [float(v) for v in spec.axis1.values()]
-    if spec.axis2 is None:
-        return [(v1, None) for v1 in v1s]
-    return [(v1, float(v2)) for v2 in spec.axis2.values() for v1 in v1s]
+    """The grid as one flat array of values per axis, in the deterministic
+    point order: axis2 outer, axis1 inner."""
+    axes = [a.values() for a in (spec.axis1, spec.axis2) if a is not None]
+    return [np.ravel(v) for v in np.meshgrid(*axes)]
 
 
 def run_scan(spec: ScanSpec, workers: int = 1, strict: bool = False,
@@ -420,15 +405,16 @@ def run_scan(spec: ScanSpec, workers: int = 1, strict: bool = False,
     if workers < 1:
         raise ValueError("workers must be >= 1")
     grid = _grid(spec)
-    errors, columns = _chunks(len(grid), lambda s: _evaluate(
-        _grid_params(spec, grid[s]), spec.quantities, spec.solver, workers))
+    errors, columns = _chunks(len(grid[0]), lambda s: _evaluate(
+        broadcast(point_params(spec, *(v[s] for v in grid))),
+        spec.quantities, spec.solver, workers))
     violations: list = []
     numeric = tuple(q for q in spec.quantities if q in _MATRIX_QUANTITIES)
     if (cross_check or strict) and numeric and spec.solver != "oracle":
         rng = np.random.default_rng(seed)
-        sampled = [i for i in range(len(grid))
+        sampled = [i for i in range(len(errors))
                    if rng.random() < CROSS_CHECK_FRACTION and errors[i] is None]
-        sample = _grid_params(spec, [grid[i] for i in sampled])
+        sample = broadcast(point_params(spec, *(v[sampled] for v in grid)))
         if spec.solver == "averaged":
             sample = averaged_model(sample)
         ref_errors, refs = _evaluate(sample, numeric, "oracle", workers)
@@ -446,7 +432,7 @@ def run_scan(spec: ScanSpec, workers: int = 1, strict: bool = False,
         raise RuntimeError(f"strict cross-check failed at {points} point(s)")
 
     names = [spec.axis1.name] + ([spec.axis2.name] if spec.axis2 else [])
-    rows, failures = _tabulate(names, [pt[:len(names)] for pt in grid],
+    rows, failures = _tabulate(names, list(zip(*(v.tolist() for v in grid))),
                                errors, columns)
     return ScanResult(spec=spec.to_dict(), rows=rows, failures=failures,
                       cross_check_violations=violations)
@@ -529,12 +515,6 @@ def sweep_gain(delta_s_times_length: float, ratio_r: float,
                       cross_check_violations=[])
 
 
-def _fmt(v) -> str:
-    if isinstance(v, str):
-        return v
-    return format(float(v), ".17g")
-
-
 def emit(result: ScanResult, fmt: str) -> bytes:
     """Serialize a scan: CSV ('.' decimal, LF endings, header mandatory,
     17 significant digits) or JSON {spec, rows, failures}."""
@@ -557,13 +537,13 @@ def emit(result: ScanResult, fmt: str) -> bytes:
     header = columns + (["error"] if with_error else [])
     lines = [",".join(header)]
     if result.rows:
-        # one format per row, what _fmt writes cell by cell; _tabulate gives
-        # every row its keys in the same order
+        # one format per row; _tabulate gives every row its keys in the same
+        # order
         line = ",".join("%s" if isinstance(v, str) else "%.17g"
                         for v in result.rows[0].values()) + ("," if with_error else "")
         lines += [line % tuple(row.values()) for row in result.rows]
     for fail in result.failures:
-        cells = [_fmt(fail[c]) if c in fail else "" for c in columns]
+        cells = ["%.17g" % fail[c] if c in fail else "" for c in columns]
         cells.append(fail["error"])
         lines.append(",".join(cells))
     return ("\n".join(lines) + "\n").encode()

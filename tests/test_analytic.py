@@ -17,8 +17,7 @@ from cascade.observables import pdc_only_reference, photon_numbers
 from cascade.oracle import (canonical_residuals, canonical_residuals_scaled,
                             matrix_at)
 from cascade.params import (ModelParams, degenerate_params, derive,
-                            is_degenerate, three_mode_params, validate)
-from cascade.scan import _stack
+                            is_degenerate, stack, three_mode_params, validate)
 
 
 def make(kappa=0j, eta_s=0j, eta_i=0j, dt=0.0, ds=0.0, di=0.0, L=1.0):
@@ -323,7 +322,7 @@ def test_degenerate_batch_branches_coincide_exactly():
                        delta_tilde=3.0, delta_s=0.0, delta_i=0.0, length=1.5)
     grid = np.linspace(-6.0, 6.0, 9)
     points = [replace(base, delta_s=ds, delta_i=di) for ds in grid for di in grid]
-    t = analytic.transfer_matrices(_stack(points), base.length * np.ones(len(points)))
+    t = analytic.transfer_matrices(stack(points), base.length * np.ones(len(points)))
     degenerate = [k for k, p in enumerate(points) if p.delta_s == p.delta_i]
     assert len(degenerate) == 9
     for k in degenerate:
@@ -350,7 +349,7 @@ def test_real_form_matches_the_complex_exponential(p, frac):
     want = complex_generator_matrix(p, z)
     bound = 1e-13 * np.abs(want).max()
     edges = [replace(p, kappa=0j), replace(p, eta_s=0j, eta_i=0j)]
-    batch = analytic.transfer_matrices(_stack([p] + edges), np.full(3, z))
+    batch = analytic.transfer_matrices(stack([p] + edges), np.full(3, z))
     assert np.abs(transfer_matrix(p, z).t - want).max() <= bound
     assert np.abs(batch[0] - want).max() <= bound
     for q, t in zip(edges, batch[1:]):
@@ -369,7 +368,7 @@ def test_unsqueezed_modes_print_exact_zeros(p):
     x = analytic._full(analytic._row_generators(p, p.length)[1])
     assert np.abs(x).sum(axis=0).max() > analytic._THETA13  # it is squared
     for t in (transfer_matrix(p, p.length).t,
-              analytic.transfer_matrices(_stack([p]), np.array([p.length]))[0]):
+              analytic.transfer_matrices(stack([p]), np.array([p.length]))[0]):
         n = photon_numbers(BogoliubovMatrix(p.length, t))
         assert n.n_bs == 0.0
         if p.kappa == 0:
@@ -389,7 +388,7 @@ def test_unsqueezed_modes_keep_exact_zeros(p, frac):
     # squeeze.  Their creation entries are exactly 0 whatever the scaling.
     z = frac * p.length
     edges = [replace(p, kappa=0j), replace(p, eta_s=0j, eta_i=0j)]
-    batch = analytic.transfer_matrices(_stack(edges), np.full(2, z))
+    batch = analytic.transfer_matrices(stack(edges), np.full(2, z))
     for q, t_batch, zeros in zip(edges, batch, (_A_CREATION + _B_CREATION,
                                                 _B_CREATION)):
         for t in (transfer_matrix(q, z).t, t_batch):
@@ -435,7 +434,7 @@ def test_full_exponential_matches_mpmath():
     # oracle agrees to about 1e-10, scipy's expm is another double-precision
     # exponential
     points = truth_panel()
-    batch = _stack(points)
+    batch = stack(points)
     assert not is_degenerate(batch).any()
     lengths = np.array([p.length for p in points])
     for p, t in zip(points, analytic.transfer_matrices(batch, lengths)):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -9,9 +10,11 @@ from pathlib import Path
 import pytest
 
 import cascade
+from cascade import scan
 from cascade.cli import main
-from cascade.scan import (SWEEP_LENGTH, SWEEP_QUANTITIES, degenerate_diagram_spec,
-                          sweep_gain)
+from cascade.params import degenerate_params
+from cascade.scan import (SWEEP_LENGTH, SWEEP_QUANTITIES, AxisSpec, ScanSpec,
+                          degenerate_diagram_spec, sweep_gain)
 
 
 def run(capsys, *argv):
@@ -321,6 +324,28 @@ def test_scan_threads_below_one_exits_2(capsys, tmp_path, threads):
     code, out, err = run(capsys, "scan", "--spec", str(spec), "--threads", threads)
     assert code == 2 and out == ""
     assert err == "error: workers must be >= 1\n"
+
+
+def test_scan_strict_disagreement_exits_4(capsys, monkeypatch, tmp_path):
+    # a tolerance no solver meets: --strict turns the cross-check's
+    # disagreements into exit 4 and one error line, with no table
+    monkeypatch.setattr(scan, "CROSS_CHECK_RTOL", 1e-16)
+    spec = ScanSpec(base=degenerate_params(3, 1, 0, 0, 2),
+                    axis1=AxisSpec("delta_s", 2.0, 12.0, 40),
+                    quantities=("n_as", "minvar_a"), degenerate=True)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec.to_dict()))
+    code, out, err = run(capsys, "scan", "--spec", str(path), "--strict", "--seed", "3")
+    assert code == 4 and out == ""
+    assert re.fullmatch(r"error: strict cross-check failed at [1-9][0-9]* point\(s\)\n", err)
+
+
+def test_config_holding_an_array_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "p.json"
+    cfg.write_text("[3.0, 1.0]")
+    code, out, err = run(capsys, "solve", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "error: --config must hold a JSON object\n"
 
 
 def test_bad_cascade_threads_fails_scan_only(capsys, monkeypatch, tmp_path):

@@ -24,8 +24,8 @@ from cascade.characteristic import classify
 from cascade.cli import main
 from cascade.observables import (collective_min_variance, photon_numbers,
                                  single_mode_min_variance)
-from cascade.params import (ModelParams, degenerate_params, is_degenerate,
-                            params_to_dict)
+from cascade.params import (ModelParams, broadcast, degenerate_params,
+                            is_degenerate, params_to_dict, stack)
 from cascade.scan import (MAGNITUDE_AXES, QUANTITIES, SCALAR_AXES, AxisSpec,
                           ScanSpec, emit, evaluate_points, run_scan)
 
@@ -287,10 +287,17 @@ def spec_documents(draw):
     (None, "degenerate", "false"),
     ("axis1", "count", 2.7),
     (None, "quantities", ["n_as", "n_as"]),
-], ids=["degenerate-string", "fractional-count", "repeated-quantity"])
+    ("axis1", "name", "delta_i"),
+    ("axis2", "name", "eta_i_abs"),
+    ("axis2", "name", "delta_s"),
+], ids=["degenerate-string", "fractional-count", "repeated-quantity",
+        "degenerate-idler-axis1", "degenerate-idler-axis2", "repeated-axis"])
 def test_malformed_value_exits_2_naming_key(tmp_path, capsys, axis, key, value):
     # each of these used to run: "false" as degenerate, 2.7 as 2 points,
-    # one CSV column for two quantities
+    # one CSV column for two quantities; in the degenerate spec an idler
+    # axis, which the lock overwrites, as one printed row (axis1) or as
+    # mislabelled rows (axis2); a repeated axis as pairs of identical rows
+    # under one column holding axis2's values
     doc = _valid_spec()
     (doc[axis] if axis else doc)[key] = value
     path = tmp_path / "spec.json"
@@ -409,7 +416,8 @@ def test_collective_search_refines_only_grid_minima(monkeypatch):
     monkeypatch.setattr(observables, "_newton", counting)
     spec = scan.degenerate_diagram_spec(count=41)
     run_scan(spec)
-    batch = scan._stack([scan.point_params(spec, v1, v2) for v1, v2 in scan._grid(spec)])
+    batch = stack([scan.point_params(spec, v1, v2)
+                   for v1, v2 in zip(*(v.tolist() for v in scan._grid(spec)))])
     rows = np.moveaxis(analytic.transfer_matrices(batch, batch.length), (-2, -1), (0, 1))
     grid = observables._grid(observables._collective_coefficients(rows[0], rows[2]))
     local = (grid < np.roll(grid, 1, axis=-1)) & (grid <= np.roll(grid, -1, axis=-1))
@@ -463,7 +471,7 @@ def test_collective_search_of_a_point_ignores_its_stack():
                                 rng.uniform(0, 5) * cmath.exp(2j * math.pi * rng.random()),
                                 rng.uniform(-12, 12), rng.uniform(-12, 12), rng.uniform(0.2, 2))
               for _ in range(512)]
-    batch = scan._stack(params)
+    batch = stack(params)
     t = analytic.transfer_matrices(batch, batch.length)
 
     def search(t):
@@ -511,7 +519,7 @@ def _degenerate_stack(seed: int, count: int, kappa_l_max: float) -> tuple:
             rng.uniform(0, kappa_l_max) / length * cmath.exp(2j * math.pi * rng.random()),
             rng.uniform(0, 8) * cmath.exp(2j * math.pi * rng.random()),
             rng.uniform(-20, 20), rng.uniform(-20, 20), length))
-    batch = scan._stack(params)
+    batch = stack(params)
     rows = np.moveaxis(analytic.transfer_matrices(batch, batch.length), (-2, -1), (0, 1))
     return observables._collective_coefficients(rows[0], rows[2])
 
@@ -557,7 +565,8 @@ def test_grid_layout_changes_no_bit():
     # starts, on seeded points and on the 41x41 diagram's chunk, so the
     # summation order is the einsum's, not the layout's
     spec = scan.degenerate_diagram_spec(count=41)
-    batch = scan._grid_params(spec, scan._grid(spec)[:scan.CHUNK_POINTS])
+    batch = broadcast(scan.point_params(
+        spec, *(v[:scan.CHUNK_POINTS] for v in scan._grid(spec))))
     rows = np.moveaxis(analytic.transfer_matrices(batch, batch.length), (-2, -1), (0, 1))
     for c in (_degenerate_stack(19, 400, 40.0),
               observables._collective_coefficients(rows[0], rows[2])):
@@ -574,7 +583,8 @@ def test_newton_drops_frozen_starts(monkeypatch):
     # the last step evaluates fewer than a tenth of the starts
     counts, objective = [], observables._objective
     spec = scan.degenerate_diagram_spec(count=41)
-    batch = scan._grid_params(spec, scan._grid(spec)[:scan.CHUNK_POINTS])
+    batch = broadcast(scan.point_params(
+        spec, *(v[:scan.CHUNK_POINTS] for v in scan._grid(spec))))
     t = analytic.transfer_matrices(batch, batch.length)
 
     def counting(c, d):

@@ -11,7 +11,7 @@ import pytest
 
 from cascade.observables import (averaged_model, photon_numbers,
                                  single_mode_min_variance)
-from cascade import scan
+from cascade import oracle, scan
 from cascade.params import ModelParams, degenerate_params, params_to_dict, validate
 from cascade.scan import (AxisSpec, ScanSpec, degenerate_diagram_spec, emit,
                           point_params, run_scan, solve_point, sweep_gain)
@@ -100,6 +100,24 @@ class TestGridMechanics:
         assert len(res.rows) + len(res.failures) == 3
         assert len(res.failures) == 1
         assert res.failures[0]["error"] == "ValueError"
+
+    def test_failed_oracle_solve_is_a_failure_row(self, monkeypatch):
+        # an ODE solve that raises fails its own point only: the other
+        # points of the oracle scan keep their rows
+        matrix_at = oracle.matrix_at
+
+        def failing(params, z):
+            if params.delta_s == 5.0:
+                raise RuntimeError("integration failed")
+            return matrix_at(params, z)
+
+        monkeypatch.setattr(oracle, "matrix_at", failing)
+        spec = deg_spec(axis1=AxisSpec("delta_s", 0.0, 10.0, 3), axis2=None,
+                        quantities=("n_as",), solver="oracle")
+        res = run_scan(spec)
+        assert res.failures == [{"delta_s": 5.0, "error": "RuntimeError"}]
+        assert [r["delta_s"] for r in res.rows] == [0.0, 10.0]
+        assert all(math.isfinite(r["n_as"]) for r in res.rows)
 
     def test_oscillating_plateau(self):
         # phase-matched strong coupling: occupations flat near sinh^2(kL/2),
@@ -300,7 +318,8 @@ def test_averaged_cross_check_solves_the_averaged_model(monkeypatch):
     spec = dataclasses.replace(degenerate_diagram_spec(count=9), solver="averaged")
     res = run_scan(spec, cross_check=True, seed=0)
     averaged = {(q.kappa, q.eta_s, q.eta_i, q.length): q for q in (
-        averaged_model(point_params(spec, v1, v2)) for v1, v2 in scan._grid(spec))}
+        averaged_model(point_params(spec, v1, v2))
+        for v1, v2 in zip(*(v.tolist() for v in scan._grid(spec))))}
     assert solved and not res.failures
     for p in solved:
         assert (p.delta_tilde, p.delta_s, p.delta_i) == (0.0, 0.0, 0.0), p

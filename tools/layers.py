@@ -32,7 +32,8 @@ import numpy as np  # noqa: E402
 
 from cascade import analytic, observables, scan  # noqa: E402
 from cascade.characteristic import classify_batch, growth_rate  # noqa: E402
-from cascade.params import degenerate_params, derive, validate_batch  # noqa: E402
+from cascade.params import (broadcast, degenerate_params, derive,  # noqa: E402
+                            validate_batch)
 
 ROUNDS = 40
 REPEATS = 50  # calls per round of the one-matrix search, timed together
@@ -40,8 +41,8 @@ REPEATS = 50  # calls per round of the one-matrix search, timed together
 
 def layers(spec) -> dict:
     """{layer: a function of no arguments} for the first chunk of spec."""
-    grid = scan._grid(spec)[:scan.CHUNK_POINTS]
-    batch = scan._grid_params(spec, grid)
+    batch = broadcast(scan.point_params(
+        spec, *(v[:scan.CHUNK_POINTS] for v in scan._grid(spec))))
     t = analytic.transfer_matrices(batch, batch.length)
     single = tuple(q for q in ("minvar_a", "minvar_b") if q in spec.quantities)
     growth = "growth_rate" + ("" if "growth_rate" in spec.quantities else " *")

@@ -8,7 +8,9 @@ eta_s = 1, L = 2, |kappa| 1..400 cm^-1 in 401 steps against delta_s
 -10..10 cm^-1 in 21; about three quarters of its points are failure rows,
 so a drift shows whether failure rows or high-gain values move), the
 averaged solver on the 41x41 four-mode diagram and on a 9x9 degenerate
-diagram with the oracle cross-check (as JSON), `solve` with each solver and
+diagram with the oracle cross-check (as JSON), a one-axis |kappa| scan of
+the general point below (kappa = 2 e^{0.3i}: the phase a magnitude axis
+keeps), `solve` with each solver and
 `classify` on the README points, `sweep-gain` for two families, `compare`
 on the README point, and `solve` (analytic and averaged) and `classify` on
 a general and a three-mode point, each into its own file under DIR; the
@@ -18,14 +20,15 @@ squeezing.)  Run it against two source trees and compare the directories
 with `tools/drift.py` to see which outputs a change moves.
 """
 
+import cmath
 import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from cascade.cli import main
-from cascade.params import degenerate_params
-from cascade.scan import (AxisSpec, degenerate_diagram_spec,
+from cascade.params import ModelParams, degenerate_params
+from cascade.scan import (AxisSpec, ScanSpec, degenerate_diagram_spec,
                           four_mode_diagram_spec)
 
 README_POINTS = {
@@ -80,6 +83,11 @@ def write_outputs(out: Path) -> None:
     scan(out, "degenerate_diagram_averaged",
          dataclasses.replace(degenerate_diagram_spec(count=9), solver="averaged"), 2,
          "--cross-check", "--format", "json", suffix="json")
+    general = ModelParams(kappa=2 * cmath.exp(0.3j), eta_s=1.5 + 0j, eta_i=0.8 + 0j,
+                          delta_tilde=1.0, delta_s=4.0, delta_i=-2.0, length=2.0)
+    scan(out, "kappa_abs_scan",
+         ScanSpec(base=general, axis1=AxisSpec("kappa_abs", 0.0, 8.0, 33),
+                  quantities=("regime", "n_as", "n_ai", "n_bs", "n_bi", "growth_rate")), 1)
     for point, flags in README_POINTS.items():
         for solver in ("analytic", "oracle", "averaged"):
             run(out, f"solve_{point}_{solver}.json", "solve", *flags, "--solver", solver)
