@@ -400,19 +400,26 @@ def _row_generators(params: ModelParams, z) -> tuple:
     return np.exp(1j * angles)[..., None], x.reshape(x.shape[:-1] + (2, 4))
 
 
+def entries_beyond_double() -> OverflowError:
+    """The failure of a transfer matrix with an entry beyond double
+    precision, for one point and for a batch's failure rows."""
+    return OverflowError("transfer matrix entries exceed double precision")
+
+
 def transfer_matrix(params: ModelParams, z: float) -> BogoliubovMatrix:
     """All 16 Bogoliubov functions at z from the rotating-frame matrix
     exponential, valid in every regime; a degenerate point takes the rows
     form.
 
-    Raises OverflowError when an entry exceeds double precision.
+    Raises :func:`entries_beyond_double` when an entry leaves double
+    precision.
     """
     degenerate = is_degenerate(params)
     with np.errstate(all="ignore"):
         phases, g = (_row_generators if degenerate else _generators)(params, z)
         t = phases * _expm(g[None])[0]
     if not np.isfinite(t).all():
-        raise OverflowError("transfer matrix entries exceed double precision")
+        raise entries_beyond_double()
     return BogoliubovMatrix(z, _full(t) if degenerate else t, degenerate)
 
 

@@ -33,7 +33,7 @@ from functools import reduce
 
 import numpy as np
 
-from .params import (DerivedParams, ModelParams, _abs_sq, derive,
+from .params import (DerivedParams, ModelParams, _abs_sq, beyond_double, derive,
                      is_degenerate, is_three_mode)
 
 #: roots closer than MULT_TOL * max(1, max|root|) are flagged as multiple
@@ -171,13 +171,28 @@ def growth_rate(d: DerivedParams, params: ModelParams):
     return out
 
 
-def _label(cases: list, default: Area):
+def _band(scale, k: int):
+    """The zero band CLASS_TOL * scale ** k of a label's V case, a float or
+    an array.  Where it leaves double precision and scale does not, one
+    point fails with beyond_double("regime"), and a batch's band is -inf,
+    which :func:`_label` labels ""."""
+    try:
+        band = CLASS_TOL * scale ** k
+    except OverflowError:  # Python's float ** raises where numpy's gives inf
+        raise beyond_double("regime") from None
+    if isinstance(band, np.ndarray):
+        band[np.isinf(band) & np.isfinite(scale)] = -np.inf
+    return band
+
+
+def _label(cases: list, default: Area, band):
     """The label of the first case whose condition holds, else default.
     Conditions are bools, or boolean arrays of one shape; then the result
-    is an array of label strings."""
-    if isinstance(cases[0][1], np.ndarray):
-        return np.select([c for _, c in cases], [a.value for a, _ in cases],
-                         default.value)
+    is an array of label strings, "" where band, the zero band of the V
+    case (:func:`_band`), is -inf."""
+    if isinstance(band, np.ndarray):
+        return np.select([band == -np.inf] + [c for _, c in cases],
+                         [""] + [a.value for a, _ in cases], default.value)
     for area, condition in cases:
         if condition:
             return area
@@ -186,19 +201,17 @@ def _label(cases: list, default: Area):
 
 def _general_label(d: DerivedParams):
     p, q, r = d.p_coef, d.q_coef, d.r_coef
-    disc = discriminant_general(d)
-    return _label([(Area.V, abs(disc) <= CLASS_TOL * _scale(p, q, r) ** 12),
-                   (Area.II, disc < 0),
-                   (Area.I, (p > 0) & (r < p * p / 4))], Area.III)
+    disc, band = discriminant_general(d), _band(_scale(p, q, r), 12)
+    return _label([(Area.V, abs(disc) <= band), (Area.II, disc < 0),
+                   (Area.I, (p > 0) & (r < p * p / 4))], Area.III, band)
 
 
 def _degenerate_label(d: DerivedParams):
     p, r = d.p_coef, d.r_coef
-    tol = CLASS_TOL * _scale(p, 0.0, r) ** 4
-    quarter = p * p / 4
-    return _label([(Area.V, (abs(r) <= tol) | (abs(r - quarter) <= tol)),
+    band, quarter = _band(_scale(p, 0.0, r), 4), p * p / 4
+    return _label([(Area.V, (abs(r) <= band) | (abs(r - quarter) <= band)),
                    (Area.II, r < 0), (Area.III, r > quarter), (Area.I, p > 0)],
-                  Area.IV)
+                  Area.IV, band)
 
 
 def _three_mode_discriminant(params: ModelParams, d: DerivedParams):
@@ -212,14 +225,23 @@ def _three_mode_discriminant(params: ModelParams, d: DerivedParams):
 
 def _three_mode_label(params: ModelParams, d: DerivedParams):
     p3, q3, d3 = _three_mode_discriminant(params, d)
-    tol = CLASS_TOL * _max(1.0, abs(p3) ** 0.5, abs(q3) ** (1 / 3)) ** 6
-    return _label([(Area.V, abs(d3) <= tol), (Area.II, d3 > 0)], Area.I)
+    band = _band(_max(1.0, abs(p3) ** 0.5, abs(q3) ** (1 / 3)), 6)
+    return _label([(Area.V, abs(d3) <= band), (Area.II, d3 > 0)], Area.I, band)
+
+
+def non_finite_quartic() -> np.linalg.LinAlgError:
+    """The failure of a growth rate whose quartic has a coefficient that is
+    not finite, for one point and for a batch's failure rows: the error
+    numpy's eigenvalue solver raises on such a companion matrix."""
+    return np.linalg.LinAlgError("Array must not contain infs or NaNs")
 
 
 def classify(params: ModelParams) -> Regime:
     """The regime from the most specific label the parameters admit, as
-    :func:`classify_batch` picks it, and :func:`growth_rate`; LinAlgError
-    where a coefficient overflowed.  The special cases are equalities with
+    :func:`classify_batch` picks it, and :func:`growth_rate`.  Raises
+    beyond_double("regime") where a label's zero band leaves double
+    precision (see _band), then :func:`non_finite_quartic` where a
+    coefficient overflowed.  The special cases are equalities with
     no tolerance (:func:`is_degenerate`, :func:`is_three_mode`): a point
     only near one takes the general label.
 
@@ -260,14 +282,15 @@ def classify(params: ModelParams) -> Regime:
         label = _general_label(d)
     rate = growth_rate(d, params)
     if cmath.isnan(rate):
-        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+        raise non_finite_quartic()
     return Regime(label=label, max_growth_rate=rate)
 
 
 def classify_batch(params: ModelParams) -> np.ndarray:
     """The regime label strings ("I".."V") of a batch: params' fields are
     arrays of one shape, and each point gets the label :func:`classify`
-    gives it, from the same masks on P, Q and R."""
+    gives it, from the same masks on P, Q and R, or "" where classify fails
+    with beyond_double("regime")."""
     d = derive(params)
     return np.where(is_degenerate(params), _degenerate_label(d),
                     np.where(is_three_mode(params), _three_mode_label(params, d),

@@ -8,9 +8,13 @@ The analytic solver is the rotating-frame matrix exponential, valid in every
 regime.  `compare` prints :func:`cascade.scan.compare_point`, the comparison
 that `sweep-gain` tabulates over the parametric gain.
 
-Exit codes: 0 success, 2 invalid input, including inputs whose solution
-leaves double precision, a `solve --z` outside the crystal and a collective
-phase search that does not converge, 4 strict-mode cross-check failure.
+Exit codes: 0 success; 2 a failure the package names, by its class: an
+OverflowError (a solution that leaves double precision, the regime's zero
+band included), a ValueError (invalid input, a `solve --z` outside the
+crystal, a malformed JSON file, a quartic with a coefficient that is not
+finite), an OSError, or another ArithmeticError (a collective phase search
+that does not converge, an ODE-oracle solve whose steps stall); 4 a
+strict-mode cross-check failure.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import os
 import sys
 
 from .characteristic import classify, roots_to_json, solve_quartic
-from .observables import ConvergenceError, observables_summary
+from .observables import observables_summary
 from .params import (COUPLINGS, FIELDS, ModelParams, derive, params_from_dict,
                      params_to_dict, unit_phase, validate)
 from .scan import (SOLVERS, ScanSpec, compare_point, emit, run_scan,
@@ -229,11 +233,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OverflowError as exc:
+    except OverflowError as exc:  # an ArithmeticError: before the classes below
         print(f"error: solution leaves double precision: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogoliubov import BogoliubovMatrix
-from .params import COUPLINGS, FIELDS, ModelParams, validate
+from .params import COUPLINGS, FIELDS, ModelParams, beyond_double, validate
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def photon_numbers(m: BogoliubovMatrix) -> PhotonNumbers:
     try:
         return PhotonNumbers(*_occupations(m.rows))
     except OverflowError:  # Python's float ** 2; named as the engine names it
-        raise OverflowError("photon number exceeds double precision") from None
+        raise beyond_double("photon number") from None
 
 
 #: the failure of a squeezing metric off the degenerate configuration, for
@@ -154,7 +154,7 @@ def single_mode_min_variance(m: BogoliubovMatrix, mode: str) -> SqueezingReport:
     try:
         min_variance = _stable_min_variance(x1, x2, y1, y2)
     except OverflowError:
-        raise OverflowError(f"minvar_{mode} exceeds double precision") from None
+        raise beyond_double(f"minvar_{mode}") from None
     return SqueezingReport(min_variance=min_variance, theta_opt=theta)
 
 
@@ -402,7 +402,7 @@ def collective_min_variance(m: BogoliubovMatrix) -> SqueezingReport:
             if best is None or value < best[0]:
                 best = value, d
     except OverflowError:
-        raise OverflowError("minvar_c exceeds double precision") from None
+        raise beyond_double("minvar_c") from None
     value, d_opt = best
     e = cmath.exp(1j * d_opt)
     _, _, f0, f1, f2, _, _, _ = c
@@ -529,13 +529,6 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 MISMATCHES = FIELDS[3:6]
 
 
-def mismatch_overflow(name: str) -> OverflowError:
-    """The failure of the averaged model where the mismatch name times the
-    length leaves double precision, for one point and for a batch's failure
-    rows."""
-    return OverflowError(f"{name} * length exceeds double precision")
-
-
 def averaged_model(params: ModelParams) -> ModelParams:
     """Replace the mismatched system by a phase-matched one with sinc-reduced
     coupling constants: kappa -> kappa zeta(delta_tilde), eta -> eta
@@ -546,9 +539,10 @@ def averaged_model(params: ModelParams) -> ModelParams:
     of one shape, which its caller validates
     (:func:`cascade.params.validate_batch`): a point that fails gets values
     to discard.  Each point of a batch gets its values as one point, bit
-    for bit, except that one point whose mismatch times the length leaves
-    double precision raises :func:`mismatch_overflow`, where a batch gives
-    it NaN couplings and the engine records that error as its failure."""
+    for bit, except that one point whose mismatch name times the length
+    leaves double precision raises beyond_double(f"{name} * length"), where
+    a batch gives it NaN couplings and the engine records that error as its
+    failure."""
     L = params.length
     couplings = [getattr(params, name) for name in COUPLINGS]
     mismatches = [getattr(params, name) for name in MISMATCHES]
@@ -556,7 +550,7 @@ def averaged_model(params: ModelParams) -> ModelParams:
         validate(params)
         for name, d in zip(MISMATCHES, mismatches):
             if math.isinf(d * L):
-                raise mismatch_overflow(name)
+                raise beyond_double(f"{name} * length")
         averaged = [c * complex(zeta(d, L)) for c, d in zip(couplings, mismatches)]
         return ModelParams(*averaged, 0.0, 0.0, 0.0, L)
     zero = np.zeros(L.shape)

@@ -25,7 +25,7 @@ DEFAULT_ATOL = 1e-12
 DEFAULT_GRID_POINTS = 512
 
 
-class StepSizeUnderflow(Exception):
+class StepSizeUnderflow(ArithmeticError):
     """The adaptive step controller stalled (step size below machine
     resolution), which signals pathological input magnitudes."""
 
@@ -38,12 +38,6 @@ class Trajectory:
     z_grid: tuple
     matrices: tuple
     estimated_error: float
-
-    def to_json_lines(self) -> str:
-        """One JSON object per grid point, in grid order."""
-        import json
-
-        return "\n".join(json.dumps(m.to_dict()) for m in self.matrices)
 
 
 def _rhs(params: ModelParams):
@@ -99,13 +93,14 @@ def integrate(params: ModelParams, z_grid=None,
     # imported here so that importing the package does not load scipy
     from scipy.integrate import solve_ivp
 
-    sol = solve_ivp(_rhs(params), (0.0, float(z_grid[-1])),
-                    np.identity(4, dtype=complex).ravel(),
-                    method="DOP853", t_eval=z_grid, rtol=rtol, atol=atol)
-    if sol.status == -1:
-        raise StepSizeUnderflow(sol.message)
+    # with no events the status is 0, or -1 where the steps stall; an
+    # entry beyond double precision stalls them without numpy warnings
+    with np.errstate(all="ignore"):
+        sol = solve_ivp(_rhs(params), (0.0, float(z_grid[-1])),
+                        np.identity(4, dtype=complex).ravel(),
+                        method="DOP853", t_eval=z_grid, rtol=rtol, atol=atol)
     if sol.status != 0:
-        raise RuntimeError(f"integration failed: {sol.message}")
+        raise StepSizeUnderflow(sol.message)
 
     mats = tuple(BogoliubovMatrix(float(z_grid[j]), sol.y[:, j].reshape(4, 4), degenerate)
                  for j in range(len(z_grid)))

@@ -24,7 +24,8 @@ This module is the one that knows a point's fields: FIELDS lists them in
 the order above and COUPLINGS the complex ones, and every other module
 reads the names from here.  It also owns the batch form of a point, a
 ModelParams whose fields are arrays over many points (:func:`stack`,
-:func:`unstack`, :func:`broadcast`, :func:`select`).
+:func:`unstack`, :func:`broadcast`, :func:`select`), and the failure of a
+value beyond double precision (:func:`beyond_double`).
 """
 
 from __future__ import annotations
@@ -151,6 +152,12 @@ def unit_phase(z: complex) -> complex:
     """e^{i arg z}, and 1 at z = 0: the phase a coupling keeps when a scan
     axis or a command-line flag sets only its magnitude."""
     return cmath.exp(1j * cmath.phase(z)) if z != 0 else 1.0 + 0j
+
+
+def beyond_double(what: str) -> OverflowError:
+    """The failure of a value beyond double precision, named by what, for
+    one point and for a batch's failure rows."""
+    return OverflowError(f"{what} exceeds double precision")
 
 
 def record_first(errors: list, mask, make) -> None:

@@ -35,14 +35,13 @@ import numpy as np
 
 from . import analytic, oracle
 from .bogoliubov import BogoliubovMatrix
-from .characteristic import classify_batch, growth_rate
+from .characteristic import classify_batch, growth_rate, non_finite_quartic
 from .observables import (DEGENERATE_ONLY, MISMATCHES, averaged_model,
-                          mismatch_overflow, pdc_only_reference, stack_observables,
-                          unconverged)
-from .params import (COUPLINGS, FIELDS, ModelParams, _convert, _entry, broadcast,
-                     derive, is_degenerate, params_from_dict, params_to_dict,
-                     record_first, stack, unit_phase, unstack, validate,
-                     validate_batch)
+                          pdc_only_reference, stack_observables, unconverged)
+from .params import (COUPLINGS, FIELDS, ModelParams, _convert, _entry, beyond_double,
+                     broadcast, derive, is_degenerate, params_from_dict,
+                     params_to_dict, record_first, stack, unit_phase, unstack,
+                     validate, validate_batch)
 
 QUANTITIES = ("regime", "n_as", "n_ai", "n_bs", "n_bi",
               "minvar_a", "minvar_b", "minvar_c", "growth_rate")
@@ -150,7 +149,7 @@ class ScanSpec:
         return cls(
             base=base,
             axis1=_axis("axis1"),
-            axis2=_axis("axis2") if data.get("axis2") else None,
+            axis2=_axis("axis2") if "axis2" in data else None,
             quantities=tuple(quantities),
             solver=data.get("solver", "analytic"),
             degenerate=degenerate,
@@ -278,16 +277,15 @@ def _evaluate(batch: ModelParams, quantities: tuple, solver: str,
     with np.errstate(all="ignore"):
         if "regime" in quantities:
             values["regime"] = classify_batch(batch)
+            record_first(errs, values["regime"] == "", lambda: beyond_double("regime"))
         if "growth_rate" in quantities:
             values["growth_rate"] = growth_rate(derive(batch), batch)
-            record_first(errs, np.isnan(values["growth_rate"]), lambda: np.linalg.LinAlgError(
-                "Array must not contain infs or NaNs"))
+            record_first(errs, np.isnan(values["growth_rate"]), non_finite_quartic)
         if any(q in _MATRIX_QUANTITIES for q in quantities):
             values.update(_matrix_values(batch, quantities, errs, solver, workers))
         for q in quantities:
             if q != "regime":
-                record_first(errs, ~np.isfinite(values[q]),
-                             lambda: OverflowError(f"{q} exceeds double precision"))
+                record_first(errs, ~np.isfinite(values[q]), lambda: beyond_double(q))
     return errs, {q: values[q].tolist() for q in quantities}
 
 
@@ -301,7 +299,7 @@ def _matrix_values(batch: ModelParams, quantities: tuple, errs: list,
     if solver == "averaged":
         for name in MISMATCHES:
             record_first(errs, np.isinf(getattr(batch, name) * batch.length),
-                         lambda name=name: mismatch_overflow(name))
+                         lambda name=name: beyond_double(f"{name} * length"))
     if solver != "oracle":
         solved = batch if solver == "analytic" else averaged_model(batch)
         t = analytic.transfer_matrices(solved, solved.length)
@@ -312,12 +310,10 @@ def _matrix_values(batch: ModelParams, quantities: tuple, errs: list,
                 t[k] = m.t
             elif errs[k] is None:
                 errs[k] = m
-    record_first(errs, ~np.isfinite(t).all(axis=(-2, -1)),
-                 lambda: OverflowError("transfer matrix entries exceed double precision"))
+    record_first(errs, ~np.isfinite(t).all(axis=(-2, -1)), analytic.entries_beyond_double)
     out = stack_observables(t, quantities)
     photons = np.isfinite(np.stack([out[q] for q in ("n_as", "n_ai", "n_bs", "n_bi")]))
-    record_first(errs, ~photons.all(axis=0),
-                 lambda: OverflowError("photon number exceeds double precision"))
+    record_first(errs, ~photons.all(axis=0), lambda: beyond_double("photon number"))
     if any(q.startswith("minvar") for q in quantities):
         record_first(errs, ~is_degenerate(batch), lambda: ValueError(DEGENERATE_ONLY))
     if "minvar_c" in quantities:
@@ -338,7 +334,7 @@ def _compare(batch: ModelParams) -> tuple[list, dict]:
     pdc = [_solved(pdc_only_reference, k, 0.0, length)
            for k, length in zip(batch.kappa.tolist(), batch.length.tolist())]
     failed = [isinstance(r, Exception) for r in pdc]
-    record_first(errs, failed, lambda: OverflowError("pdc_n_a exceeds double precision"))
+    record_first(errs, failed, lambda: beyond_double("pdc_n_a"))
     n, mv = zip(*((math.nan, math.nan) if f else r for r, f in zip(pdc, failed)))
     columns = [exact[q] for q in quantities] + [averaged[q] for q in quantities]
     return errs, dict(zip(SWEEP_QUANTITIES, columns + [n, [0.0] * len(n), mv]))

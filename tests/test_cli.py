@@ -296,6 +296,18 @@ def test_solve_beyond_double_precision_stderr_is_one_line():
         "transfer matrix entries exceed double precision"]
 
 
+def test_oracle_solve_failure_exits_2_with_one_line():
+    # the ODE steps stall at |kappa| = 1e160: a named ArithmeticError, exit
+    # 2 with one error line, and no numpy warnings from the stalled steps
+    argv = ["solve", "--solver", "oracle", "--kappa", "1e160", "--length", "1"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cascade.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "cascade.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: Required step size is less than spacing between numbers."]
+
+
 @pytest.mark.parametrize("flags", [
     ["--delta-s", "1e300", "--degenerate"],
     ["--eta-i", "2", "--delta-s", "1e300"],

@@ -25,7 +25,7 @@ from cascade.cli import main
 from cascade.observables import (collective_min_variance, photon_numbers,
                                  single_mode_min_variance)
 from cascade.params import (ModelParams, broadcast, degenerate_params,
-                            is_degenerate, params_to_dict, stack)
+                            is_degenerate, params_to_dict, stack, three_mode_params)
 from cascade.scan import (MAGNITUDE_AXES, QUANTITIES, SCALAR_AXES, AxisSpec,
                           ScanSpec, emit, evaluate_points, run_scan)
 
@@ -240,6 +240,51 @@ def test_invalid_points_fail_like_validate():
     assert isinstance(rows[1], ValueError) and "length" in str(rows[1])
 
 
+def _observables(p: ModelParams) -> None:
+    """The one-point calls of the matrix quantities, in the order a point
+    meets them: the solve, the photon numbers, then the squeezing minima."""
+    m = scan.solve_point(p)
+    photon_numbers(m)
+    single_mode_min_variance(m, "a")
+    single_mode_min_variance(m, "b")
+    collective_min_variance(m)
+
+
+def _general(kappa: float) -> ModelParams:
+    return ModelParams(kappa=kappa + 0j, eta_s=1 + 0j, eta_i=0.5 + 0j, delta_tilde=0.0,
+                       delta_s=1.0, delta_i=2.0, length=1.0)
+
+
+# the averaged model's mismatch overflow is held by
+# test_averaged_batch_names_an_overflowing_mismatch, and the NaN growth rate
+# of each configuration by test_overflowing_coefficients_raise_the_scan_failure
+@pytest.mark.parametrize("p, one_point", [
+    (ModelParams(math.nan + 0j, 1j, 1j, 0.0, 1.0, 1.0, 1.0), _observables),
+    (ModelParams(3 + 0j, 1 + 0j, 1 + 0j, 0.0, 3.0, 3.0, -1.0), _observables),
+    (degenerate_params(400, 1, 0, 3, 2), _observables),
+    (degenerate_params(178, 1, 0, 3, 2), _observables),
+    (degenerate_params(100, 1, 0, 3, 2), _observables),
+    (ModelParams(3 + 0j, 1 + 0j, 1 + 0j, 0.0, 3.0, 3.0 * (1 + 1e-7), 2.0), _observables),
+    (_general(1e154), classify),
+    (_general(1e160), classify),
+    (_general(1e26), classify),
+    (three_mode_params(1e52, 1, 0, 1, 1), classify),
+    (degenerate_params(1e100, 1, 0, 0, 1), classify),
+], ids=["non-finite-field", "negative-length", "transfer-matrix", "photon-numbers",
+        "minvar_a", "squeezing-off-degeneracy", "nan-growth-1e154", "nan-growth-1e160",
+        "regime-general", "regime-three-mode", "regime-degenerate"])
+def test_one_point_and_engine_name_a_failure_alike(p, one_point):
+    # the engine records the class and the message that the one-point call
+    # raises; the regime's zero band leaves double precision between
+    # |kappa| = 3e25 and 1e26 (general), 1e51 and 1e52 (three-mode), 1e77
+    # and 1e100 (degenerate)
+    quantities = ("regime", "growth_rate") if one_point is classify else QUANTITIES[1:8]
+    with pytest.raises(Exception) as one:
+        one_point(p)
+    (failure,) = evaluate_points([p], quantities, "analytic")
+    assert (type(failure), str(failure)) == (type(one.value), str(one.value))
+
+
 # malformed scan specs: every JSON document exits 0 or 2, never with a
 # traceback
 
@@ -290,14 +335,17 @@ def spec_documents(draw):
     ("axis1", "name", "delta_i"),
     ("axis2", "name", "eta_i_abs"),
     ("axis2", "name", "delta_s"),
+    (None, "axis2", {}),
 ], ids=["degenerate-string", "fractional-count", "repeated-quantity",
-        "degenerate-idler-axis1", "degenerate-idler-axis2", "repeated-axis"])
+        "degenerate-idler-axis1", "degenerate-idler-axis2", "repeated-axis",
+        "empty-axis2"])
 def test_malformed_value_exits_2_naming_key(tmp_path, capsys, axis, key, value):
     # each of these used to run: "false" as degenerate, 2.7 as 2 points,
     # one CSV column for two quantities; in the degenerate spec an idler
     # axis, which the lock overwrites, as one printed row (axis1) or as
     # mislabelled rows (axis2); a repeated axis as pairs of identical rows
-    # under one column holding axis2's values
+    # under one column holding axis2's values; an empty axis2 as a one-axis
+    # scan
     doc = _valid_spec()
     (doc[axis] if axis else doc)[key] = value
     path = tmp_path / "spec.json"

@@ -105,18 +105,7 @@ def test_self_convergence():
     assert change < 10 * t1.estimated_error
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_step_size_underflow_on_pathological_magnitudes():
+    # the stalled steps' overflows raise no numpy warning
     with pytest.raises(StepSizeUnderflow):
         integrate(make(kappa=1e160 + 0j, L=1.0), np.array([0.0, 1.0]))
-
-
-def test_json_lines():
-    traj = integrate(make(kappa=1 + 0j, L=1.0), np.array([0.0, 0.5, 1.0]))
-    lines = traj.to_json_lines().splitlines()
-    assert len(lines) == 3
-    import json
-
-    m = BogoliubovMatrix.from_dict(json.loads(lines[-1]))
-    assert m.z == 1.0
-    assert m.U_s == traj.matrices[-1].U_s

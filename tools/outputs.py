@@ -16,14 +16,20 @@ on the README point, and `solve` (analytic and averaged) and `classify` on
 a general and a three-mode point, each into its own file under DIR; the
 four `classify` files cover its degenerate, three-mode and general labels.
 (`compare` exits 2 on a point that is not degenerate, since it prints
-squeezing.)  Run it against two source trees and compare the directories
-with `tools/drift.py` to see which outputs a change moves.
+squeezing.)  `failures.json` holds, for each command of FAILURES, its
+argv, its exit code and its stderr lines, captured in process; an
+exception that escapes the command counts as exit 1, with the last line
+of its traceback.  Run it against two source trees and compare the
+directories with `tools/drift.py` to see which outputs a change moves.
 """
 
 import cmath
+import contextlib
 import dataclasses
+import io
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from cascade.cli import main
@@ -44,6 +50,17 @@ OTHER_POINTS = {
     "three_mode": ["--kappa", "3", "--eta-s", "2", "--delta-s", "5", "--three-mode",
                    "--length", "2"],
 }
+#: commands that fail: `solve` where the squeezing minimum, the photon
+#: numbers and the transfer matrix leave double precision, an ODE-oracle
+#: solve whose steps stall, and `classify` where the general label's zero
+#: band leaves double precision
+FAILURES = [
+    *(["solve", "--kappa", kappa, "--eta-s", "1", "--delta-s", "3", "--degenerate",
+       "--length", "2"] for kappa in ("100", "178", "400")),
+    ["solve", "--solver", "oracle", "--kappa", "1e160", "--length", "1"],
+    ["classify", "--kappa", "1e26", "--eta-s", "1", "--eta-i", "0.5", "--delta-s", "1",
+     "--delta-i", "2", "--length", "1"],
+]
 SWEEPS = {
     "readme": ["--delta-s-l", "47.12", "--ratio", "1", "--gamma-max", "6",
                "--points", "61"],
@@ -55,6 +72,20 @@ SWEEPS = {
 def run(out: Path, name: str, *argv: str) -> None:
     if main([*argv, "--output", str(out / name)]) != 0:
         raise SystemExit(f"{name}: cascade {' '.join(argv)} failed")
+
+
+def failure(argv: list) -> dict:
+    """The argv, exit code and stderr lines of a command that fails."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception as exc:  # escapes main: the interpreter exits 1
+            code = 1
+            err.write("".join(traceback.format_exception_only(exc)))
+    if code == 0:
+        raise SystemExit(f"cascade {' '.join(argv)} did not fail")
+    return {"argv": argv, "exit": code, "stderr": err.getvalue().splitlines()}
 
 
 def scan(out: Path, name: str, spec, threads: int, *flags: str,
@@ -100,6 +131,8 @@ def write_outputs(out: Path) -> None:
         for solver in ("analytic", "averaged"):
             run(out, f"solve_{point}_{solver}.json", "solve", *flags, "--solver", solver)
         run(out, f"classify_{point}.json", "classify", *flags)
+    (out / "failures.json").write_text(
+        json.dumps([failure(argv) for argv in FAILURES], indent=2) + "\n")
 
 
 if __name__ == "__main__":
