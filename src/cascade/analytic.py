@@ -302,7 +302,16 @@ def _expm(g: np.ndarray) -> np.ndarray:
     solve, which runs on the full complex matrices; the scaling reads the
     full matrices' 1-norms.  An entry beyond double precision comes back as
     inf or NaN, with numpy warnings unless the caller is under
-    ``np.errstate``."""
+    ``np.errstate``.
+
+    The solve calls numpy's LAPACK gufunc, not np.linalg.solve, whose
+    wrapper costs more than the solve on one 4x4 system; the wrapper's
+    only check, "Singular matrix" on the invalid flag, cannot fire here:
+    for a finite generator scaled to 1-norm theta_13 or less, Higham (2005)
+    bounds the condition number of the Pade denominator q_13(A) = V - U.
+    A generator that is not finite (or whose 1-norm is not) gives inf or
+    NaN entries, which :func:`transfer_matrix` names
+    :func:`entries_beyond_double`, as does the engine."""
     m = g.shape[0]
     rows = g.shape[-2] == 2
     col = np.abs(g).sum(axis=-2, keepdims=True)
@@ -315,11 +324,9 @@ def _expm(g: np.ndarray) -> np.ndarray:
     def right(y):  # right(Y) (n, 8, 8) of a stack Y (n, 2 or 4, 8) of reals
         return np.dot(y.reshape(len(y), -1), table).reshape(-1, 8, 8)
 
-    # s: the smallest s >= 0 with |g|_1 / 2^s < theta, shaped (m, 1, 1);
-    # x = mant 2^s exactly, so mant / x = 2^-s
-    x = np.maximum(norm / _THETA13, 0.5)
-    mant, s = np.frexp(x)
-    a = (g * (mant / x)).view(float)
+    # s: the smallest s >= 0 with |g|_1 / 2^s < theta, shaped (m, 1, 1)
+    s = np.frexp(np.maximum(norm / _THETA13, 0.5))[1]
+    a = np.ldexp(g.view(float), -s)
     powers = np.empty((3,) + a.shape)
     right_a = right(a)
     np.matmul(a, right_a, out=powers[0])
@@ -338,12 +345,13 @@ def _expm(g: np.ndarray) -> np.ndarray:
     # U = A u2 = u2 A, so it reuses A's right operand
     u, v = uv[0] @ right_a, uv[1]
     del right_a
+    solve = np.linalg._umath_linalg.solve
     if rows:
         dn = np.dot(np.concatenate((v, u), axis=1).reshape(m, 32), _PADE_TO_FULL)
         dn = dn.view(complex).reshape(m, 2, 4, 4)
-        r = np.linalg.solve(dn[:, 0], dn[:, 1])[:, ::2]
+        r = solve(dn[:, 0], dn[:, 1], signature="DD->D")[:, ::2]
     else:
-        r = np.linalg.solve((v - u).view(complex), (v + u).view(complex))
+        r = solve((v - u).view(complex), (v + u).view(complex), signature="DD->D")
     r = np.ascontiguousarray(r).view(float)
     s = s.ravel()
     exponents = s.tolist()

@@ -43,6 +43,10 @@ MULT_TOL = 1e-6
 #: appropriate power of the root-magnitude scale, see _scale)
 CLASS_TOL = 1e-9
 
+#: the constant part of the companion matrices of degree 3 and 4: ones on
+#: the subdiagonal
+_SUBDIAGONAL = {n: np.eye(n, k=-1) for n in (3, 4)}
+
 
 class Area(Enum):
     """Regime label; serialized as the bare string "I".."V"."""
@@ -85,13 +89,28 @@ def _scale(p, q, r):
 
 def _roots(*coefficients) -> np.ndarray:
     """Roots (..., n) of x^n + c_1 x^(n-1) + ... + c_n, coefficients scalars
-    or arrays (...): eigenvalues of the companion matrix numpy.roots builds."""
-    n = len(coefficients)
-    c = np.zeros(np.broadcast(*coefficients).shape + (n, n))
+    or arrays (...), the last of full shape: eigenvalues of the companion
+    matrix numpy.roots builds, bit for bit as np.linalg.eigvals gives them.
+
+    On a 4x4 companion the wrapper np.linalg.eigvals costs more than the
+    LAPACK gufunc it calls, so the gufunc is called directly, and the
+    wrapper's rules are kept: a coefficient that is not finite raises
+    :func:`non_finite_quartic`; LAPACK's failure, NaN with the invalid
+    flag (ignored here), raises LinAlgError("Eigenvalues did not
+    converge"); and an all-real result comes back real, which keeps the
+    sign of zero in -1j * roots."""
+    n, lead = len(coefficients), np.shape(coefficients[-1])
+    sub = _SUBDIAGONAL[n]
+    c = np.broadcast_to(sub, lead + (n, n)).copy() if lead else sub.copy()
     for k, ck in enumerate(coefficients):
         c[..., 0, k] = -ck
-    c[..., range(1, n), range(n - 1)] = 1.0
-    return np.linalg.eigvals(c)
+    if not (np.isfinite(c).all() if lead else all(map(cmath.isfinite, coefficients))):
+        raise non_finite_quartic()
+    with np.errstate(all="ignore"):
+        w = np.linalg._umath_linalg.eigvals(c, signature="d->D")
+    if not np.isfinite(w).all():
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w if w.imag.any() else w.real
 
 
 def solve_quartic(d: DerivedParams) -> QuarticRoots:
@@ -101,15 +120,12 @@ def solve_quartic(d: DerivedParams) -> QuarticRoots:
     matrix eigenvalues (numerically robust near multiple roots, no explicit
     radical branch cuts), then mapped back by lambda = -i mu.
     """
-    lam = sorted(-1j * _roots(0.0, -d.p_coef, d.q_coef, d.r_coef),
+    lam = sorted((-1j * _roots(0.0, -d.p_coef, d.q_coef, d.r_coef)).tolist(),
                  key=lambda x: (-x.real, -x.imag))
     sep = min(abs(lam[i] - lam[j]) for i in range(4) for j in range(i + 1, 4))
     big = max(abs(x) for x in lam)
-    return QuarticRoots(
-        roots=tuple(complex(x) for x in lam),
-        min_root_separation=float(sep),
-        near_multiple=bool(sep < MULT_TOL * max(1.0, big)),
-    )
+    return QuarticRoots(roots=tuple(lam), min_root_separation=sep,
+                        near_multiple=sep < MULT_TOL * max(1.0, big))
 
 
 def discriminant_general(d: DerivedParams) -> float:
@@ -281,7 +297,7 @@ def classify(params: ModelParams) -> Regime:
     else:
         label = _general_label(d)
     rate = growth_rate(d, params)
-    if cmath.isnan(rate):
+    if cmath.isnan(rate) or not all(map(cmath.isfinite, (d.p_coef, d.q_coef, d.r_coef))):
         raise non_finite_quartic()
     return Regime(label=label, max_growth_rate=rate)
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from cascade import analytic
-from cascade.analytic import (MultipleRootsError, f_kernel, full_matrix,
-                              transfer_matrix)
+from cascade.analytic import (MultipleRootsError, entries_beyond_double, f_kernel,
+                              full_matrix, transfer_matrix)
 from cascade.bogoliubov import ENTRY_NAMES, BogoliubovMatrix
 from cascade.characteristic import solve_quartic
 from cascade.observables import pdc_only_reference, photon_numbers
@@ -267,8 +267,15 @@ class TestTransferMatrix:
         assert branch_gap(m.t) == 0.0
 
     def test_high_gain_overflow_is_named(self):
-        with pytest.raises(OverflowError):
-            transfer_matrix(degenerate_params(400, 1, 0, 3, 2), 2.0)
+        # the Pade solve's gufunc raises nothing: an entry beyond double
+        # precision, or a generator that is not finite, ends in the
+        # transfer matrix's own failure
+        for p in (degenerate_params(400, 1, 0, 3, 2),
+                  ModelParams(400 + 0j, 1 + 0j, 0.5 + 0j, 0.0, 1.0, 2.0, 2.0),
+                  ModelParams(1e300 + 0j, 1 + 0j, 0.5 + 0j, 0.0, 1.0, 2.0, 1e10)):
+            with pytest.raises(OverflowError) as err:
+                transfer_matrix(p, p.length)
+            assert str(err.value) == str(entries_beyond_double())
 
 
 _MAGNITUDE = st.floats(-10.0, 2.0).map(lambda e: 10.0**e)

@@ -1,13 +1,15 @@
 import hashlib
 import math
 import pickle
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from cascade.characteristic import (Area, Regime, _general_label, classify,
-                                    discriminant_general, solve_quartic)
+from cascade.characteristic import (MULT_TOL, Area, Regime, _general_label, _roots,
+                                    classify, discriminant_general, non_finite_quartic,
+                                    solve_quartic)
 from cascade.params import (ModelParams, degenerate_params, derive,
                             three_mode_params, validate)
 from cascade.scan import evaluate_points
@@ -325,3 +327,106 @@ class TestClassifyDispatch:
             classify(p)
         assert type(err.value).__name__ == type(failure).__name__
         assert str(err.value) == str(failure)
+
+
+# _roots calls numpy's LAPACK gufunc without the np.linalg.eigvals wrapper:
+# these pin it to the public wrapper, bit for bit and failure for failure
+
+
+def _companion(coefficients) -> np.ndarray:
+    """The companion matrix numpy.roots builds for the monic polynomial with
+    these lower coefficients."""
+    p = np.array((1.0,) + tuple(coefficients))
+    a = np.diag(np.ones(len(p) - 2), -1)
+    a[0, :] = -p[1:] / p[0]
+    return a
+
+
+def _seeded_polynomials(seed: int, count: int) -> list:
+    """Cubics and quartics x^n + c_1 x^(n-1) + ... + c_n, c_1 = +-0, as
+    coefficient tuples: random magnitudes over many decades, zero and -0.0
+    coefficients, and polynomials with all-real roots."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        degree = int(rng.choice((3, 4)))
+        kind = rng.choice(("random", "zeros", "real roots"))
+        if kind == "real roots":  # roots summing to 0, so c_1 = 0
+            roots = rng.uniform(-5, 5, degree - 1)
+            c = np.poly(np.append(roots, -roots.sum()))[1:]
+            c[0] = 0.0
+        else:
+            c = rng.standard_normal(degree) * 10.0 ** rng.uniform(-30, 30, degree)
+            c[0] = 0.0
+            if kind == "zeros":
+                c[rng.random(degree) < 0.5] = rng.choice((0.0, -0.0))
+        out.append(tuple(c.tolist()))
+    return out + [(0.0, 0.0, 0.0), (0.0, -0.0, 0.0, -0.0), (0.0, -1.0, 0.0, 0.25)]
+
+
+def _reference_quartic(c: tuple) -> list:
+    """solve_quartic's sorted roots from np.linalg.eigvals, the wrapper."""
+    return sorted(-1j * np.linalg.eigvals(_companion(c)), key=lambda x: (-x.real, -x.imag))
+
+
+class TestRootsMatchTheWrapper:
+    def test_each_polynomial_bit_for_bit(self):
+        for c in _seeded_polynomials(941, 400):
+            got, want = _roots(*c), np.linalg.eigvals(_companion(c))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), c
+
+    def test_batches_bit_for_bit(self):
+        # the wrapper returns a batch real only if every root of it is real
+        polys = _seeded_polynomials(942, 400)
+        for degree in (3, 4):
+            same = [c for c in polys if len(c) == degree]
+            real = [c for c in same if not np.linalg.eigvals(_companion(c)).imag.any()]
+            assert len(real) > 10
+            for batch in (same, real):
+                got = _roots(*(np.array(column) for column in zip(*batch)))
+                want = np.linalg.eigvals(np.array([_companion(c) for c in batch]))
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_solve_quartic_bit_for_bit(self):
+        for c in _seeded_polynomials(943, 400):
+            if len(c) != 4:
+                continue
+            # mu^4 - P mu^2 + Q mu + R, so (c_1, c_2, c_3, c_4) = (0, -P, Q, R)
+            q = solve_quartic(SimpleNamespace(p_coef=-c[1], q_coef=c[2], r_coef=c[3]))
+            want = _reference_quartic((0.0,) + c[1:])
+            assert np.array(q.roots).tobytes() == np.array(want).tobytes(), c
+            sep = min(abs(want[i] - want[j]) for i in range(4) for j in range(i + 1, 4))
+            assert q.min_root_separation == sep
+            assert q.near_multiple == (sep < MULT_TOL * max(1.0, max(abs(x) for x in want)))
+
+
+class TestRootsNameTheWrapperFailures:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coefficient(self, bad):
+        with pytest.raises(np.linalg.LinAlgError) as wrapper:
+            np.linalg.eigvals(_companion((0.0, 1.0, bad, 2.0)))
+        assert str(non_finite_quartic()) == str(wrapper.value)
+        batch = (0.0, np.array([1.0, 2.0]), np.array([3.0, bad]), np.array([2.0, 1.0]))
+        for coefficients in ((0.0, 1.0, bad, 2.0), (0.0, bad, 1.0), batch):
+            with pytest.raises(np.linalg.LinAlgError) as err:
+                _roots(*coefficients)
+            assert str(err.value) == str(wrapper.value)
+
+    def test_unconverged_eigenvalues(self, monkeypatch):
+        # LAPACK's failure: the gufunc returns NaN where it did not converge,
+        # and raises the invalid flag, on which the wrapper raises
+        def unconverged(c, signature):
+            w = np.ones(c.shape[:-1], dtype=complex)
+            w[..., -1] = np.inf * np.zeros(())
+            return w
+
+        monkeypatch.setattr(np.linalg._umath_linalg, "eigvals", unconverged)
+        with pytest.raises(np.linalg.LinAlgError) as wrapper:
+            np.linalg.eigvals(_companion((0.0, 1.0, 2.0, 3.0)))
+        batch = (0.0, np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+        general = make(kappa=2 + 0j, eta_s=1 + 0j, eta_i=0.5 + 0j, ds=1.0, di=2.0)
+        for call in (lambda: _roots(0.0, 1.0, 2.0, 3.0), lambda: _roots(*batch),
+                     lambda: classify(general)):
+            with pytest.raises(np.linalg.LinAlgError) as err:
+                call()
+            assert str(err.value) == str(wrapper.value) == "Eigenvalues did not converge"

@@ -262,6 +262,8 @@ def _general(kappa: float) -> ModelParams:
     (ModelParams(math.nan + 0j, 1j, 1j, 0.0, 1.0, 1.0, 1.0), _observables),
     (ModelParams(3 + 0j, 1 + 0j, 1 + 0j, 0.0, 3.0, 3.0, -1.0), _observables),
     (degenerate_params(400, 1, 0, 3, 2), _observables),
+    (ModelParams(400 + 0j, 1 + 0j, 0.5 + 0j, 0.0, 1.0, 2.0, 2.0), _observables),
+    (ModelParams(1e300 + 0j, 1 + 0j, 0.5 + 0j, 0.0, 1.0, 2.0, 1e10), _observables),
     (degenerate_params(178, 1, 0, 3, 2), _observables),
     (degenerate_params(100, 1, 0, 3, 2), _observables),
     (ModelParams(3 + 0j, 1 + 0j, 1 + 0j, 0.0, 3.0, 3.0 * (1 + 1e-7), 2.0), _observables),
@@ -270,19 +272,35 @@ def _general(kappa: float) -> ModelParams:
     (_general(1e26), classify),
     (three_mode_params(1e52, 1, 0, 1, 1), classify),
     (degenerate_params(1e100, 1, 0, 0, 1), classify),
-], ids=["non-finite-field", "negative-length", "transfer-matrix", "photon-numbers",
+    (degenerate_params(1e160, 1, 0, 1, 1), classify),
+], ids=["non-finite-field", "negative-length", "transfer-matrix",
+        "transfer-matrix-general", "non-finite-generator", "photon-numbers",
         "minvar_a", "squeezing-off-degeneracy", "nan-growth-1e154", "nan-growth-1e160",
-        "regime-general", "regime-three-mode", "regime-degenerate"])
+        "regime-general", "regime-three-mode", "regime-degenerate", "infinite-p-degenerate"])
 def test_one_point_and_engine_name_a_failure_alike(p, one_point):
     # the engine records the class and the message that the one-point call
-    # raises; the regime's zero band leaves double precision between
-    # |kappa| = 3e25 and 1e26 (general), 1e51 and 1e52 (three-mode), 1e77
-    # and 1e100 (degenerate)
-    quantities = ("regime", "growth_rate") if one_point is classify else QUANTITIES[1:8]
+    # raises, for a regime scan with or without the growth rate; a generator
+    # that is not finite ends in the transfer matrix's failure; the
+    # regime's zero band leaves double precision between |kappa| = 3e25 and
+    # 1e26 (general), 1e51 and 1e52 (three-mode), 1e77 and 1e100
+    # (degenerate), and P is -inf from 1e154 on
     with pytest.raises(Exception) as one:
         one_point(p)
-    (failure,) = evaluate_points([p], quantities, "analytic")
-    assert (type(failure), str(failure)) == (type(one.value), str(one.value))
+    for quantities in ([("regime", "growth_rate"), ("regime",)] if one_point is classify
+                       else [QUANTITIES[1:8]]):
+        (failure,) = evaluate_points([p], quantities, "analytic")
+        assert (type(failure), str(failure)) == (type(one.value), str(one.value)), quantities
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(st.lists(points(), min_size=1, max_size=12))
+@example(_EDGES)
+def test_one_point_transfer_matrix_is_its_batch_row_bit_for_bit(batch):
+    # a point's exponential does not depend on its stack-mates, to the bit
+    b = broadcast(stack(batch))
+    rows = analytic.transfer_matrices(b, b.length)
+    for p, row in zip(batch, rows):
+        assert transfer_matrix(p, p.length).t.tobytes() == row.tobytes(), p
 
 
 # malformed scan specs: every JSON document exits 0 or 2, never with a

@@ -17,8 +17,13 @@ engine runs for the chunk's quantities (neither diagram asks for the growth
 rate, marked *), and the whole chunk through the engine (`scan._evaluate`)
 for comparison.  A last table times the collective search of one matrix
 (`collective_min_variance` on the README point kappa = 3, eta_s = 1,
-delta_s = 10, L = 2) and its grid, starts and refinement [us].  OpenBLAS
-runs on one thread, as in a single-process scan on a busy host.
+delta_s = 10, L = 2) and its grid, starts and refinement [us], and a
+one-point table of the single-point calls [us]: `transfer_matrix` at that
+point (rows form) and at the general point of tools/outputs.py (full
+matrix), `solve_quartic` and `classify` at the general point, `classify`
+at the three-mode point of tools/outputs.py, and `solve_point` with
+solver="averaged" at the README point.  OpenBLAS runs on one thread, as in
+a single-process scan on a busy host.
 """
 
 import os
@@ -28,12 +33,14 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads OpenBLAS
 import statistics  # noqa: E402
 import time  # noqa: E402
 
+import cmath  # noqa: E402
+
 import numpy as np  # noqa: E402
 
-from cascade import analytic, observables, scan  # noqa: E402
+from cascade import analytic, characteristic, observables, scan  # noqa: E402
 from cascade.characteristic import classify_batch, growth_rate  # noqa: E402
-from cascade.params import (broadcast, degenerate_params, derive,  # noqa: E402
-                            validate_batch)
+from cascade.params import (ModelParams, broadcast, degenerate_params,  # noqa: E402
+                            derive, three_mode_params, validate_batch)
 
 ROUNDS = 40
 REPEATS = 50  # calls per round of the one-matrix search, timed together
@@ -99,25 +106,41 @@ def one_matrix() -> dict:
                                    for k in phases.tolist()]}
 
 
+def one_point() -> dict:
+    """{request: a function of no arguments} of the single-point calls."""
+    readme = degenerate_params(3, 1, 0, 10, 2)
+    general = ModelParams(kappa=cmath.rect(2, 0.3), eta_s=1.5 + 0j, eta_i=0.8 + 0j,
+                          delta_tilde=1.0, delta_s=4.0, delta_i=-2.0, length=2.0)
+    three_mode = three_mode_params(3, 2, 0, 5, 2)
+    d = derive(general)
+    return {"transfer_matrix, degenerate": lambda: analytic.transfer_matrix(readme, 2.0),
+            "transfer_matrix, general": lambda: analytic.transfer_matrix(general, 2.0),
+            "solve_quartic, general": lambda: characteristic.solve_quartic(d),
+            "classify, general": lambda: characteristic.classify(general),
+            "classify, three-mode": lambda: characteristic.classify(three_mode),
+            'solve_point(solver="averaged")': lambda: scan.solve_point(readme,
+                                                                       solver="averaged")}
+
+
 def main() -> None:
     chunks = {"degenerate": layers(scan.degenerate_diagram_spec(count=41)),
               "four-mode": layers(scan.four_mode_diagram_spec(count=41))}
-    single = one_matrix()
+    micro = {"one": one_matrix(), "point": one_point()}  # timed in us
     times = {(chunk, name): [] for chunk, fns in chunks.items() for name in fns}
-    times.update({("one", name): [] for name in single})
+    times.update({(table, name): [] for table, fns in micro.items() for name in fns})
     with np.errstate(all="ignore"):  # as the engine runs them
-        for fns in [*chunks.values(), single]:
+        for fns in [*chunks.values(), *micro.values()]:
             for fn in fns.values():
                 fn()  # warm up
         for _ in range(ROUNDS):
-            for chunk, fns in [*chunks.items(), ("one", single)]:
+            for chunk, fns in [*chunks.items(), *micro.items()]:
                 for name, fn in fns.items():
                     start = time.perf_counter()
-                    for _ in range(REPEATS if chunk == "one" else 1):
+                    for _ in range(REPEATS if chunk in micro else 1):
                         fn()
                     elapsed = time.perf_counter() - start
                     times[chunk, name].append(
-                        1e6 * elapsed / REPEATS if chunk == "one" else 1e3 * elapsed)
+                        1e6 * elapsed / REPEATS if chunk in micro else 1e3 * elapsed)
     names = list(chunks["degenerate"])
     whole = names.pop()
     for c, fns in chunks.items():
@@ -134,8 +157,11 @@ def main() -> None:
         print(f"{name:<40}" + "".join(
             f"{cell(times[c, name]) if (c, name) in times else '-':>22}" for c in chunks))
     print(f"\n{'one matrix [us], median (q1-q3)':<40}{'README point':>22}")
-    for name in single:
+    for name in micro["one"]:
         print(f"{name:<40}{cell(times['one', name]):>22}")
+    print(f"\n{'one point [us], median (q1-q3)':<40}")
+    for name in micro["point"]:
+        print(f"{name:<40}{cell(times['point', name]):>22}")
 
 
 if __name__ == "__main__":
