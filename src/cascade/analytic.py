@@ -56,6 +56,7 @@ ill-conditioned, in which case MultipleRootsError is raised.
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
@@ -242,7 +243,7 @@ _PADE13_TERMS = np.array([
 ])
 #: the identity terms of the four sums, one 4x4 block each, as 4 x 8 reals
 _PADE13_IDENTITY = np.multiply.outer((0.0, 0.0, _PADE13[1], _PADE13[0]),
-                                     np.identity(4))[:, None].astype(complex).view(float)
+                                     np.identity(4)).astype(complex).view(float)
 
 # The product form.  A complex 4x4 stack Y viewed as (m, 4, 8) reals is
 # multiplied from the left by one real matmul, X Y = X @ right(Y): right(Y)
@@ -290,19 +291,21 @@ def _full(rows: np.ndarray) -> np.ndarray:
 
 
 def _expm(g: np.ndarray) -> np.ndarray:
-    """exp of each matrix in a stack, by [13/13] Pade scaling and squaring
-    with one scaling exponent per matrix, so that a small matrix is not
-    overscaled by a large stack-mate (Al-Mohy & Higham, SIAM J. Matrix Anal.
-    Appl. 31(3), 2009).  Every product is one matrix's, and the extra
-    squarings run only on the matrices that need them, so no result depends
-    on the rest of the stack.  The stack holds full complex matrices
-    (m, 4, 4), or the rows forms (m, 2, 4) of degenerate points (above),
-    which come back as the rows forms of their exponentials.  Both are taken
-    in the one product form, real rows @ right(Y), except for the one linear
-    solve, which runs on the full complex matrices; the scaling reads the
-    full matrices' 1-norms.  An entry beyond double precision comes back as
-    inf or NaN, with numpy warnings unless the caller is under
-    ``np.errstate``.
+    """exp of one matrix, or of each matrix in a stack, by [13/13] Pade
+    scaling and squaring with one scaling exponent per matrix, so that a
+    small matrix is not overscaled by a large stack-mate (Al-Mohy & Higham,
+    SIAM J. Matrix Anal. Appl. 31(3), 2009).  Every product is one matrix's,
+    and the extra squarings run only on the matrices that need them, so no
+    result depends on the rest of the stack.  g is a full complex matrix
+    (4, 4), or the rows form (2, 4) of a degenerate point (above), which
+    comes back as the rows form of its exponential, or a stack (m, 4, 4) or
+    (m, 2, 4) of them.  One matrix takes the same products on 2-D arrays,
+    with its scaling exponent a Python int and its squarings a plain loop.
+    Both forms are taken in the one product form, real rows @ right(Y),
+    except for the one linear solve, which runs on the full complex
+    matrices; the scaling reads the full matrices' 1-norms.  An entry
+    beyond double precision comes back as inf or NaN, with numpy warnings
+    unless the caller is under ``np.errstate``.
 
     The solve calls numpy's LAPACK gufunc, not np.linalg.solve, whose
     wrapper costs more than the solve on one 4x4 system; the wrapper's
@@ -312,20 +315,25 @@ def _expm(g: np.ndarray) -> np.ndarray:
     A generator that is not finite (or whose 1-norm is not) gives inf or
     NaN entries, which :func:`transfer_matrix` names
     :func:`entries_beyond_double`, as does the engine."""
-    m = g.shape[0]
+    lead = g.shape[:-2]
     rows = g.shape[-2] == 2
     col = np.abs(g).sum(axis=-2, keepdims=True)
     if rows:  # column j of the full matrix holds rows 0 and 2 at j and P j
         col = col + col[..., _SWAP]
-    norm = col.max(axis=-1, keepdims=True)
     table, identity = ((_RIGHT_ROWS, _PADE13_IDENTITY[..., ::2, :]) if rows
                        else (_RIGHT_FULL, _PADE13_IDENTITY))
 
-    def right(y):  # right(Y) (n, 8, 8) of a stack Y (n, 2 or 4, 8) of reals
-        return np.dot(y.reshape(len(y), -1), table).reshape(-1, 8, 8)
+    def right(y):  # right(Y) (..., 8, 8) of Y (..., 2 or 4, 8) as reals
+        stack = y.shape[:-2]
+        return np.dot(y.reshape(stack + (-1,)), table).reshape(stack + (8, 8))
 
-    # s: the smallest s >= 0 with |g|_1 / 2^s < theta, shaped (m, 1, 1)
-    s = np.frexp(np.maximum(norm / _THETA13, 0.5))[1]
+    # s: the smallest s >= 0 with |g|_1 / 2^s < theta, an int for one
+    # matrix and shaped (m, 1, 1) for a stack
+    if lead:
+        s = np.frexp(np.maximum(col.max(axis=-1, keepdims=True) / _THETA13, 0.5))[1]
+        identity = identity[:, None]
+    else:
+        s = math.frexp(max(col.max() / _THETA13, 0.5))[1]
     a = np.ldexp(g.view(float), -s)
     powers = np.empty((3,) + a.shape)
     right_a = right(a)
@@ -347,12 +355,16 @@ def _expm(g: np.ndarray) -> np.ndarray:
     del right_a
     solve = np.linalg._umath_linalg.solve
     if rows:
-        dn = np.dot(np.concatenate((v, u), axis=1).reshape(m, 32), _PADE_TO_FULL)
-        dn = dn.view(complex).reshape(m, 2, 4, 4)
-        r = solve(dn[:, 0], dn[:, 1], signature="DD->D")[:, ::2]
+        dn = np.dot(np.concatenate((v, u), axis=-2).reshape(lead + (32,)), _PADE_TO_FULL)
+        dn = dn.view(complex).reshape(lead + (2, 4, 4))
+        r = solve(dn[..., 0, :, :], dn[..., 1, :, :], signature="DD->D")[..., ::2, :]
     else:
         r = solve((v - u).view(complex), (v + u).view(complex), signature="DD->D")
     r = np.ascontiguousarray(r).view(float)
+    if not lead:
+        for _ in range(s):
+            r = r @ right(r)
+        return r.view(complex)
     s = s.ravel()
     exponents = s.tolist()
     common = min(exponents)
@@ -425,7 +437,7 @@ def transfer_matrix(params: ModelParams, z: float) -> BogoliubovMatrix:
     degenerate = is_degenerate(params)
     with np.errstate(all="ignore"):
         phases, g = (_row_generators if degenerate else _generators)(params, z)
-        t = phases * _expm(g[None])[0]
+        t = phases * _expm(g)
     if not np.isfinite(t).all():
         raise entries_beyond_double()
     return BogoliubovMatrix(z, _full(t) if degenerate else t, degenerate)

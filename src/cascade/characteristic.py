@@ -101,10 +101,16 @@ def _roots(*coefficients) -> np.ndarray:
     sign of zero in -1j * roots."""
     n, lead = len(coefficients), np.shape(coefficients[-1])
     sub = _SUBDIAGONAL[n]
-    c = np.broadcast_to(sub, lead + (n, n)).copy() if lead else sub.copy()
-    for k, ck in enumerate(coefficients):
-        c[..., 0, k] = -ck
-    if not (np.isfinite(c).all() if lead else all(map(cmath.isfinite, coefficients))):
+    if lead:
+        c = np.broadcast_to(sub, lead + (n, n)).copy()
+        for k, ck in enumerate(coefficients):
+            c[..., 0, k] = -ck
+        finite = np.isfinite(c).all()
+    else:
+        c = sub.copy()
+        c[0] = [-ck for ck in coefficients]
+        finite = all(map(cmath.isfinite, coefficients))
+    if not finite:
         raise non_finite_quartic()
     with np.errstate(all="ignore"):
         w = np.linalg._umath_linalg.eigvals(c, signature="d->D")
@@ -158,17 +164,21 @@ def _biquadratic_growth(params: ModelParams, d: DerivedParams, sqrt):
     return abs(sqrt(x).real), abs(sqrt(y).real)
 
 
-def growth_rate(d: DerivedParams, params: ModelParams):
-    """The largest Re(lambda) [cm^-1]: a float for one point, or for a batch
-    an array, NaN where a coefficient is not finite.  Degenerate points of
-    params (:func:`is_degenerate`, so Q = 0) take the biquadratic's closed
-    form, and three-mode points (:func:`is_three_mode`) max(0, Im s) over
-    the cubic's roots s: at weak pump the quartic has a (near-)double root
-    there, where companion eigenvalues lose about sqrt(eps).  Elsewhere Im
-    mu over the quartic's roots mu."""
-    degenerate = is_degenerate(params)
+def growth_rate(d: DerivedParams, params: ModelParams, label):
+    """The largest Re(lambda) [cm^-1] of points with the label (:func:`_labels`
+    gives it): a float for one point, or for a batch an array, NaN where a
+    coefficient is not finite.  Where the label is I every root lambda is
+    imaginary, and the rate is exactly 0.0, with no roots taken.  Elsewhere
+    degenerate points of params (:func:`is_degenerate`, so Q = 0) take the
+    biquadratic's closed form, and three-mode points
+    (:func:`is_three_mode`) max(0, Im s) over the cubic's roots s: at weak
+    pump the quartic has a (near-)double root there, where companion
+    eigenvalues lose about sqrt(eps).  The rest take Im mu over the
+    quartic's roots mu."""
     if not isinstance(d.p_coef, np.ndarray):
-        if degenerate:
+        if label is Area.I:
+            return 0.0
+        if is_degenerate(params):
             return max(_biquadratic_growth(params, d, cmath.sqrt))
         if is_three_mode(params):
             p3, q3, _ = _three_mode_discriminant(params, d)
@@ -177,7 +187,10 @@ def growth_rate(d: DerivedParams, params: ModelParams):
     p, q, r = d.p_coef, d.q_coef, d.r_coef
     out = np.full(p.shape, np.nan)
     general = np.isfinite(p) & np.isfinite(q) & np.isfinite(r)
-    closed = general & degenerate
+    oscillating = general & (label == Area.I.value)
+    out[oscillating] = 0.0
+    general &= ~oscillating
+    closed = general & is_degenerate(params)
     cubic = general & is_three_mode(params) & ~closed
     out[closed] = np.maximum(*_biquadratic_growth(params, d, np.sqrt))[closed]
     p3, q3, _ = _three_mode_discriminant(params, d)
@@ -290,16 +303,28 @@ def classify(params: ModelParams) -> Regime:
         D = 0 within tolerance   ->  V
     """
     d = derive(params)
-    if is_degenerate(params):
-        label = _degenerate_label(d)
-    elif is_three_mode(params):
-        label = _three_mode_label(params, d)
-    else:
-        label = _general_label(d)
-    rate = growth_rate(d, params)
-    if cmath.isnan(rate) or not all(map(cmath.isfinite, (d.p_coef, d.q_coef, d.r_coef))):
+    label = _labels(params, d)
+    if not all(map(cmath.isfinite, (d.p_coef, d.q_coef, d.r_coef))):
+        raise non_finite_quartic()
+    rate = growth_rate(d, params, label)
+    if cmath.isnan(rate):
         raise non_finite_quartic()
     return Regime(label=label, max_growth_rate=rate)
+
+
+def _labels(params: ModelParams, d: DerivedParams):
+    """The label of one point (an Area) or of a batch (label strings) with
+    derived parameters d, from its most specific case: degenerate,
+    three-mode, else general."""
+    if isinstance(d.p_coef, np.ndarray):
+        return np.where(is_degenerate(params), _degenerate_label(d),
+                        np.where(is_three_mode(params), _three_mode_label(params, d),
+                                 _general_label(d)))
+    if is_degenerate(params):
+        return _degenerate_label(d)
+    if is_three_mode(params):
+        return _three_mode_label(params, d)
+    return _general_label(d)
 
 
 def classify_batch(params: ModelParams) -> np.ndarray:
@@ -307,10 +332,7 @@ def classify_batch(params: ModelParams) -> np.ndarray:
     arrays of one shape, and each point gets the label :func:`classify`
     gives it, from the same masks on P, Q and R, or "" where classify fails
     with beyond_double("regime")."""
-    d = derive(params)
-    return np.where(is_degenerate(params), _degenerate_label(d),
-                    np.where(is_three_mode(params), _three_mode_label(params, d),
-                             _general_label(d)))
+    return _labels(params, derive(params))
 
 
 def roots_to_json(roots: QuarticRoots) -> list:

@@ -240,16 +240,22 @@ def _grid(c: tuple) -> np.ndarray:
     between, on which the tail runs several times slower."""
     m0, m1, f0, f1, f2, g0, g1, gm1 = c
     a, b = g1 + gm1, g1 - gm1
-    zero = np.zeros(m0.shape) if isinstance(m0, np.ndarray) else 0.0
     # one row per polynomial (Re Lc, Im Lc, 1 + 2N, Re F, Im F), one column
-    # per basis function, then the points' axis: (5, 5, n), made (5, n, 5)
-    table = np.array([[g0.real, a.real, -b.imag, zero, zero],
-                      [g0.imag, a.imag, b.real, zero, zero],
-                      [m0, m1.real, -m1.imag, zero, zero],
-                      [f0.real, f1.real, -f1.imag, f2.real, -f2.imag],
-                      [f0.imag, f1.imag, f1.real, f2.imag, f2.real]])
-    re_l, im_l, n, re_f, im_f = np.einsum(
-        "p...k,kj->p...j", np.ascontiguousarray(table.swapaxes(1, -1)), _BASIS)
+    # per basis function
+    rows = [[g0.real, a.real, -b.imag, 0.0, 0.0],
+            [g0.imag, a.imag, b.real, 0.0, 0.0],
+            [m0, m1.real, -m1.imag, 0.0, 0.0],
+            [f0.real, f1.real, -f1.imag, f2.real, -f2.imag],
+            [f0.imag, f1.imag, f1.real, f2.imag, f2.real]]
+    if isinstance(m0, np.ndarray):  # a stack's (5, n, 5) table, written
+        # through its (5, 5, n) view; the zero columns are not written
+        table = np.zeros((5,) + m0.shape + (5,))
+        table.swapaxes(1, -1)[:3, :3] = [row[:3] for row in rows[:3]]
+        table.swapaxes(1, -1)[3:] = rows[3:]
+    else:
+        table = np.array(rows)
+    re_l, im_l, n, re_f, im_f = np.einsum("p...k,kj->p...j", table, _BASIS)
+    del rows, table  # gone before the tail, where a chunk's memory peaks
     # the formula above in place, operation for operation: a chunk's
     # values are large
     re_l *= re_l

@@ -277,14 +277,15 @@ def _evaluate(batch: ModelParams, quantities: tuple, solver: str,
     with np.errstate(all="ignore"):
         if "regime" in quantities or "growth_rate" in quantities:
             d = derive(batch)
+            labels = classify_batch(batch)
         if "regime" in quantities:
             # classify's failures: the zero band, then a P, Q or R beyond double
-            values["regime"] = classify_batch(batch)
-            record_first(errs, values["regime"] == "", lambda: beyond_double("regime"))
+            values["regime"] = labels
+            record_first(errs, labels == "", lambda: beyond_double("regime"))
             record_first(errs, ~(np.isfinite(d.p_coef) & np.isfinite(d.q_coef)
                                  & np.isfinite(d.r_coef)), non_finite_quartic)
         if "growth_rate" in quantities:
-            values["growth_rate"] = growth_rate(d, batch)
+            values["growth_rate"] = growth_rate(d, batch, labels)
             record_first(errs, np.isnan(values["growth_rate"]), non_finite_quartic)
         if any(q in _MATRIX_QUANTITIES for q in quantities):
             values.update(_matrix_values(batch, quantities, errs, solver, workers))

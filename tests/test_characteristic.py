@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from cascade import characteristic
 from cascade.characteristic import (MULT_TOL, Area, Regime, _general_label, _roots,
                                     classify, discriminant_general, non_finite_quartic,
                                     solve_quartic)
@@ -291,6 +292,29 @@ class TestGrowthRate:
                             misses.append((kappa, eta, ds, offset, ref, got,
                                            row["growth_rate"]))
         assert not misses
+
+    @pytest.mark.parametrize("p", [
+        make(kappa=0.5 + 0j, eta_s=1.5 + 0j, eta_i=0.8 + 0j, dt=6.0, ds=4.0, di=-2.0, L=2.0),
+        three_mode_params(1, 3, 0, 0, 1),
+        degenerate_params(0.5, 1, 6, 4, 2),
+    ], ids=["general", "three_mode", "degenerate"])
+    def test_area_i_takes_no_roots(self, monkeypatch, p):
+        # every root lambda of an area-I point is imaginary: its growth rate
+        # is exactly 0.0, with neither companion eigenvalues nor the
+        # biquadratic's closed form
+        calls = []
+
+        def counted(name):
+            original = getattr(characteristic, name)
+            monkeypatch.setattr(characteristic, name,
+                                lambda *a: calls.append(name) or original(*a))
+
+        counted("_roots")
+        counted("_biquadratic_growth")
+        regime = classify(p)
+        assert regime.label is Area.I
+        assert regime.max_growth_rate.hex() == (0.0).hex()
+        assert calls == []
 
 
 def _random_regimes(rng, count=1000) -> list:

@@ -295,12 +295,32 @@ def test_one_point_and_engine_name_a_failure_alike(p, one_point):
 @settings(max_examples=60, **SETTINGS)
 @given(st.lists(points(), min_size=1, max_size=12))
 @example(_EDGES)
+# |G z| below theta_13: no scaling, no squaring
+@example([degenerate_params(0.4, 0.3, 0.5, -0.2, 1.0),
+          ModelParams(kappa=0.3 + 0.2j, eta_s=0.2 + 0j, eta_i=0.1 - 0.1j, delta_tilde=0.4,
+                      delta_s=-0.3, delta_i=0.2, length=1.5)])
+# kappa L near 300: six squarings, and in the stack beside a point with none
+@example([degenerate_params(150, 1, 0, 3, 2),
+          ModelParams(kappa=100 + 50j, eta_s=1.5 + 0j, eta_i=0.8 + 0j, delta_tilde=1.0,
+                      delta_s=4.0, delta_i=-2.0, length=300 / abs(100 + 50j)),
+          degenerate_params(0.4, 0.3, 0.5, -0.2, 1.0)])
 def test_one_point_transfer_matrix_is_its_batch_row_bit_for_bit(batch):
     # a point's exponential does not depend on its stack-mates, to the bit
     b = broadcast(stack(batch))
     rows = analytic.transfer_matrices(b, b.length)
     for p, row in zip(batch, rows):
         assert transfer_matrix(p, p.length).t.tobytes() == row.tobytes(), p
+
+
+@settings(max_examples=100, **SETTINGS)
+@given(points())
+def test_one_point_growth_rate_is_its_batch_row_bit_for_bit(p):
+    # one rule serves classify and the batch: exactly 0.0 in area I
+    regime = classify(p)
+    (row,) = evaluate_points([p], ("growth_rate",), "analytic")
+    assert regime.max_growth_rate.hex() == row["growth_rate"].hex(), p
+    if regime.label.value == "I":
+        assert regime.max_growth_rate.hex() == (0.0).hex(), p
 
 
 # malformed scan specs: every JSON document exits 0 or 2, never with a

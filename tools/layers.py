@@ -4,12 +4,13 @@
 
 takes the first CHUNK_POINTS (2048) points of the 41x41 degenerate diagram
 and of the 41x41 four-mode diagram, so each chunk is the whole diagram
-(1681 points), and times, for each chunk, the layers
-the chunk engine runs: validate + derive, `classify_batch`, `growth_rate`,
-`transfer_matrices`, photon numbers + single-mode minima, and, on the
-degenerate chunk, the collective search's parts as `stack_observables`
-runs them: its coefficients (`_collective_coefficients`), its 64-phase grid
-(`_grid`), the grid starts (`_starts`) and their Newton refinement.
+(1681 points), and times, for each chunk, the layers the chunk engine
+runs: validate + derive, `classify_batch`, `growth_rate` (given the
+chunk's labels), `transfer_matrices`, photon numbers + single-mode
+minima, and, on the degenerate chunk, the collective search's parts as
+`stack_observables` runs them: its coefficients
+(`_collective_coefficients`), its 64-phase grid (`_grid`), the grid
+starts (`_starts`) and their Newton refinement.
 Each layer takes the previous layers' results as inputs, made before
 timing.  The rounds interleave the layers and the two chunks; the table
 gives each layer's median and quartiles [ms], the sum of the layers the
@@ -21,8 +22,10 @@ delta_s = 10, L = 2) and its grid, starts and refinement [us], and a
 one-point table of the single-point calls [us]: `transfer_matrix` at that
 point (rows form) and at the general point of tools/outputs.py (full
 matrix), `solve_quartic` and `classify` at the general point, `classify`
-at the three-mode point of tools/outputs.py, and `solve_point` with
-solver="averaged" at the README point.  OpenBLAS runs on one thread, as in
+at a general point in area I (kappa = 0.5, eta_s = 1.5, eta_i = 0.8,
+delta_tilde = 6, delta_s = 4, delta_i = -2, L = 2), which takes no roots,
+`classify` at the three-mode point of tools/outputs.py, and `solve_point`
+with solver="averaged" at the README point.  OpenBLAS runs on one thread, as in
 a single-process scan on a busy host.
 """
 
@@ -53,10 +56,11 @@ def layers(spec) -> dict:
     t = analytic.transfer_matrices(batch, batch.length)
     single = tuple(q for q in ("minvar_a", "minvar_b") if q in spec.quantities)
     growth = "growth_rate" + ("" if "growth_rate" in spec.quantities else " *")
+    labels = classify_batch(batch)
     out = {
         "validate + derive": lambda: (validate_batch(batch), derive(batch)),
         "classify_batch": lambda: classify_batch(batch),
-        growth: lambda: growth_rate(derive(batch), batch),
+        growth: lambda: growth_rate(derive(batch), batch, labels),
         "transfer_matrices": lambda: analytic.transfer_matrices(batch, batch.length),
         "photon numbers + single-mode minima": lambda: observables.stack_observables(t, single),
     }
@@ -112,11 +116,14 @@ def one_point() -> dict:
     general = ModelParams(kappa=cmath.rect(2, 0.3), eta_s=1.5 + 0j, eta_i=0.8 + 0j,
                           delta_tilde=1.0, delta_s=4.0, delta_i=-2.0, length=2.0)
     three_mode = three_mode_params(3, 2, 0, 5, 2)
+    area_i = ModelParams(kappa=0.5 + 0j, eta_s=1.5 + 0j, eta_i=0.8 + 0j,
+                         delta_tilde=6.0, delta_s=4.0, delta_i=-2.0, length=2.0)
     d = derive(general)
     return {"transfer_matrix, degenerate": lambda: analytic.transfer_matrix(readme, 2.0),
             "transfer_matrix, general": lambda: analytic.transfer_matrix(general, 2.0),
             "solve_quartic, general": lambda: characteristic.solve_quartic(d),
             "classify, general": lambda: characteristic.classify(general),
+            "classify, general in area I": lambda: characteristic.classify(area_i),
             "classify, three-mode": lambda: characteristic.classify(three_mode),
             'solve_point(solver="averaged")': lambda: scan.solve_point(readme,
                                                                        solver="averaged")}
