@@ -7,9 +7,14 @@ ODE integrator as references), classifies generation regimes from the
 characteristic quartic (one ``classify`` for the general, degenerate and
 three-mode configurations), evaluates photon numbers and quadrature squeezing,
 and scans parameter grids deterministically.
+
+The closed form's names (``full_matrix``, ``f_kernel``,
+``MultipleRootsError``) are read from :mod:`cascade.closed_form` on first
+use, so ``import cascade`` does not load that module, as it does not load
+scipy.
 """
 
-from .analytic import MultipleRootsError, f_kernel, full_matrix, transfer_matrix
+from .analytic import transfer_matrix
 from .bogoliubov import BogoliubovMatrix
 from .characteristic import (Area, QuarticRoots, Regime, classify,
                              discriminant_general, solve_quartic)
@@ -29,3 +34,12 @@ from .scan import (AxisSpec, ScanResult, ScanSpec, compare_point,
                    run_scan, solve_point, sweep_gain)
 
 __version__ = "0.1.0"
+
+_CLOSED_FORM = ("MultipleRootsError", "f_kernel", "full_matrix")
+
+
+def __getattr__(name: str):
+    if name in _CLOSED_FORM:
+        from . import closed_form
+        return getattr(closed_form, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

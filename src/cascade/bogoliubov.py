@@ -82,21 +82,6 @@ class BogoliubovMatrix:
         t[1::2] = t[1::2].conj()  # stored conjugated, so the entries read +0j
         return cls(z, t, degenerate)
 
-    @classmethod
-    def from_branches(cls, z: float, branches,
-                      degenerate: bool = False) -> "BogoliubovMatrix":
-        """Assemble T from the solutions (Y1, Y2, Y3, Y4) of the branch
-        systems, stacked as a (2, 4, 2) array: the direct parameter mapping
-        and the signal/idler-swapped one, each with the solutions started
-        from (1, 0, 0, 0) and from (0, 0, 1, 0) as its two columns.  The
-        direct pair is columns 0 and 2 of T; the swapped pair, conjugated and
-        with its signal and idler rows exchanged, is columns 1 and 3."""
-        direct, swapped = np.asarray(branches)
-        t = np.empty((4, 4), dtype=complex)
-        t[:, ::2] = direct
-        t[:, 1::2] = swapped.conj()[_SWAP]
-        return cls(z, t, degenerate)
-
     def max_abs(self) -> float:
         return max(abs(v) for row in self.rows for v in row)
 

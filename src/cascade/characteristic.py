@@ -83,8 +83,10 @@ def _max(*values):
 
 def _scale(p, q, r):
     """Root-magnitude scale of the quartic: homogeneous degree-1 combination
-    of the coefficients, floored at 1."""
-    return _max(1.0, abs(p) ** 0.5, abs(q) ** (1 / 3), abs(r) ** 0.25)
+    of the coefficients, with no floor, so that a band CLASS_TOL * scale^k
+    is relative at every unit of length: multiplying every rate by c and
+    dividing the length by c keeps each label."""
+    return _max(abs(p) ** 0.5, abs(q) ** (1 / 3), abs(r) ** 0.25)
 
 
 def _roots(*coefficients) -> np.ndarray:
@@ -165,7 +167,7 @@ def _biquadratic_growth(params: ModelParams, d: DerivedParams, sqrt):
 
 
 def growth_rate(d: DerivedParams, params: ModelParams, label):
-    """The largest Re(lambda) [cm^-1] of points with the label (:func:`_labels`
+    """The largest Re(lambda) [cm^-1] of points with the label (:func:`labels`
     gives it): a float for one point, or for a batch an array, NaN where a
     coefficient is not finite.  Where the label is I every root lambda is
     imaginary, and the rate is exactly 0.0, with no roots taken.  Elsewhere
@@ -254,7 +256,7 @@ def _three_mode_discriminant(params: ModelParams, d: DerivedParams):
 
 def _three_mode_label(params: ModelParams, d: DerivedParams):
     p3, q3, d3 = _three_mode_discriminant(params, d)
-    band = _band(_max(1.0, abs(p3) ** 0.5, abs(q3) ** (1 / 3)), 6)
+    band = _band(_max(abs(p3) ** 0.5, abs(q3) ** (1 / 3)), 6)
     return _label([(Area.V, abs(d3) <= band), (Area.II, d3 > 0)], Area.I, band)
 
 
@@ -266,8 +268,8 @@ def non_finite_quartic() -> np.linalg.LinAlgError:
 
 
 def classify(params: ModelParams) -> Regime:
-    """The regime from the most specific label the parameters admit, as
-    :func:`classify_batch` picks it, and :func:`growth_rate`.  Raises
+    """The regime from the most specific label the parameters admit
+    (:func:`labels`), and :func:`growth_rate`.  Raises
     beyond_double("regime") where a label's zero band leaves double
     precision (see _band), then :func:`non_finite_quartic` where a
     coefficient overflowed.  The special cases are equalities with
@@ -303,7 +305,7 @@ def classify(params: ModelParams) -> Regime:
         D = 0 within tolerance   ->  V
     """
     d = derive(params)
-    label = _labels(params, d)
+    label = labels(params, d)
     if not all(map(cmath.isfinite, (d.p_coef, d.q_coef, d.r_coef))):
         raise non_finite_quartic()
     rate = growth_rate(d, params, label)
@@ -312,10 +314,12 @@ def classify(params: ModelParams) -> Regime:
     return Regime(label=label, max_growth_rate=rate)
 
 
-def _labels(params: ModelParams, d: DerivedParams):
-    """The label of one point (an Area) or of a batch (label strings) with
-    derived parameters d, from its most specific case: degenerate,
-    three-mode, else general."""
+def labels(params: ModelParams, d: DerivedParams):
+    """The label of one point (an Area) or of a batch (label strings "I".."V")
+    with derived parameters d, from its most specific case: degenerate,
+    three-mode, else general.  A batch's point gets the label
+    :func:`classify` gives it, from the same masks on P, Q and R, or ""
+    where classify fails with beyond_double("regime")."""
     if isinstance(d.p_coef, np.ndarray):
         return np.where(is_degenerate(params), _degenerate_label(d),
                         np.where(is_three_mode(params), _three_mode_label(params, d),
@@ -325,14 +329,6 @@ def _labels(params: ModelParams, d: DerivedParams):
     if is_three_mode(params):
         return _three_mode_label(params, d)
     return _general_label(d)
-
-
-def classify_batch(params: ModelParams) -> np.ndarray:
-    """The regime label strings ("I".."V") of a batch: params' fields are
-    arrays of one shape, and each point gets the label :func:`classify`
-    gives it, from the same masks on P, Q and R, or "" where classify fails
-    with beyond_double("regime")."""
-    return _labels(params, derive(params))
 
 
 def roots_to_json(roots: QuarticRoots) -> list:

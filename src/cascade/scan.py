@@ -35,7 +35,7 @@ import numpy as np
 
 from . import analytic, oracle
 from .bogoliubov import BogoliubovMatrix
-from .characteristic import classify_batch, growth_rate, non_finite_quartic
+from .characteristic import growth_rate, labels, non_finite_quartic
 from .observables import (DEGENERATE_ONLY, MISMATCHES, averaged_model,
                           pdc_only_reference, stack_observables, unconverged)
 from .params import (COUPLINGS, FIELDS, ModelParams, _convert, _entry, beyond_double,
@@ -277,15 +277,15 @@ def _evaluate(batch: ModelParams, quantities: tuple, solver: str,
     with np.errstate(all="ignore"):
         if "regime" in quantities or "growth_rate" in quantities:
             d = derive(batch)
-            labels = classify_batch(batch)
+            regimes = labels(batch, d)
         if "regime" in quantities:
             # classify's failures: the zero band, then a P, Q or R beyond double
-            values["regime"] = labels
-            record_first(errs, labels == "", lambda: beyond_double("regime"))
+            values["regime"] = regimes
+            record_first(errs, regimes == "", lambda: beyond_double("regime"))
             record_first(errs, ~(np.isfinite(d.p_coef) & np.isfinite(d.q_coef)
                                  & np.isfinite(d.r_coef)), non_finite_quartic)
         if "growth_rate" in quantities:
-            values["growth_rate"] = growth_rate(d, batch, labels)
+            values["growth_rate"] = growth_rate(d, batch, regimes)
             record_first(errs, np.isnan(values["growth_rate"]), non_finite_quartic)
         if any(q in _MATRIX_QUANTITIES for q in quantities):
             values.update(_matrix_values(batch, quantities, errs, solver, workers))

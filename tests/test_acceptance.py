@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import cascade as c
-from cascade.analytic import MultipleRootsError
 from cascade.bogoliubov import ENTRY_NAMES
+from cascade.closed_form import MultipleRootsError
 from cascade.scan import AxisSpec, ScanSpec, emit, run_scan
 
 

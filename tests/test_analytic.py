@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from cascade import analytic
-from cascade.analytic import (MultipleRootsError, entries_beyond_double, f_kernel,
-                              full_matrix, transfer_matrix)
+import cascade
+from cascade import analytic, closed_form
+from cascade.analytic import entries_beyond_double, transfer_matrix
 from cascade.bogoliubov import ENTRY_NAMES, BogoliubovMatrix
 from cascade.characteristic import solve_quartic
+from cascade.closed_form import MultipleRootsError, f_kernel, full_matrix
 from cascade.observables import pdc_only_reference, photon_numbers
 from cascade.oracle import (canonical_residuals, canonical_residuals_scaled,
                             matrix_at)
@@ -205,6 +206,13 @@ class TestFullMatrix:
         assert solve_quartic(derive(p)).near_multiple
         with pytest.raises(MultipleRootsError):
             full_matrix(p, 1.0)
+
+    def test_package_reexports_the_reference_names(self):
+        # cascade reads them from cascade.closed_form on first use, and any
+        # other missing name is still missing
+        for name in ("full_matrix", "f_kernel", "MultipleRootsError"):
+            assert getattr(cascade, name) is getattr(closed_form, name)
+        assert not hasattr(cascade, "no_such_name")
 
 
 def propagator_sets(rng):

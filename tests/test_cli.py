@@ -102,6 +102,24 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["regime"] == "I"
 
+    def test_label_does_not_depend_on_the_unit_of_length(self, capsys):
+        # every rate times c = 0.001 and the length over c is the same
+        # crystal: it keeps the label II of c = 1, and its growth rate is
+        # c times that of c = 1
+        docs = []
+        for argv in (["--kappa", "3", "--eta-s", "1.5", "--eta-i", "0.8",
+                      "--delta-tilde", "1", "--delta-s", "4", "--delta-i", "-2",
+                      "--length", "2"],
+                     ["--kappa", "0.003", "--eta-s", "0.0015", "--eta-i", "0.0008",
+                      "--delta-tilde", "0.001", "--delta-s", "0.004", "--delta-i",
+                      "-0.002", "--length", "2000"]):
+            code, out, _ = run(capsys, "classify", *argv)
+            assert code == 0
+            docs.append(json.loads(out))
+        assert [doc["regime"] for doc in docs] == ["II", "II"]
+        assert docs[1]["max_growth_rate"] == pytest.approx(
+            0.001 * docs[0]["max_growth_rate"], rel=1e-12)
+
     @pytest.mark.parametrize("command", ["classify", "solve"])
     def test_degenerate_and_three_mode_exclude_each_other(self, capsys, command):
         # the two configurations contradict each other: asking for both is a
@@ -241,9 +259,10 @@ def test_solve_does_not_load_scipy():
 
 
 def test_solve_and_analytic_scan_load_no_process_pool(tmp_path):
-    # worker processes run only the ODE solves of a scan: a cold `cascade
-    # solve` and an analytic `cascade scan`, two threads allowed, must not
-    # pay for importing the process pool and multiprocessing
+    # worker processes run only the ODE solves of a scan, and no command
+    # runs the paper's closed form: a cold `cascade solve` and an analytic
+    # `cascade scan`, two threads allowed, must not pay for importing the
+    # process pool, multiprocessing or cascade.closed_form
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(degenerate_diagram_spec(count=5).to_dict()))
     code = ("import sys, cascade, cascade.cli\n"
@@ -252,8 +271,8 @@ def test_solve_and_analytic_scan_load_no_process_pool(tmp_path):
             "                  '--output', sys.argv[1]])\n"
             "cascade.cli.main(['scan', '--spec', sys.argv[2], '--threads', '2',\n"
             "                  '--output', sys.argv[1]])\n"
-            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')\n"
-            "             if m in sys.modules))\n")
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing',\n"
+            "                          'cascade.closed_form') if m in sys.modules))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(cascade.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code, os.devnull, str(spec)], env=env,
                           capture_output=True, text=True, timeout=60, check=True)

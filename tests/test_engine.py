@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cascade import analytic, observables, scan
+from cascade import analytic, closed_form, observables, scan
 from cascade.analytic import transfer_matrix
 from cascade.bogoliubov import BogoliubovMatrix
 from cascade.characteristic import classify
@@ -433,7 +433,7 @@ def _two_exponentials(p: ModelParams, z: float) -> np.ndarray:
                            [0, -np.conj(c), 0, d1 - d3]]) * z
         return np.exp(-np.diag(g))[:, None] * expm(g)[:, ::2]
 
-    return BogoliubovMatrix.from_branches(z, [
+    return closed_form.from_branches(z, [
         branch(p.eta_s, p.eta_i, p.delta_s, p.delta_i),
         branch(p.eta_i, p.eta_s, p.delta_i, p.delta_s)]).t
 

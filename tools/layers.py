@@ -5,9 +5,10 @@
 takes the first CHUNK_POINTS (2048) points of the 41x41 degenerate diagram
 and of the 41x41 four-mode diagram, so each chunk is the whole diagram
 (1681 points), and times, for each chunk, the layers the chunk engine
-runs: validate + derive, `classify_batch`, `growth_rate` (given the
-chunk's labels), `transfer_matrices`, photon numbers + single-mode
-minima, and, on the degenerate chunk, the collective search's parts as
+runs: validate + derive, `labels` (given the chunk's derived
+parameters), `growth_rate` (given the chunk's labels),
+`transfer_matrices`, photon numbers + single-mode minima, and, on the
+degenerate chunk, the collective search's parts as
 `stack_observables` runs them: its coefficients
 (`_collective_coefficients`), its 64-phase grid (`_grid`), the grid
 starts (`_starts`) and their Newton refinement.
@@ -41,7 +42,7 @@ import cmath  # noqa: E402
 import numpy as np  # noqa: E402
 
 from cascade import analytic, characteristic, observables, scan  # noqa: E402
-from cascade.characteristic import classify_batch, growth_rate  # noqa: E402
+from cascade.characteristic import growth_rate, labels  # noqa: E402
 from cascade.params import (ModelParams, broadcast, degenerate_params,  # noqa: E402
                             derive, three_mode_params, validate_batch)
 
@@ -56,11 +57,12 @@ def layers(spec) -> dict:
     t = analytic.transfer_matrices(batch, batch.length)
     single = tuple(q for q in ("minvar_a", "minvar_b") if q in spec.quantities)
     growth = "growth_rate" + ("" if "growth_rate" in spec.quantities else " *")
-    labels = classify_batch(batch)
+    d = derive(batch)
+    regimes = labels(batch, d)
     out = {
         "validate + derive": lambda: (validate_batch(batch), derive(batch)),
-        "classify_batch": lambda: classify_batch(batch),
-        growth: lambda: growth_rate(derive(batch), batch, labels),
+        "labels": lambda: labels(batch, d),
+        growth: lambda: growth_rate(d, batch, regimes),
         "transfer_matrices": lambda: analytic.transfer_matrices(batch, batch.length),
         "photon numbers + single-mode minima": lambda: observables.stack_observables(t, single),
     }

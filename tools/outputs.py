@@ -19,8 +19,12 @@ four `classify` files cover its degenerate, three-mode and general labels.
 squeezing.)  `failures.json` holds, for each command of FAILURES, its
 argv, its exit code and its stderr lines, captured in process; an
 exception that escapes the command counts as exit 1, with the last line
-of its traceback.  Run it against two source trees and compare the
-directories with `tools/drift.py` to see which outputs a change moves.
+of its traceback.  `closed_form.json` holds the paper's closed form,
+`cascade.full_matrix(p, L).to_dict()` with every float as `float.hex`, at
+the README's degenerate point, the three-mode point and the general point
+above, so a drift record also covers the reference.  Run it against two
+source trees and compare the directories with `tools/drift.py` to see
+which outputs a change moves.
 """
 
 import cmath
@@ -32,8 +36,9 @@ import sys
 import traceback
 from pathlib import Path
 
+import cascade
 from cascade.cli import main
-from cascade.params import ModelParams, degenerate_params
+from cascade.params import ModelParams, degenerate_params, three_mode_params
 from cascade.scan import (AxisSpec, ScanSpec, degenerate_diagram_spec,
                           four_mode_diagram_spec)
 
@@ -88,6 +93,12 @@ def failure(argv: list) -> dict:
     return {"argv": argv, "exit": code, "stderr": err.getvalue().splitlines()}
 
 
+def closed_form_hex(p: ModelParams) -> dict:
+    """The closed form's T at z = L, each float as float.hex."""
+    return {name: [x.hex() for x in v] if isinstance(v, list) else float(v).hex()
+            for name, v in cascade.full_matrix(p, p.length).to_dict().items()}
+
+
 def scan(out: Path, name: str, spec, threads: int, *flags: str,
          suffix: str = "csv") -> None:
     spec_file = out / f"{name}.spec.json"
@@ -133,6 +144,10 @@ def write_outputs(out: Path) -> None:
         run(out, f"classify_{point}.json", "classify", *flags)
     (out / "failures.json").write_text(
         json.dumps([failure(argv) for argv in FAILURES], indent=2) + "\n")
+    references = {"degenerate": degenerate_params(3, 1, 0, 10, 2),
+                  "three_mode": three_mode_params(3, 2, 0, 5, 2), "general": general}
+    (out / "closed_form.json").write_text(json.dumps(
+        {name: closed_form_hex(p) for name, p in references.items()}, indent=2) + "\n")
 
 
 if __name__ == "__main__":
