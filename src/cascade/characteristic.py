@@ -27,16 +27,18 @@ Regimes are labelled by the root pattern:
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 
 import numpy as np
 
-from .params import (DerivedParams, ModelParams, _abs_sq, beyond_double, derive,
-                     is_degenerate, is_three_mode)
+from .params import (DerivedParams, ModelParams, _abs_sq, derive, is_degenerate,
+                     is_three_mode, select)
 
-#: roots closer than MULT_TOL * max(1, max|root|) are flagged as multiple
+#: roots no farther apart than MULT_TOL * max|root| are flagged as multiple,
+#: so four roots at 0 are
 MULT_TOL = 1e-6
 
 #: "zero" band prefactor for classification boundaries (scaled by the
@@ -75,8 +77,9 @@ class QuarticRoots:
 
 
 def _max(*values):
-    """The largest of scalars, or the elementwise largest of arrays."""
-    if isinstance(values[-1], np.ndarray):
+    """The largest of scalars, or the elementwise largest of arrays (the
+    first of them an array)."""
+    if isinstance(values[0], np.ndarray):
         return reduce(np.maximum, values)
     return max(values)
 
@@ -133,7 +136,14 @@ def solve_quartic(d: DerivedParams) -> QuarticRoots:
     sep = min(abs(lam[i] - lam[j]) for i in range(4) for j in range(i + 1, 4))
     big = max(abs(x) for x in lam)
     return QuarticRoots(roots=tuple(lam), min_root_separation=sep,
-                        near_multiple=sep < MULT_TOL * max(1.0, big))
+                        near_multiple=sep <= MULT_TOL * big)
+
+
+def _discriminant(p, q, r):
+    """Discriminant of mu^4 - p mu^2 + q mu + r (see discriminant_general)."""
+    p2, q2, r2 = p * p, q * q, r * r
+    return (256 * r2 * r - 128 * p2 * r2 - 144 * p * q2 * r
+            - 27 * q2 * q2 + 16 * p2 * p2 * r + 4 * p2 * p * q2)
 
 
 def discriminant_general(d: DerivedParams) -> float:
@@ -145,10 +155,7 @@ def discriminant_general(d: DerivedParams) -> float:
     pattern: D < 0 gives two real mu and a complex pair, D > 0 gives all
     real or none real, D = 0 multiple roots.
     """
-    p, q, r = d.p_coef, d.q_coef, d.r_coef
-    p2, q2, r2 = p * p, q * q, r * r
-    return (256 * r2 * r - 128 * p2 * r2 - 144 * p * q2 * r
-            - 27 * q2 * q2 + 16 * p2 * p2 * r + 4 * p2 * p * q2)
+    return _discriminant(d.p_coef, d.q_coef, d.r_coef)
 
 
 def _biquadratic_growth(params: ModelParams, d: DerivedParams, sqrt):
@@ -172,7 +179,8 @@ def growth_rate(d: DerivedParams, params: ModelParams, label):
     coefficient is not finite.  Where the label is I every root lambda is
     imaginary, and the rate is exactly 0.0, with no roots taken.  Elsewhere
     degenerate points of params (:func:`is_degenerate`, so Q = 0) take the
-    biquadratic's closed form, and three-mode points
+    biquadratic's closed form wherever it is finite (its P^2 - 4R
+    overflows from a root scale of about 1e77 cm^-1), and three-mode points
     (:func:`is_three_mode`) max(0, Im s) over the cubic's roots s: at weak
     pump the quartic has a (near-)double root there, where companion
     eigenvalues lose about sqrt(eps).  The rest take Im mu over the
@@ -181,9 +189,11 @@ def growth_rate(d: DerivedParams, params: ModelParams, label):
         if label is Area.I:
             return 0.0
         if is_degenerate(params):
-            return max(_biquadratic_growth(params, d, cmath.sqrt))
-        if is_three_mode(params):
-            p3, q3, _ = _three_mode_discriminant(params, d)
+            rate = max(_biquadratic_growth(params, d, cmath.sqrt))
+            if math.isfinite(rate):
+                return rate
+        elif is_three_mode(params):
+            p3, q3 = _three_mode_cubic(params, d)
             return float(max(_roots(0.0, -p3, q3).imag.max(), 0.0))
         return float(_roots(0.0, -d.p_coef, d.q_coef, d.r_coef).imag.max())
     p, q, r = d.p_coef, d.q_coef, d.r_coef
@@ -194,36 +204,40 @@ def growth_rate(d: DerivedParams, params: ModelParams, label):
     general &= ~oscillating
     closed = general & is_degenerate(params)
     cubic = general & is_three_mode(params) & ~closed
-    out[closed] = np.maximum(*_biquadratic_growth(params, d, np.sqrt))[closed]
-    p3, q3, _ = _three_mode_discriminant(params, d)
-    out[cubic] = np.maximum(_roots(0.0, -p3[cubic], q3[cubic]).imag.max(axis=-1), 0.0)
-    general &= ~(closed | cubic)
+    if closed.any():
+        out[closed] = np.maximum(*_biquadratic_growth(select(params, closed),
+                                                      select(d, closed), np.sqrt))
+    if cubic.any():
+        p3, q3 = _three_mode_cubic(select(params, cubic), select(d, cubic))
+        out[cubic] = np.maximum(_roots(0.0, -p3, q3).imag.max(axis=-1), 0.0)
+    general &= ~cubic & ~np.isfinite(out)
     out[general] = _roots(0.0, -p[general], q[general], r[general]).imag.max(axis=-1)
     return out
 
 
-def _band(scale, k: int):
-    """The zero band CLASS_TOL * scale ** k of a label's V case, a float or
-    an array.  Where it leaves double precision and scale does not, one
-    point fails with beyond_double("regime"), and a batch's band is -inf,
-    which :func:`_label` labels ""."""
-    try:
-        band = CLASS_TOL * scale ** k
-    except OverflowError:  # Python's float ** raises where numpy's gives inf
-        raise beyond_double("regime") from None
-    if isinstance(band, np.ndarray):
-        band[np.isinf(band) & np.isfinite(scale)] = -np.inf
-    return band
+def _normalized(p, q, r):
+    """(m, p', q', r') for coefficients p, q, r of degrees 2, 3 and 4 in
+    the roots, floats or arrays: their root scale (:func:`_scale`) is
+    m * 2 ** e with m in [0.5, 1) (m is the scale where that is 0 or not
+    finite), and p', q', r' are p / 2 ** (2 e), q / 2 ** (3 e) and
+    r / 2 ** (4 e).  The divisions are exact and bring each coefficient to
+    at most about m ** k, so a label compares an expression of degree k in
+    them with the zero band CLASS_TOL * m ** k, relative to the root scale,
+    and neither side overflows or underflows."""
+    scale = _scale(p, q, r)
+    if isinstance(scale, np.ndarray):
+        m, e = np.frexp(scale)
+        return m, np.ldexp(p, -2 * e), np.ldexp(q, -3 * e), np.ldexp(r, -4 * e)
+    m, e = math.frexp(scale)
+    return m, math.ldexp(p, -2 * e), math.ldexp(q, -3 * e), math.ldexp(r, -4 * e)
 
 
-def _label(cases: list, default: Area, band):
+def _label(cases: list, default: Area):
     """The label of the first case whose condition holds, else default.
     Conditions are bools, or boolean arrays of one shape; then the result
-    is an array of label strings, "" where band, the zero band of the V
-    case (:func:`_band`), is -inf."""
-    if isinstance(band, np.ndarray):
-        return np.select([band == -np.inf] + [c for _, c in cases],
-                         [""] + [a.value for a, _ in cases], default.value)
+    is an array of label strings."""
+    if isinstance(cases[0][1], np.ndarray):
+        return np.select([c for _, c in cases], [a.value for a, _ in cases], default.value)
     for area, condition in cases:
         if condition:
             return area
@@ -231,33 +245,32 @@ def _label(cases: list, default: Area, band):
 
 
 def _general_label(d: DerivedParams):
-    p, q, r = d.p_coef, d.q_coef, d.r_coef
-    disc, band = discriminant_general(d), _band(_scale(p, q, r), 12)
-    return _label([(Area.V, abs(disc) <= band), (Area.II, disc < 0),
-                   (Area.I, (p > 0) & (r < p * p / 4))], Area.III, band)
+    m, p, q, r = _normalized(d.p_coef, d.q_coef, d.r_coef)
+    disc = _discriminant(p, q, r)
+    return _label([(Area.V, abs(disc) <= CLASS_TOL * m ** 12), (Area.II, disc < 0),
+                   (Area.I, (p > 0) & (r < p * p / 4))], Area.III)
 
 
 def _degenerate_label(d: DerivedParams):
-    p, r = d.p_coef, d.r_coef
-    band, quarter = _band(_scale(p, 0.0, r), 4), p * p / 4
+    m, p, _, r = _normalized(d.p_coef, 0.0, d.r_coef)
+    band, quarter = CLASS_TOL * m ** 4, p * p / 4
     return _label([(Area.V, (abs(r) <= band) | (abs(r - quarter) <= band)),
                    (Area.II, r < 0), (Area.III, r > quarter), (Area.I, p > 0)],
-                  Area.IV, band)
+                  Area.IV)
 
 
-def _three_mode_discriminant(params: ModelParams, d: DerivedParams):
-    """(P3, Q3, D3) of the three-mode cubic s^3 - P3 s + Q3 = 0."""
-    a2 = _abs_sq(params.kappa)
-    gs2, phi = d.g_s_sq, d.phi
+def _three_mode_cubic(params: ModelParams, d: DerivedParams):
+    """(P3, Q3) of the three-mode cubic s^3 - P3 s + Q3 = 0."""
+    a2, gs2, phi = _abs_sq(params.kappa), d.g_s_sq, d.phi
     p3 = gs2 - a2 + phi * phi / 3
     q3 = params.delta_s / 2 * a2 - 2 * phi / 3 * (gs2 + a2 / 2 - phi * phi / 9)
-    return p3, q3, 27 * q3 * q3 - 4 * p3 * p3 * p3
+    return p3, q3
 
 
 def _three_mode_label(params: ModelParams, d: DerivedParams):
-    p3, q3, d3 = _three_mode_discriminant(params, d)
-    band = _band(_max(abs(p3) ** 0.5, abs(q3) ** (1 / 3)), 6)
-    return _label([(Area.V, abs(d3) <= band), (Area.II, d3 > 0)], Area.I, band)
+    m, p3, q3, _ = _normalized(*_three_mode_cubic(params, d), 0.0)
+    d3 = 27 * q3 * q3 - 4 * p3 * p3 * p3
+    return _label([(Area.V, abs(d3) <= CLASS_TOL * m ** 6), (Area.II, d3 > 0)], Area.I)
 
 
 def non_finite_quartic() -> np.linalg.LinAlgError:
@@ -270,11 +283,13 @@ def non_finite_quartic() -> np.linalg.LinAlgError:
 def classify(params: ModelParams) -> Regime:
     """The regime from the most specific label the parameters admit
     (:func:`labels`), and :func:`growth_rate`.  Raises
-    beyond_double("regime") where a label's zero band leaves double
-    precision (see _band), then :func:`non_finite_quartic` where a
-    coefficient overflowed.  The special cases are equalities with
-    no tolerance (:func:`is_degenerate`, :func:`is_three_mode`): a point
-    only near one takes the general label.
+    :func:`non_finite_quartic` where a coefficient overflowed.  Each label
+    compares the coefficients over a power of two of their root scale
+    (:func:`_normalized`) with a zero band relative to that scale, so it
+    does not depend on the unit of length, and neither side of the
+    comparison leaves double precision.  The special cases are equalities
+    with no tolerance (:func:`is_degenerate`, :func:`is_three_mode`): a
+    point only near one takes the general label.
 
     Degenerate points (eta_i = eta_s, delta_i = delta_s): the quartic is
     biquadratic (Q = 0), lambda^2 = (-P +- sqrt(P^2 - 4R))/2, and
@@ -308,18 +323,14 @@ def classify(params: ModelParams) -> Regime:
     label = labels(params, d)
     if not all(map(cmath.isfinite, (d.p_coef, d.q_coef, d.r_coef))):
         raise non_finite_quartic()
-    rate = growth_rate(d, params, label)
-    if cmath.isnan(rate):
-        raise non_finite_quartic()
-    return Regime(label=label, max_growth_rate=rate)
+    return Regime(label=label, max_growth_rate=growth_rate(d, params, label))
 
 
 def labels(params: ModelParams, d: DerivedParams):
     """The label of one point (an Area) or of a batch (label strings "I".."V")
     with derived parameters d, from its most specific case: degenerate,
     three-mode, else general.  A batch's point gets the label
-    :func:`classify` gives it, from the same masks on P, Q and R, or ""
-    where classify fails with beyond_double("regime")."""
+    :func:`classify` gives it, from the same masks on P, Q and R."""
     if isinstance(d.p_coef, np.ndarray):
         return np.where(is_degenerate(params), _degenerate_label(d),
                         np.where(is_three_mode(params), _three_mode_label(params, d),

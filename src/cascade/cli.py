@@ -9,12 +9,11 @@ regime.  `compare` prints :func:`cascade.scan.compare_point`, the comparison
 that `sweep-gain` tabulates over the parametric gain.
 
 Exit codes: 0 success; 2 a failure the package names, by its class: an
-OverflowError (a solution that leaves double precision, the regime's zero
-band included), a ValueError (invalid input, a `solve --z` outside the
-crystal, a malformed JSON file, a quartic with a coefficient that is not
-finite), an OSError, or another ArithmeticError (a collective phase search
-that does not converge, an ODE-oracle solve whose steps stall); 4 a
-strict-mode cross-check failure.
+OverflowError (a solution that leaves double precision), a ValueError
+(invalid input, a `solve --z` outside the crystal, a malformed JSON file, a
+quartic with a coefficient that is not finite), an OSError, or another
+ArithmeticError (a collective phase search that does not converge, an
+ODE-oracle solve whose steps stall); 4 a strict-mode cross-check failure.
 """
 
 from __future__ import annotations

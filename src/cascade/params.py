@@ -143,9 +143,10 @@ def broadcast(batch: ModelParams) -> ModelParams:
     return ModelParams(*(np.ravel(f) for f in fields))
 
 
-def select(batch: ModelParams, mask: np.ndarray) -> ModelParams:
-    """The points of a batch where mask holds, as a batch (n,)."""
-    return ModelParams(*(np.asarray(getattr(batch, f))[mask] for f in FIELDS))
+def select(batch, mask: np.ndarray):
+    """The points of a batch where mask holds, as a batch (n,) of the same
+    dataclass: a ModelParams or a DerivedParams whose fields are arrays."""
+    return type(batch)(*(getattr(batch, f)[mask] for f in batch.__dataclass_fields__))
 
 
 def unit_phase(z: complex) -> complex:

@@ -279,9 +279,8 @@ def _evaluate(batch: ModelParams, quantities: tuple, solver: str,
             d = derive(batch)
             regimes = labels(batch, d)
         if "regime" in quantities:
-            # classify's failures: the zero band, then a P, Q or R beyond double
+            # classify's failure: a P, Q or R beyond double
             values["regime"] = regimes
-            record_first(errs, regimes == "", lambda: beyond_double("regime"))
             record_first(errs, ~(np.isfinite(d.p_coef) & np.isfinite(d.q_coef)
                                  & np.isfinite(d.r_coef)), non_finite_quartic)
         if "growth_rate" in quantities:

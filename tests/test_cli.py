@@ -120,6 +120,21 @@ class TestClassify:
         assert docs[1]["max_growth_rate"] == pytest.approx(
             0.001 * docs[0]["max_growth_rate"], rel=1e-12)
 
+    def test_near_multiple_does_not_depend_on_the_unit_of_length(self, capsys):
+        # at c = 1e-7 the roots are 1.1e-7 apart at a root scale of 3e-7:
+        # not a multiple root, as at c = 1
+        docs = []
+        for argv in (["--kappa", "3", "--eta-s", "1.5", "--eta-i", "0.8",
+                      "--delta-tilde", "1", "--delta-s", "4", "--delta-i=-2",
+                      "--length", "2"],
+                     ["--kappa", "3e-7", "--eta-s", "1.5e-7", "--eta-i", "0.8e-7",
+                      "--delta-tilde", "1e-7", "--delta-s", "4e-7", "--delta-i=-2e-7",
+                      "--length", "2e7"]):
+            code, out, _ = run(capsys, "classify", *argv)
+            assert code == 0
+            docs.append(json.loads(out))
+        assert [doc["near_multiple"] for doc in docs] == [False, False]
+
     @pytest.mark.parametrize("command", ["classify", "solve"])
     def test_degenerate_and_three_mode_exclude_each_other(self, capsys, command):
         # the two configurations contradict each other: asking for both is a

@@ -269,27 +269,39 @@ def _general(kappa: float) -> ModelParams:
     (ModelParams(3 + 0j, 1 + 0j, 1 + 0j, 0.0, 3.0, 3.0 * (1 + 1e-7), 2.0), _observables),
     (_general(1e154), classify),
     (_general(1e160), classify),
-    (_general(1e26), classify),
-    (three_mode_params(1e52, 1, 0, 1, 1), classify),
-    (degenerate_params(1e100, 1, 0, 0, 1), classify),
     (degenerate_params(1e160, 1, 0, 1, 1), classify),
 ], ids=["non-finite-field", "negative-length", "transfer-matrix",
         "transfer-matrix-general", "non-finite-generator", "photon-numbers",
         "minvar_a", "squeezing-off-degeneracy", "nan-growth-1e154", "nan-growth-1e160",
-        "regime-general", "regime-three-mode", "regime-degenerate", "infinite-p-degenerate"])
+        "infinite-p-degenerate"])
 def test_one_point_and_engine_name_a_failure_alike(p, one_point):
     # the engine records the class and the message that the one-point call
     # raises, for a regime scan with or without the growth rate; a generator
-    # that is not finite ends in the transfer matrix's failure; the
-    # regime's zero band leaves double precision between |kappa| = 3e25 and
-    # 1e26 (general), 1e51 and 1e52 (three-mode), 1e77 and 1e100
-    # (degenerate), and P is -inf from 1e154 on
+    # that is not finite ends in the transfer matrix's failure; a quartic
+    # coefficient overflows from |kappa| = 1e154 on
     with pytest.raises(Exception) as one:
         one_point(p)
     for quantities in ([("regime", "growth_rate"), ("regime",)] if one_point is classify
                        else [QUANTITIES[1:8]]):
         (failure,) = evaluate_points([p], quantities, "analytic")
         assert (type(failure), str(failure)) == (type(one.value), str(one.value)), quantities
+
+
+# the labels are taken on coefficients over a power of two of their root
+# scale, so none fails where a zero band CLASS_TOL * scale^k would leave
+# double precision (from |kappa| of about 3e25 general, 1e52 three-mode and
+# 2e77 degenerate); there the degenerate closed form's P^2 - 4R overflows,
+# and the growth rate comes from the quartic's roots
+@pytest.mark.parametrize("p", [_general(1e26), three_mode_params(1e52, 1, 0, 1, 1),
+                               degenerate_params(1e100, 1, 0, 0, 1)],
+                         ids=["regime-general", "regime-three-mode", "regime-degenerate"])
+def test_one_point_and_engine_give_one_label(p):
+    regime = classify(p)
+    assert regime.max_growth_rate == pytest.approx(abs(p.kappa), rel=1e-12)
+    for quantities in (("regime",), ("regime", "growth_rate")):
+        (row,) = evaluate_points([p], quantities, "analytic")
+        assert row["regime"] == regime.label.value, quantities
+    assert row["growth_rate"] == regime.max_growth_rate
 
 
 @settings(max_examples=60, **SETTINGS)
