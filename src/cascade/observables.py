@@ -33,7 +33,13 @@ Every formula takes Python complex values or numpy arrays: the
 single-point functions evaluate one matrix, and :func:`stack_observables`
 a stack of them with the same formulas and the same steps, and every
 element stops on its own state, so no element's result depends on the rest
-of the stack.
+of the stack.  Each |z|^2 is :func:`cascade.params._abs_sq` (re re + im
+im), so a photon number of one matrix equals its stack row bit for bit; a
+minimum may differ in its last bits, where numpy fuses the complex
+products of the Lagrange minor.  Both paths have one overflow rule: a
+value is computed first, and one that is not finite is a failure,
+beyond_double(name), which a single-point function raises and a scan
+records in the point's row.
 
 Single-mode and collective squeezing metrics are defined for the degenerate
 configuration only, eta_i = eta_s and delta_i = delta_s exactly
@@ -54,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogoliubov import BogoliubovMatrix
-from .params import COUPLINGS, FIELDS, ModelParams, beyond_double, validate
+from .params import COUPLINGS, FIELDS, ModelParams, _abs_sq, beyond_double, validate
 
 
 @dataclass(frozen=True)
@@ -92,19 +98,20 @@ def _occupations(rows) -> tuple:
     """(n_as, n_ai, n_bs, n_bi) from the rows of T, whose entries are
     scalars or arrays of one shape."""
     (_, v_s, _, q_s), (v_i, _, q_i, _), (_, l_s, _, n_s), (l_i, _, n_i, _) = rows
-    return (abs(v_s) ** 2 + abs(q_s) ** 2, abs(v_i) ** 2 + abs(q_i) ** 2,
-            abs(l_s) ** 2 + abs(n_s) ** 2, abs(l_i) ** 2 + abs(n_i) ** 2)
+    return (_abs_sq(v_s) + _abs_sq(q_s), _abs_sq(v_i) + _abs_sq(q_i),
+            _abs_sq(l_s) + _abs_sq(n_s), _abs_sq(l_i) + _abs_sq(n_i))
 
 
 def photon_numbers(m: BogoliubovMatrix) -> PhotonNumbers:
     """Vacuum expectation of the mode occupations: each mode collects the
     squared magnitudes of its creation-operator coefficients: the entries of
     its row of T (alpha_s, alpha_i+, beta_s, beta_i+) in the columns of the
-    other parity."""
-    try:
-        return PhotonNumbers(*_occupations(m.rows))
-    except OverflowError:  # Python's float ** 2; named as the engine names it
-        raise beyond_double("photon number") from None
+    other parity.  beyond_double("photon number") where one is not
+    finite."""
+    n = _occupations(m.rows)
+    if not all(map(math.isfinite, n)):
+        raise beyond_double("photon number")
+    return PhotonNumbers(*n)
 
 
 #: the failure of a squeezing metric off the degenerate configuration, for
@@ -130,31 +137,34 @@ def correlators(m: BogoliubovMatrix) -> Correlators:
     )
 
 
-def _stable_min_variance(x1, x2, y1, y2):
-    """1 + 2N - 2|F| for N = |y1|^2 + |y2|^2, F = x1 y1 + x2 y2, evaluated
-    through the cancellation-free Lagrange-identity form (x1, x2 are the
-    annihilation-row entries, y1, y2 the creation-row entries).  Takes
-    complex scalars or arrays of them."""
-    n = abs(y1) ** 2 + abs(y2) ** 2
+def _stable_min_variance(x1, x2, y1, y2, n):
+    """1 + 2N - 2|F| for N = n = |y1|^2 + |y2|^2 (the mode's photon number),
+    F = x1 y1 + x2 y2, evaluated through the cancellation-free
+    Lagrange-identity form (x1, x2 are the annihilation-row entries, y1, y2
+    the creation-row entries).  Takes complex scalars or arrays of them."""
     f = x1 * y1 + x2 * y2
-    gap = abs(x1 * y2.conjugate() - x2 * y1.conjugate()) ** 2
+    gap = _abs_sq(x1 * y2.conjugate() - x2 * y1.conjugate())
     return (1.0 + 4.0 * gap) / (1.0 + 2.0 * n + 2.0 * abs(f))
 
 
 def single_mode_min_variance(m: BogoliubovMatrix, mode: str) -> SqueezingReport:
     """Minimal single-mode quadrature variance for the PDC mode ("a") or the
-    up-converted mode ("b") of a degenerate matrix."""
+    up-converted mode ("b") of a degenerate matrix.  Where the mode's photon
+    number is not finite, beyond_double("photon number"), as the point's
+    scan row; where the minimum is not, beyond_double(f"minvar_{mode}")."""
     _require_degenerate(m)
     if mode not in ("a", "b"):
         raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
     # the mode's signal row of T: annihilation entries x, creation entries y
     x1, y1, x2, y2 = m.rows[0 if mode == "a" else 2]
+    n = _abs_sq(y1) + _abs_sq(y2)  # the mode's photon number, as the engine's
+    if not math.isfinite(n):
+        raise beyond_double("photon number")
     f = x1 * y1 + x2 * y2
     theta = (math.pi - cmath.phase(f)) / 2 if f != 0 else math.pi / 2
-    try:
-        min_variance = _stable_min_variance(x1, x2, y1, y2)
-    except OverflowError:
-        raise beyond_double(f"minvar_{mode}") from None
+    min_variance = _stable_min_variance(x1, x2, y1, y2, n)
+    if not math.isfinite(min_variance):
+        raise beyond_double(f"minvar_{mode}")
     return SqueezingReport(min_variance=min_variance, theta_opt=theta)
 
 
@@ -199,7 +209,7 @@ def _collective_coefficients(a_row, b_row) -> tuple:
     a0, a1, a2, a3 = a_row
     b0, b1, b2, b3 = b_row
     a1c, a3c, b1c, b3c = (v.conjugate() for v in (a1, a3, b1, b3))
-    return (1.0 + (abs(a1) ** 2 + abs(b1) ** 2 + abs(a3) ** 2 + abs(b3) ** 2),
+    return (1.0 + (_abs_sq(a1) + _abs_sq(b1) + _abs_sq(a3) + _abs_sq(b3)),
             2.0 * (a1c * b1 + a3c * b3),
             a0 * a1 + a2 * a3,
             a0 * b1 + b0 * a1 + a2 * b3 + b2 * a3,
@@ -298,15 +308,15 @@ def _objective(c: tuple, d) -> tuple:
 
     and the derivatives are exact ones of the trigonometric polynomials.
     c and d are Python numbers (cmath) or arrays that broadcast (numpy).  A
-    vanishing |F| divides by 1 (F = 0 at every phase at T = I), so Python
-    numbers raise OverflowError where g leaves double precision and
-    nothing else."""
+    vanishing |F| divides by 1 (F = 0 at every phase at T = I), so no
+    division fails: where g leaves double precision it is inf or NaN, for
+    Python numbers as for arrays, and the callers check the minimum."""
     m0, m1, f0, f1, f2, g0, g1, gm1 = c
     e = np.exp(1j * d) if isinstance(d, np.ndarray) else cmath.exp(1j * d)
     ge, gme, fe, ffe, me = g1 * e, gm1 * e.conjugate(), f1 * e, f2 * e * e, m1 * e
     lc, lc1, lc2 = g0 + ge + gme, 1j * (ge - gme), -(ge + gme)
     f, fd1, fd2 = f0 + (f1 + f2 * e) * e, 1j * (fe + 2.0 * ffe), -(fe + 4.0 * ffe)
-    p = 1.0 + abs(lc) ** 2
+    p = 1.0 + _abs_sq(lc)
     p1 = 2.0 * (lc.conjugate() * lc1).real
     p2 = 2.0 * ((lc1 * lc1.conjugate()).real + (lc.conjugate() * lc2).real)
     af = abs(f)
@@ -389,27 +399,26 @@ def collective_min_variance(m: BogoliubovMatrix) -> SqueezingReport:
     where they stopped is reported: the same starts and steps
     :func:`stack_observables` runs on arrays.
     Since the report minimizes over the phase, bare carrier wavevectors
-    (which only shift it) never enter.  OverflowError where the variance
-    leaves double precision; ConvergenceError where a start is still moving
-    after its last step.
+    (which only shift it) never enter.  ConvergenceError where a start is
+    still moving after its last step; beyond_double("minvar_c") where the
+    minimum is not finite.
     """
     _require_degenerate(m)
     a_row, _, b_row, _ = m.rows
-    try:
-        c = _collective_coefficients(a_row, b_row)
-        with np.errstate(over="ignore", invalid="ignore"):
-            grid = _grid(c)
-        _, phases = _starts(grid[None])
-        best = None
-        for k in phases.tolist():
-            d, value, moving = _newton(c, k * _STEP)
-            if moving:
-                raise unconverged()
-            if best is None or value < best[0]:
-                best = value, d
-    except OverflowError:
-        raise beyond_double("minvar_c") from None
+    c = _collective_coefficients(a_row, b_row)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = _grid(c)
+    _, phases = _starts(grid[None])
+    best = None
+    for k in phases.tolist():
+        d, value, moving = _newton(c, k * _STEP)
+        if moving:
+            raise unconverged()
+        if best is None or value < best[0]:
+            best = value, d
     value, d_opt = best
+    if not math.isfinite(value):
+        raise beyond_double("minvar_c")
     e = cmath.exp(1j * d_opt)
     _, _, f0, f1, f2, _, _, _ = c
     f_tot = f0 + (f1 + f2 * e) * e  # 2 F
@@ -431,10 +440,10 @@ def stack_observables(t: np.ndarray, quantities) -> dict:
     :func:`cascade.params.is_degenerate` of the stack's parameters."""
     rows = np.moveaxis(t, (-2, -1), (0, 1))
     out = dict(zip(("n_as", "n_ai", "n_bs", "n_bi"), _occupations(rows)))
-    for q, row in (("minvar_a", rows[0]), ("minvar_b", rows[2])):
+    for q, row, n in (("minvar_a", rows[0], "n_as"), ("minvar_b", rows[2], "n_bs")):
         if q in quantities:
             x1, y1, x2, y2 = row
-            out[q] = _stable_min_variance(x1, x2, y1, y2)
+            out[q] = _stable_min_variance(x1, x2, y1, y2, out[n])
     if "minvar_c" in quantities:
         c = _collective_coefficients(rows[0], rows[2])
         points, phases = _starts(_grid(c))

@@ -316,6 +316,19 @@ def test_solve_beyond_double_precision_exits_2(kappa, message):
     assert "inf" not in proc.stdout
 
 
+def test_solve_infinite_minimum_exits_2(capsys):
+    # the minimum's 1 + 4 |L|^2 overflows to inf while |L|^2 is finite: it
+    # is checked for finiteness, as a scan's row is, and the point exits 2
+    # with one line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "solve", "--kappa", "99.6", "--eta-s", "0.1",
+                             "--delta-s", "1", "--degenerate", "--length", "2")
+    assert code == 2 and out == ""
+    assert err == ("error: solution leaves double precision: "
+                   "minvar_a exceeds double precision\n")
+
+
 def test_solve_beyond_double_precision_stderr_is_one_line():
     # the overflowing squaring of the matrix exponential prints no numpy
     # warnings ahead of the error line

@@ -98,7 +98,10 @@ def test_batched_rows_equal_single_point_functions(batch):
             # one growth-rate function serves classify and the batch, bit for bit
             assert row["growth_rate"] == want.pop("growth_rate"), p
             for q, v in want.items():
-                assert close(row[q], v), (solver, q, row[q], v, p)
+                # one |z|^2 gives the photon numbers of a point and of its
+                # row, bit for bit; the minima may differ in the last bits
+                same = row[q] == v if q.startswith("n_") else close(row[q], v)
+                assert same, (solver, q, row[q], v, p)
 
 
 def test_edge_points_classify_as_expected():
@@ -266,19 +269,22 @@ def _general(kappa: float) -> ModelParams:
     (ModelParams(1e300 + 0j, 1 + 0j, 0.5 + 0j, 0.0, 1.0, 2.0, 1e10), _observables),
     (degenerate_params(178, 1, 0, 3, 2), _observables),
     (degenerate_params(100, 1, 0, 3, 2), _observables),
+    (degenerate_params(99.6, 0.1, 0, 1, 2), _observables),
     (ModelParams(3 + 0j, 1 + 0j, 1 + 0j, 0.0, 3.0, 3.0 * (1 + 1e-7), 2.0), _observables),
     (_general(1e154), classify),
     (_general(1e160), classify),
     (degenerate_params(1e160, 1, 0, 1, 1), classify),
 ], ids=["non-finite-field", "negative-length", "transfer-matrix",
         "transfer-matrix-general", "non-finite-generator", "photon-numbers",
-        "minvar_a", "squeezing-off-degeneracy", "nan-growth-1e154", "nan-growth-1e160",
-        "infinite-p-degenerate"])
+        "minvar_a", "minvar_a-infinite", "squeezing-off-degeneracy", "nan-growth-1e154",
+        "nan-growth-1e160", "infinite-p-degenerate"])
 def test_one_point_and_engine_name_a_failure_alike(p, one_point):
     # the engine records the class and the message that the one-point call
     # raises, for a regime scan with or without the growth rate; a generator
-    # that is not finite ends in the transfer matrix's failure; a quartic
-    # coefficient overflows from |kappa| = 1e154 on
+    # that is not finite ends in the transfer matrix's failure; at |kappa| =
+    # 99.6, eta_s = 0.1 the minimum's 1 + 4 |L|^2 overflows to inf while
+    # |L|^2 is finite; a quartic coefficient overflows from |kappa| = 1e154
+    # on
     with pytest.raises(Exception) as one:
         one_point(p)
     for quantities in ([("regime", "growth_rate"), ("regime",)] if one_point is classify

@@ -11,8 +11,8 @@ from cascade.observables import (averaged_model, collective_min_variance,
                                  observables_summary, pdc_only_reference,
                                  photon_numbers, single_mode_min_variance,
                                  zeta)
-from cascade.params import ModelParams, degenerate_params, validate
-from cascade.scan import solve_point
+from cascade.params import ModelParams, beyond_double, degenerate_params, validate
+from cascade.scan import evaluate_points, solve_point
 
 
 def make(kappa=0j, eta_s=0j, eta_i=0j, dt=0.0, ds=0.0, di=0.0, L=1.0):
@@ -130,6 +130,16 @@ class TestSingleModeVariance:
         with pytest.raises(ValueError):
             single_mode_min_variance(m, "a")
 
+    def test_overflowing_photon_number_fails_as_the_scan_row(self):
+        # at kappa L = 358 the mode's N leaves double precision while its
+        # Lagrange gap cancels to exactly 0, so 1 / (1 + 2N + 2|F|) would
+        # be a silent 0.0: the minimum fails as the point's scan row does
+        p = degenerate_params(179, 1, 0, 3, 2)
+        (row,) = evaluate_points([p], ("minvar_a",), "analytic")
+        with pytest.raises(OverflowError) as err:
+            single_mode_min_variance(solve_point(p), "a")
+        assert str(err.value) == str(row) == "photon number exceeds double precision"
+
 
 class TestCollectiveVariance:
     def test_vacuum(self):
@@ -226,6 +236,23 @@ def test_averaged_model_names_an_overflowing_mismatch():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match="delta_s \\* length exceeds double precision"):
             averaged_model(degenerate_params(3, 1, 0, 1e300, 1e10))
+
+
+def test_summary_near_the_minima_overflow_is_finite_or_a_named_failure():
+    # about |kappa| L = 200 at eta_s = 0.1 a minimum's 1 + 4 |L|^2 can
+    # leave double precision while |L|^2 is finite: each value is checked
+    # for finiteness, as a scan's row is
+    named = {str(beyond_double(q)) for q in ("minvar_a", "minvar_b", "minvar_c")}
+    for ds in (1, 3, -4, 10):
+        for k in range(9900, 10100):
+            p = degenerate_params(k / 100, 0.1, 0, ds, 2)
+            try:
+                out = observables_summary(solve_point(p))
+            except OverflowError as e:
+                assert str(e) in named, p
+                continue
+            values = [x for v in out.values() for x in (v if isinstance(v, list) else [v])]
+            assert all(map(math.isfinite, values)), p
 
 
 class TestPdcOnlyReference:

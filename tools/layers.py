@@ -25,9 +25,10 @@ point (rows form) and at the general point of tools/outputs.py (full
 matrix), `solve_quartic` and `classify` at the general point, `classify`
 at a general point in area I (kappa = 0.5, eta_s = 1.5, eta_i = 0.8,
 delta_tilde = 6, delta_s = 4, delta_i = -2, L = 2), which takes no roots,
-`classify` at the three-mode point of tools/outputs.py, and `solve_point`
-with solver="averaged" at the README point.  OpenBLAS runs on one thread, as in
-a single-process scan on a busy host.
+`classify` at the three-mode point of tools/outputs.py, `solve_point`
+with solver="averaged" at the README point, `photon_numbers` of the general
+point's matrix, and `observables_summary` of the README point's matrix.
+OpenBLAS runs on one thread, as in a single-process scan on a busy host.
 """
 
 import os
@@ -121,6 +122,7 @@ def one_point() -> dict:
     area_i = ModelParams(kappa=0.5 + 0j, eta_s=1.5 + 0j, eta_i=0.8 + 0j,
                          delta_tilde=6.0, delta_s=4.0, delta_i=-2.0, length=2.0)
     d = derive(general)
+    readme_matrix, general_matrix = scan.solve_point(readme), scan.solve_point(general)
     return {"transfer_matrix, degenerate": lambda: analytic.transfer_matrix(readme, 2.0),
             "transfer_matrix, general": lambda: analytic.transfer_matrix(general, 2.0),
             "solve_quartic, general": lambda: characteristic.solve_quartic(d),
@@ -128,7 +130,9 @@ def one_point() -> dict:
             "classify, general in area I": lambda: characteristic.classify(area_i),
             "classify, three-mode": lambda: characteristic.classify(three_mode),
             'solve_point(solver="averaged")': lambda: scan.solve_point(readme,
-                                                                       solver="averaged")}
+                                                                       solver="averaged"),
+            "photon_numbers, general": lambda: observables.photon_numbers(general_matrix),
+            "observables_summary": lambda: observables.observables_summary(readme_matrix)}
 
 
 def main() -> None:

@@ -56,13 +56,16 @@ OTHER_POINTS = {
                    "--length", "2"],
 }
 #: commands at the edges of double precision: `solve` where the squeezing
-#: minimum, the photon numbers and the transfer matrix leave it, an
+#: minimum, the photon numbers and the transfer matrix leave it, `solve`
+#: where the minimum's 1 + 4 |L|^2 overflows while |L|^2 is finite, an
 #: ODE-oracle solve whose steps stall, and `classify` of a general point at
 #: |kappa| = 1e26, where a zero band CLASS_TOL * scale^12 would leave it
 #: (the label is taken without one: exit 0), and at 1e160, where P is -inf
 FAILURES = [
     *(["solve", "--kappa", kappa, "--eta-s", "1", "--delta-s", "3", "--degenerate",
        "--length", "2"] for kappa in ("100", "178", "400")),
+    ["solve", "--kappa", "99.6", "--eta-s", "0.1", "--delta-s", "1", "--degenerate",
+     "--length", "2"],
     ["solve", "--solver", "oracle", "--kappa", "1e160", "--length", "1"],
     *(["classify", "--kappa", kappa, "--eta-s", "1", "--eta-i", "0.5", "--delta-s", "1",
        "--delta-i", "2", "--length", "1"] for kappa in ("1e26", "1e160")),
