@@ -141,10 +141,15 @@ def _stable_min_variance(x1, x2, y1, y2, n):
     """1 + 2N - 2|F| for N = n = |y1|^2 + |y2|^2 (the mode's photon number),
     F = x1 y1 + x2 y2, evaluated through the cancellation-free
     Lagrange-identity form (x1, x2 are the annihilation-row entries, y1, y2
-    the creation-row entries).  Takes complex scalars or arrays of them."""
+    the creation-row entries).  Takes complex scalars or arrays of them.
+    Where the denominator 1 + 2N + 2|F| is not finite, also while N is, the
+    quotient reads exactly 0.0 (or NaN), so the minimum is inf there, and
+    its caller names it beyond_double(f"minvar_{mode}"); a finite
+    denominator keeps the quotient's bits."""
     f = x1 * y1 + x2 * y2
     gap = _abs_sq(x1 * y2.conjugate() - x2 * y1.conjugate())
-    return (1.0 + 4.0 * gap) / (1.0 + 2.0 * n + 2.0 * abs(f))
+    den = 1.0 + 2.0 * n + 2.0 * abs(f)
+    return _where(den < math.inf, (1.0 + 4.0 * gap) / den, math.inf)  # false at inf and NaN
 
 
 def single_mode_min_variance(m: BogoliubovMatrix, mode: str) -> SqueezingReport:
@@ -400,10 +405,13 @@ def collective_min_variance(m: BogoliubovMatrix) -> SqueezingReport:
     :func:`stack_observables` runs on arrays.
     Since the report minimizes over the phase, bare carrier wavevectors
     (which only shift it) never enter.  ConvergenceError where a start is
-    still moving after its last step; beyond_double("minvar_c") where the
-    minimum is not finite.
+    still moving after its last step.  Where a photon number of the matrix
+    is not finite, beyond_double("photon number") before the search, the
+    failure of the point's scan row; where the minimum is not finite,
+    beyond_double("minvar_c").
     """
     _require_degenerate(m)
+    photon_numbers(m)  # raises the row's failure where one is not finite
     a_row, _, b_row, _ = m.rows
     c = _collective_coefficients(a_row, b_row)
     with np.errstate(over="ignore", invalid="ignore"):

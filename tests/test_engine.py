@@ -253,6 +253,14 @@ def _observables(p: ModelParams) -> None:
     collective_min_variance(m)
 
 
+def _single_a(p: ModelParams) -> None:
+    single_mode_min_variance(scan.solve_point(p), "a")
+
+
+def _collective(p: ModelParams) -> None:
+    collective_min_variance(scan.solve_point(p))
+
+
 def _general(kappa: float) -> ModelParams:
     return ModelParams(kappa=kappa + 0j, eta_s=1 + 0j, eta_i=0.5 + 0j, delta_tilde=0.0,
                        delta_s=1.0, delta_i=2.0, length=1.0)
@@ -270,21 +278,26 @@ def _general(kappa: float) -> ModelParams:
     (degenerate_params(178, 1, 0, 3, 2), _observables),
     (degenerate_params(100, 1, 0, 3, 2), _observables),
     (degenerate_params(99.6, 0.1, 0, 1, 2), _observables),
+    (degenerate_params(177.58528428093646, 0.1, 0, 1, 2), _single_a),
+    (degenerate_params(177.82608695652175, 0.1, 0, 1, 2), _collective),
     (ModelParams(3 + 0j, 1 + 0j, 1 + 0j, 0.0, 3.0, 3.0 * (1 + 1e-7), 2.0), _observables),
     (_general(1e154), classify),
     (_general(1e160), classify),
     (degenerate_params(1e160, 1, 0, 1, 1), classify),
 ], ids=["non-finite-field", "negative-length", "transfer-matrix",
         "transfer-matrix-general", "non-finite-generator", "photon-numbers",
-        "minvar_a", "minvar_a-infinite", "squeezing-off-degeneracy", "nan-growth-1e154",
+        "minvar_a", "minvar_a-infinite", "minvar_a-denominator", "minvar_c-photon-numbers",
+        "squeezing-off-degeneracy", "nan-growth-1e154",
         "nan-growth-1e160", "infinite-p-degenerate"])
 def test_one_point_and_engine_name_a_failure_alike(p, one_point):
     # the engine records the class and the message that the one-point call
     # raises, for a regime scan with or without the growth rate; a generator
     # that is not finite ends in the transfer matrix's failure; at |kappa| =
     # 99.6, eta_s = 0.1 the minimum's 1 + 4 |L|^2 overflows to inf while
-    # |L|^2 is finite; a quartic coefficient overflows from |kappa| = 1e154
-    # on
+    # |L|^2 is finite; at |kappa| = 177.585... its 1 + 2N + 2|F| overflows
+    # while N is finite, and at 177.826... a photon number overflows, which a
+    # direct collective search names as the row does; a quartic coefficient
+    # overflows from |kappa| = 1e154 on
     with pytest.raises(Exception) as one:
         one_point(p)
     for quantities in ([("regime", "growth_rate"), ("regime",)] if one_point is classify

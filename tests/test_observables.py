@@ -255,6 +255,26 @@ def test_summary_near_the_minima_overflow_is_finite_or_a_named_failure():
             assert all(map(math.isfinite, values)), p
 
 
+def test_single_mode_minimum_is_never_a_silent_zero():
+    # near the photon-number overflow 1 + 2N + 2|F| can overflow while N is
+    # finite, where (1 + 4 gap) / inf would read exactly 0.0: a minimum is
+    # positive, or a named failure, for one point and in a scan row
+    points = [degenerate_params(k, 0.1, 0, 1, 2) for k in np.linspace(170, 182, 4500)]
+    matrices = [solve_point(p) for p in points]
+    for mode in "ab":
+        named = {str(beyond_double(q)) for q in ("photon number", f"minvar_{mode}")}
+        for p, m in zip(points, matrices):
+            try:
+                assert single_mode_min_variance(m, mode).min_variance > 0.0, p
+            except OverflowError as e:
+                assert str(e) in named, p
+        for p, row in zip(points, evaluate_points(points, (f"minvar_{mode}",), "analytic")):
+            if isinstance(row, OverflowError):
+                assert str(row) in named, p
+            else:
+                assert row[f"minvar_{mode}"] > 0.0, p
+
+
 class TestPdcOnlyReference:
     def test_phase_matched(self):
         n, mv = pdc_only_reference(3 + 0j, 0.0, 1.0)
