@@ -26,9 +26,9 @@ import sys
 
 from .characteristic import classify, roots_to_json, solve_quartic
 from .observables import observables_summary
-from .params import (COUPLINGS, FIELDS, ModelParams, derive, params_from_dict,
-                     params_to_dict, unit_phase, validate)
-from .scan import (SOLVERS, ScanSpec, compare_point, emit, run_scan,
+from .params import (COUPLINGS, DEGENERATE_LOCK, FIELDS, THREE_MODE, ModelParams,
+                     derive, params_from_dict, params_to_dict, unit_phase, validate)
+from .scan import (SOLVERS, ScanSpec, compare_point, emit, json_bytes, run_scan,
                    solve_point, sweep_gain)
 
 _PARAM_FLAGS = (
@@ -80,11 +80,9 @@ def _build_params(args: argparse.Namespace) -> ModelParams:
         if getattr(args, name) is not None:
             kw[name] = getattr(args, name)
     if args.degenerate:
-        kw["eta_i"] = kw["eta_s"]
-        kw["delta_i"] = kw["delta_s"]
+        kw.update({idler: kw[signal] for idler, signal in DEGENERATE_LOCK.items()})
     if args.three_mode:
-        kw["eta_i"] = 0j
-        kw["delta_i"] = 0.0
+        kw.update(THREE_MODE)
     return validate(ModelParams(**kw))
 
 
@@ -96,10 +94,6 @@ def _write(args: argparse.Namespace, payload: bytes) -> None:
         sys.stdout.write(payload.decode())
 
 
-def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, indent=2) + "\n").encode()
-
-
 def _cmd_solve(args) -> int:
     params = _build_params(args)
     m = solve_point(params, z=args.z, solver=args.solver)
@@ -109,7 +103,7 @@ def _cmd_solve(args) -> int:
         "matrix": m.to_dict(),
         "observables": observables_summary(m),
     }
-    _write(args, _json_bytes(doc))
+    _write(args, json_bytes(doc))
     return 0
 
 
@@ -128,7 +122,7 @@ def _cmd_classify(args) -> int:
         "roots": roots_to_json(roots),
         "near_multiple": roots.near_multiple,
     }
-    _write(args, _json_bytes(doc))
+    _write(args, json_bytes(doc))
     return 0
 
 
@@ -158,7 +152,7 @@ def _cmd_sweep_gain(args) -> int:
 def _cmd_compare(args) -> int:
     params = _build_params(args)
     doc = {"params": params_to_dict(params), **compare_point(params)}
-    _write(args, _json_bytes(doc))
+    _write(args, json_bytes(doc))
     return 0
 
 

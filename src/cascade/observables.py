@@ -154,20 +154,21 @@ def _stable_min_variance(x1, x2, y1, y2, n):
 
 def single_mode_min_variance(m: BogoliubovMatrix, mode: str) -> SqueezingReport:
     """Minimal single-mode quadrature variance for the PDC mode ("a") or the
-    up-converted mode ("b") of a degenerate matrix.  Where the mode's photon
-    number is not finite, beyond_double("photon number"), as the point's
-    scan row; where the minimum is not, beyond_double(f"minvar_{mode}")."""
-    _require_degenerate(m)
+    up-converted mode ("b") of a degenerate matrix.  A bad mode is a
+    ValueError first; then the failures of the point's scan row, in its
+    order: beyond_double("photon number") where any photon number of the
+    matrix is not finite, ValueError(DEGENERATE_ONLY) off the degenerate
+    configuration, and beyond_double(f"minvar_{mode}") where the minimum
+    is not finite."""
     if mode not in ("a", "b"):
         raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
+    n = photon_numbers(m)
+    _require_degenerate(m)
     # the mode's signal row of T: annihilation entries x, creation entries y
     x1, y1, x2, y2 = m.rows[0 if mode == "a" else 2]
-    n = _abs_sq(y1) + _abs_sq(y2)  # the mode's photon number, as the engine's
-    if not math.isfinite(n):
-        raise beyond_double("photon number")
     f = x1 * y1 + x2 * y2
     theta = (math.pi - cmath.phase(f)) / 2 if f != 0 else math.pi / 2
-    min_variance = _stable_min_variance(x1, x2, y1, y2, n)
+    min_variance = _stable_min_variance(x1, x2, y1, y2, n.n_as if mode == "a" else n.n_bs)
     if not math.isfinite(min_variance):
         raise beyond_double(f"minvar_{mode}")
     return SqueezingReport(min_variance=min_variance, theta_opt=theta)
@@ -404,14 +405,15 @@ def collective_min_variance(m: BogoliubovMatrix) -> SqueezingReport:
     where they stopped is reported: the same starts and steps
     :func:`stack_observables` runs on arrays.
     Since the report minimizes over the phase, bare carrier wavevectors
-    (which only shift it) never enter.  ConvergenceError where a start is
-    still moving after its last step.  Where a photon number of the matrix
-    is not finite, beyond_double("photon number") before the search, the
-    failure of the point's scan row; where the minimum is not finite,
-    beyond_double("minvar_c").
+    (which only shift it) never enter.  Its failures are the point's scan
+    row's, in the row's order: beyond_double("photon number") where any
+    photon number of the matrix is not finite and ValueError(DEGENERATE_ONLY)
+    off the degenerate configuration, both before the search, then
+    ConvergenceError where a start is still moving after its last step, and
+    beyond_double("minvar_c") where the minimum is not finite.
     """
+    photon_numbers(m)
     _require_degenerate(m)
-    photon_numbers(m)  # raises the row's failure where one is not finite
     a_row, _, b_row, _ = m.rows
     c = _collective_coefficients(a_row, b_row)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -199,22 +199,31 @@ def derive(params: ModelParams) -> DerivedParams:
     )
 
 
+#: the degenerate configuration: each idler-arm field takes the value of its
+#: signal-arm field (:func:`is_degenerate` is its test)
+DEGENERATE_LOCK = {"eta_i": "eta_s", "delta_i": "delta_s"}
+#: the three-mode configuration: the idler up-conversion arm's values
+#: (:func:`is_three_mode` is its test)
+THREE_MODE = {"eta_i": 0j, "delta_i": 0.0}
+
+
 def degenerate_params(kappa: complex, eta: complex, delta_tilde: float,
                       delta_s: float, length: float) -> ModelParams:
     """Frequency-degenerate configuration: one PDC mode and one up-converted
-    mode, realized by eta_i = eta_s and delta_i = delta_s."""
-    return validate(ModelParams(kappa=complex(kappa), eta_s=complex(eta),
-                                eta_i=complex(eta), delta_tilde=delta_tilde,
-                                delta_s=delta_s, delta_i=delta_s, length=length))
+    mode, realized by DEGENERATE_LOCK: eta_i = eta_s and delta_i = delta_s."""
+    fields = dict(kappa=complex(kappa), eta_s=complex(eta), delta_tilde=delta_tilde,
+                  delta_s=delta_s, length=length)
+    fields.update({idler: fields[signal] for idler, signal in DEGENERATE_LOCK.items()})
+    return validate(ModelParams(**fields))
 
 
 def three_mode_params(kappa: complex, eta_s: complex, delta_tilde: float,
                       delta_s: float, length: float) -> ModelParams:
     """Three-mode configuration: only the signal is up-converted
-    (eta_i = 0, delta_i = 0)."""
+    (THREE_MODE, eta_i = 0, delta_i = 0)."""
     return validate(ModelParams(kappa=complex(kappa), eta_s=complex(eta_s),
-                                eta_i=0j, delta_tilde=delta_tilde,
-                                delta_s=delta_s, delta_i=0.0, length=length))
+                                delta_tilde=delta_tilde, delta_s=delta_s,
+                                length=length, **THREE_MODE))
 
 
 def is_degenerate(params: ModelParams):

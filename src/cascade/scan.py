@@ -38,8 +38,8 @@ from .bogoliubov import BogoliubovMatrix
 from .characteristic import growth_rate, labels, non_finite_quartic
 from .observables import (DEGENERATE_ONLY, MISMATCHES, averaged_model,
                           pdc_only_reference, stack_observables, unconverged)
-from .params import (COUPLINGS, FIELDS, ModelParams, _convert, _entry, beyond_double,
-                     broadcast, derive, is_degenerate, params_from_dict,
+from .params import (COUPLINGS, DEGENERATE_LOCK, FIELDS, ModelParams, _convert, _entry,
+                     beyond_double, broadcast, derive, is_degenerate, params_from_dict,
                      params_to_dict, record_first, stack, unit_phase, unstack,
                      validate, validate_batch)
 
@@ -59,9 +59,6 @@ CHUNK_POINTS = 2048
 
 _MATRIX_QUANTITIES = ("n_as", "n_ai", "n_bs", "n_bi",
                       "minvar_a", "minvar_b", "minvar_c")
-#: the lock of a degenerate scan: each idler-arm field takes the value of
-#: its signal-arm field
-_DEGENERATE_LOCK = {"eta_i": "eta_s", "delta_i": "delta_s"}
 
 
 @dataclass(frozen=True)
@@ -85,9 +82,10 @@ class AxisSpec:
 class ScanSpec:
     """Grid description: base parameters, one or two axes, the quantities to
     evaluate and the solver.  With degenerate=True the idler-arm parameters
-    are locked to the signal arm after each axis application (the natural
-    axes of degenerate-configuration diagrams), so a degenerate spec takes
-    no delta_i or eta_i_abs axis.  The two axes name different parameters."""
+    are locked to the signal arm (:data:`cascade.params.DEGENERATE_LOCK`)
+    after each axis application (the natural axes of degenerate-configuration
+    diagrams), so a degenerate spec takes no delta_i or eta_i_abs axis.  The
+    two axes name different parameters."""
 
     base: ModelParams
     axis1: AxisSpec
@@ -107,7 +105,7 @@ class ScanSpec:
         if self.axis2 is not None and self.axis2.name == self.axis1.name:
             raise ValueError(f"axis2.name: repeats axis1's parameter {self.axis1.name!r}")
         for key, axis in (("axis1", self.axis1), ("axis2", self.axis2)):
-            if self.degenerate and axis and axis.name.removesuffix("_abs") in _DEGENERATE_LOCK:
+            if self.degenerate and axis and axis.name.removesuffix("_abs") in DEGENERATE_LOCK:
                 raise ValueError(f"{key}.name: a degenerate scan locks {axis.name!r} "
                                  "to the signal arm")
 
@@ -181,8 +179,7 @@ def point_params(spec: ScanSpec, v1, v2=None) -> ModelParams:
     if spec.axis2 is not None and v2 is not None:
         _apply_axis(fields, spec.axis2.name, v2)
     if spec.degenerate:
-        for idler, signal in _DEGENERATE_LOCK.items():
-            fields[idler] = fields[signal]
+        fields.update({idler: fields[signal] for idler, signal in DEGENERATE_LOCK.items()})
     return ModelParams(**fields)
 
 
@@ -516,15 +513,21 @@ def sweep_gain(delta_s_times_length: float, ratio_r: float,
                       cross_check_violations=[])
 
 
+def json_bytes(doc) -> bytes:
+    """The one JSON output format, of scans and of every command: indent 2,
+    a final newline, UTF-8."""
+    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
 def emit(result: ScanResult, fmt: str) -> bytes:
     """Serialize a scan: CSV ('.' decimal, LF endings, header mandatory,
-    17 significant digits) or JSON {spec, rows, failures}."""
+    17 significant digits) or JSON {spec, rows, failures} (:func:`json_bytes`)."""
     if fmt == "json":
         doc = {"spec": result.spec, "rows": result.rows,
                "failures": result.failures}
         if result.cross_check_violations:
             doc["cross_check_violations"] = result.cross_check_violations
-        return (json.dumps(doc, indent=2) + "\n").encode()
+        return json_bytes(doc)
     if fmt != "csv":
         raise ValueError(f"unknown format {fmt!r}")
 

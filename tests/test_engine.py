@@ -24,7 +24,7 @@ from cascade.characteristic import classify
 from cascade.cli import main
 from cascade.observables import (collective_min_variance, photon_numbers,
                                  single_mode_min_variance)
-from cascade.params import (ModelParams, broadcast, degenerate_params,
+from cascade.params import (ModelParams, beyond_double, broadcast, degenerate_params,
                             is_degenerate, params_to_dict, stack, three_mode_params)
 from cascade.scan import (MAGNITUDE_AXES, QUANTITIES, SCALAR_AXES, AxisSpec,
                           ScanSpec, emit, evaluate_points, run_scan)
@@ -257,6 +257,10 @@ def _single_a(p: ModelParams) -> None:
     single_mode_min_variance(scan.solve_point(p), "a")
 
 
+def _single_b(p: ModelParams) -> None:
+    single_mode_min_variance(scan.solve_point(p), "b")
+
+
 def _collective(p: ModelParams) -> None:
     collective_min_variance(scan.solve_point(p))
 
@@ -280,6 +284,9 @@ def _general(kappa: float) -> ModelParams:
     (degenerate_params(99.6, 0.1, 0, 1, 2), _observables),
     (degenerate_params(177.58528428093646, 0.1, 0, 1, 2), _single_a),
     (degenerate_params(177.82608695652175, 0.1, 0, 1, 2), _collective),
+    (degenerate_params(177.8, 0.5, 0, 0, 2), _single_b),
+    (ModelParams(200 + 0j, 1 + 0j, 0.5 + 0j, 0.0, 1.0, 2.0, 2.0), _single_a),
+    (ModelParams(200 + 0j, 1 + 0j, 0.5 + 0j, 0.0, 1.0, 2.0, 2.0), _collective),
     (ModelParams(3 + 0j, 1 + 0j, 1 + 0j, 0.0, 3.0, 3.0 * (1 + 1e-7), 2.0), _observables),
     (_general(1e154), classify),
     (_general(1e160), classify),
@@ -287,6 +294,8 @@ def _general(kappa: float) -> ModelParams:
 ], ids=["non-finite-field", "negative-length", "transfer-matrix",
         "transfer-matrix-general", "non-finite-generator", "photon-numbers",
         "minvar_a", "minvar_a-infinite", "minvar_a-denominator", "minvar_c-photon-numbers",
+        "minvar_b-other-photon-number", "minvar_a-photon-numbers-general",
+        "minvar_c-photon-numbers-general",
         "squeezing-off-degeneracy", "nan-growth-1e154",
         "nan-growth-1e160", "infinite-p-degenerate"])
 def test_one_point_and_engine_name_a_failure_alike(p, one_point):
@@ -296,14 +305,40 @@ def test_one_point_and_engine_name_a_failure_alike(p, one_point):
     # 99.6, eta_s = 0.1 the minimum's 1 + 4 |L|^2 overflows to inf while
     # |L|^2 is finite; at |kappa| = 177.585... its 1 + 2N + 2|F| overflows
     # while N is finite, and at 177.826... a photon number overflows, which a
-    # direct collective search names as the row does; a quartic coefficient
-    # overflows from |kappa| = 1e154 on
+    # direct collective search names as the row does; at 177.8, eta_s = 0.5
+    # n_as overflows while n_bs is finite, and at the general 200 every
+    # photon number overflows while T is finite: the minima check all four
+    # photon numbers before the degenerate rule, as the row does; a quartic
+    # coefficient overflows from |kappa| = 1e154 on
     with pytest.raises(Exception) as one:
         one_point(p)
     for quantities in ([("regime", "growth_rate"), ("regime",)] if one_point is classify
                        else [QUANTITIES[1:8]]):
         (failure,) = evaluate_points([p], quantities, "analytic")
         assert (type(failure), str(failure)) == (type(one.value), str(one.value)), quantities
+
+
+def test_minima_name_the_rows_photon_failure():
+    # a seeded sweep across the photon-number overflow of a degenerate and a
+    # general family: wherever the row fails on a photon number, a direct
+    # minimum raises that failure, whichever mode overflows and whether or
+    # not the point is degenerate
+    rng = np.random.default_rng(32)
+    points = [degenerate_params(k, 0.5, 0, 0, 2) for k in rng.uniform(177, 179, 1500)]
+    points += [ModelParams(k + 0j, 1 + 0j, 0.5 + 0j, 0.0, 1.0, 2.0, 2.0)
+               for k in rng.uniform(195, 205, 1500)]
+    failed = 0
+    for p, row in zip(points, evaluate_points(points, QUANTITIES[1:8], "analytic")):
+        if isinstance(row, Exception) and str(row) == str(beyond_double("photon number")):
+            failed += 1
+            m = scan.solve_point(p)
+            for one_point in (lambda: single_mode_min_variance(m, "a"),
+                              lambda: single_mode_min_variance(m, "b"),
+                              lambda: collective_min_variance(m)):
+                with pytest.raises(Exception) as one:
+                    one_point()
+                assert (type(one.value), str(one.value)) == (type(row), str(row)), p
+    assert 0 < failed < len(points)
 
 
 # the labels are taken on coefficients over a power of two of their root

@@ -53,8 +53,8 @@ host's speed reaches every tree alike.
     delta_i = -2, L = 2), which takes no roots, and at the three-mode point
     of tools/outputs.py, `solve_point` with solver="averaged" at the README
     point, `photon_numbers` of the general point's matrix, and
-    `observables_summary` of the README point's matrix; one value is the
-    mean of REPEATS calls.
+    `single_mode_min_variance(m, "a")` and `observables_summary` of the
+    README point's matrix; one value is the mean of REPEATS calls.
 """
 
 import os
@@ -309,6 +309,8 @@ def one_point(pkg) -> dict:
             'solve_point(solver="averaged")': lambda: scan.solve_point(readme,
                                                                        solver="averaged"),
             "photon_numbers, general": lambda: observables.photon_numbers(general_matrix),
+            'single_mode_min_variance(m, "a")': lambda: observables.single_mode_min_variance(
+                readme_matrix, "a"),
             "observables_summary": lambda: observables.observables_summary(readme_matrix)}
 
 
