@@ -73,6 +73,13 @@ class PhotonNumbers:
     n_bi: float
 
 
+#: the observables' names, in the order of a scan's columns and of
+#: :func:`observables_summary`: the four photon numbers, and the squeezing
+#: minima of modes a and b and of the balanced collective mode
+PHOTONS = tuple(PhotonNumbers.__dataclass_fields__)
+MINIMA = ("minvar_a", "minvar_b", "minvar_c")
+
+
 @dataclass(frozen=True)
 class Correlators:
     """Anomalous and cross correlators of the degenerate configuration:
@@ -439,17 +446,16 @@ def collective_min_variance(m: BogoliubovMatrix) -> SqueezingReport:
 
 def stack_observables(t: np.ndarray, quantities) -> dict:
     """Photon numbers of a stack of transfer matrices (n, 4, 4), always all
-    four ("n_as", "n_ai", "n_bs", "n_bi"), and the squeezing minima among
-    quantities ("minvar_a", "minvar_b", "minvar_c"), as arrays (n,): the
-    formulas and the phase search of the single-point functions: the
-    collective search refines every point's grid starts (see _starts) as one
-    flat array and keeps each point's lowest result; with it comes
-    "unconverged", True at the points with a finite minimum where a start
-    was still moving after its last step.  The minima are meaningful at
-    degenerate points only; the caller reads
+    four (PHOTONS), and the squeezing minima among quantities (of MINIMA),
+    as arrays (n,): the formulas and the phase search of the single-point
+    functions: the collective search refines every point's grid starts (see
+    _starts) as one flat array and keeps each point's lowest result; with it
+    comes "unconverged", True at the points with a finite minimum where a
+    start was still moving after its last step.  The minima are meaningful
+    at degenerate points only; the caller reads
     :func:`cascade.params.is_degenerate` of the stack's parameters."""
     rows = np.moveaxis(t, (-2, -1), (0, 1))
-    out = dict(zip(("n_as", "n_ai", "n_bs", "n_bi"), _occupations(rows)))
+    out = dict(zip(PHOTONS, _occupations(rows)))
     for q, row, n in (("minvar_a", rows[0], "n_as"), ("minvar_b", rows[2], "n_bs")):
         if q in quantities:
             x1, y1, x2, y2 = row
@@ -587,20 +593,14 @@ def observables_summary(m: BogoliubovMatrix) -> dict:
     """Flat JSON-ready bundle: photon numbers always; correlators and the
     three squeezing minima when the matrix was solved for degenerate
     parameters (m.degenerate)."""
-    n = photon_numbers(m)
-    out = {
-        "n_as": n.n_as, "n_ai": n.n_ai, "n_bs": n.n_bs, "n_bi": n.n_bi,
-    }
+    out = dict(vars(photon_numbers(m)))
     if m.degenerate:
         c = correlators(m)
         ra = single_mode_min_variance(m, "a")
         rb = single_mode_min_variance(m, "b")
         rc = collective_min_variance(m)
+        out.update({name: [z.real, z.imag] for name, z in vars(c).items()})
         out.update({
-            "f_a": [c.f_a.real, c.f_a.imag],
-            "f_b": [c.f_b.real, c.f_b.imag],
-            "f_ab": [c.f_ab.real, c.f_ab.imag],
-            "g_ab": [c.g_ab.real, c.g_ab.imag],
             "minvar_a": ra.min_variance, "theta_opt_a": ra.theta_opt,
             "minvar_b": rb.min_variance, "theta_opt_b": rb.theta_opt,
             "minvar_c": rc.min_variance, "theta_opt_c": rc.theta_opt,

@@ -36,15 +36,15 @@ import numpy as np
 from . import analytic, oracle
 from .bogoliubov import BogoliubovMatrix
 from .characteristic import growth_rate, labels, non_finite_quartic
-from .observables import (DEGENERATE_ONLY, MISMATCHES, averaged_model,
+from .observables import (DEGENERATE_ONLY, MINIMA, MISMATCHES, PHOTONS, averaged_model,
                           pdc_only_reference, stack_observables, unconverged)
 from .params import (COUPLINGS, DEGENERATE_LOCK, FIELDS, ModelParams, _convert, _entry,
-                     beyond_double, broadcast, derive, is_degenerate, params_from_dict,
-                     params_to_dict, record_first, stack, unit_phase, unstack,
-                     validate, validate_batch)
+                     beyond_double, broadcast, degenerate_params, derive, is_degenerate,
+                     params_from_dict, params_to_dict, record_first, stack, unit_phase,
+                     unstack, validate, validate_batch)
 
-QUANTITIES = ("regime", "n_as", "n_ai", "n_bs", "n_bi",
-              "minvar_a", "minvar_b", "minvar_c", "growth_rate")
+_MATRIX_QUANTITIES = PHOTONS + MINIMA
+QUANTITIES = ("regime", *_MATRIX_QUANTITIES, "growth_rate")
 
 SCALAR_AXES = FIELDS[3:]
 MAGNITUDE_AXES = tuple(f"{name}_abs" for name in COUPLINGS)
@@ -56,9 +56,6 @@ CROSS_CHECK_FRACTION = 0.05
 
 #: grid points per chunk, the most a scan evaluates as one batch
 CHUNK_POINTS = 2048
-
-_MATRIX_QUANTITIES = ("n_as", "n_ai", "n_bs", "n_bi",
-                      "minvar_a", "minvar_b", "minvar_c")
 
 
 @dataclass(frozen=True)
@@ -314,9 +311,9 @@ def _matrix_values(batch: ModelParams, quantities: tuple, errs: list,
                 errs[k] = m
     record_first(errs, ~np.isfinite(t).all(axis=(-2, -1)), analytic.entries_beyond_double)
     out = stack_observables(t, quantities)
-    photons = np.isfinite(np.stack([out[q] for q in ("n_as", "n_ai", "n_bs", "n_bi")]))
+    photons = np.isfinite(np.stack([out[q] for q in PHOTONS]))
     record_first(errs, ~photons.all(axis=0), lambda: beyond_double("photon number"))
-    if any(q.startswith("minvar") for q in quantities):
+    if any(q in MINIMA for q in quantities):
         record_first(errs, ~is_degenerate(batch), lambda: ValueError(DEGENERATE_ONLY))
     if "minvar_c" in quantities:
         record_first(errs, out["unconverged"], unconverged)
@@ -398,7 +395,9 @@ def run_scan(spec: ScanSpec, workers: int = 1, strict: bool = False,
     successful points of an analytic or averaged scan is re-solved with the
     ODE oracle (the averaged model of each, for "averaged") and its matrix
     quantities are compared at 1e-5 relative; disagreements are reported in
-    cross_check_violations and raise RuntimeError in strict mode.
+    cross_check_violations and raise RuntimeError in strict mode.  A
+    sampled point whose oracle solve fails disagrees in every quantity,
+    with the oracle's value None.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -417,12 +416,11 @@ def run_scan(spec: ScanSpec, workers: int = 1, strict: bool = False,
             sample = averaged_model(sample)
         ref_errors, refs = _evaluate(sample, numeric, "oracle", workers)
         for k, idx in enumerate(sampled):
-            if ref_errors[k] is not None:
-                raise ref_errors[k]
+            failed = ref_errors[k] is not None
             for q in numeric:
-                got, ref = columns[q][idx], refs[q][k]
-                denom = max(abs(ref), 1e-8 / CROSS_CHECK_RTOL)
-                if abs(got - ref) > CROSS_CHECK_RTOL * denom:
+                got, ref = columns[q][idx], None if failed else refs[q][k]
+                if failed or abs(got - ref) > CROSS_CHECK_RTOL * max(
+                        abs(ref), 1e-8 / CROSS_CHECK_RTOL):
                     violations.append({"index": idx, "quantity": q,
                                        "value": got, "oracle": ref})
     if strict and violations:
@@ -436,38 +434,30 @@ def run_scan(spec: ScanSpec, workers: int = 1, strict: bool = False,
                       cross_check_violations=violations)
 
 
-def degenerate_diagram_spec(kappa: complex = 3.0 + 0j, delta_tilde: float = 0.0,
-                            length: float = 2.0, count: int = 201) -> ScanSpec:
-    """Default grid of the degenerate mismatch/coupling diagrams:
-    delta_s in [-20, 20] cm^-1 against |eta_s| in [0, 8] cm^-1."""
-    base = validate(ModelParams(kappa=complex(kappa), eta_s=0j, eta_i=0j,
-                                delta_tilde=delta_tilde, delta_s=0.0,
-                                delta_i=0.0, length=length))
+def degenerate_diagram_spec(kappa: complex = 3.0 + 0j, count: int = 201) -> ScanSpec:
+    """Default grid of the degenerate mismatch/coupling diagrams, at
+    delta_tilde = 0 and L = 2 cm: delta_s in [-20, 20] cm^-1 against
+    |eta_s| in [0, 8] cm^-1."""
     return ScanSpec(
-        base=base,
+        base=degenerate_params(kappa, 0j, 0.0, 0.0, 2.0),
         axis1=AxisSpec("delta_s", -20.0, 20.0, count),
         axis2=AxisSpec("eta_s_abs", 0.0, 8.0, count),
-        quantities=("regime", "n_as", "n_bs", "minvar_a", "minvar_b",
-                    "minvar_c"),
+        quantities=("regime", "n_as", "n_bs", *MINIMA),
         solver="analytic",
         degenerate=True,
     )
 
 
-def four_mode_diagram_spec(kappa: complex = 3.0 + 0j, eta: complex = 3.0 + 0j,
-                           delta_tilde: float = 30.0, length: float = 2.0,
-                           count: int = 201) -> ScanSpec:
-    """Default grid of the four-mode cascaded-matching diagrams:
-    delta_s against delta_i, both in [-10, 70] cm^-1 (photon numbers only;
-    squeezing metrics are not defined off the degenerate configuration)."""
-    base = validate(ModelParams(kappa=complex(kappa), eta_s=complex(eta),
-                                eta_i=complex(eta), delta_tilde=delta_tilde,
-                                delta_s=0.0, delta_i=0.0, length=length))
+def four_mode_diagram_spec(count: int = 201) -> ScanSpec:
+    """Default grid of the four-mode cascaded-matching diagrams, at kappa =
+    eta_s = eta_i = 3 cm^-1, delta_tilde = 30 cm^-1 and L = 2 cm: delta_s
+    against delta_i, both in [-10, 70] cm^-1 (photon numbers only; squeezing
+    metrics are not defined off the degenerate configuration)."""
     return ScanSpec(
-        base=base,
+        base=ModelParams(3 + 0j, 3 + 0j, 3 + 0j, 30.0, 0.0, 0.0, 2.0),
         axis1=AxisSpec("delta_s", -10.0, 70.0, count),
         axis2=AxisSpec("delta_i", -10.0, 70.0, count),
-        quantities=("regime", "n_as", "n_ai", "n_bs", "n_bi"),
+        quantities=("regime", *PHOTONS),
         solver="analytic",
     )
 

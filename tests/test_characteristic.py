@@ -239,6 +239,23 @@ class TestRootProperties:
             assert_same_multiset(rs.roots, [x.conjugate() for x in r.roots],
                                  tol=1e-9)
 
+    def test_general_growth_rate_is_the_largest_real_part_of_the_roots(self):
+        # outside area I, classify's growth rate and solve_quartic's roots
+        # come from the same companion eigenvalues, so one solve can give
+        # both: max Re lambda of the roots is the growth rate, bit for bit
+        rng = np.random.default_rng(34)
+        checked = 0
+        for _ in range(2000):
+            mags, phases = rng.uniform(0, 6, 3), rng.uniform(0, 2 * np.pi, 3)
+            p = make(*(mags * np.exp(1j * phases)).tolist(), *rng.uniform(-10, 10, 3).tolist(),
+                     L=2.0)
+            regime = classify(p)
+            if regime.label is not Area.I:
+                checked += 1
+                assert regime.max_growth_rate == max(
+                    x.real for x in solve_quartic(derive(p)).roots), p
+        assert checked > 1000
+
     def test_area_i_roots_purely_imaginary(self):
         rng = np.random.default_rng(19)
         found = 0

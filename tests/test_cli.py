@@ -399,6 +399,28 @@ def test_scan_strict_disagreement_exits_4(capsys, monkeypatch, tmp_path):
     assert re.fullmatch(r"error: strict cross-check failed at [1-9][0-9]* point\(s\)\n", err)
 
 
+def test_cross_check_counts_a_failed_oracle_point_as_a_disagreement(capsys, tmp_path):
+    # the sampled point at |kappa| 153.08 reads minvar_a 1.2e-266, but its
+    # ODE re-solve overflows: that point disagrees, in every quantity, and
+    # the scan still prints its table, or exits 4 under --strict
+    spec = ScanSpec(base=degenerate_params(150, 0.1, 0, 1, 2),
+                    axis1=AxisSpec("kappa_abs", 150.0, 160.0, 40),
+                    quantities=("n_as", "minvar_a"), degenerate=True)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec.to_dict()))
+    argv = ("scan", "--spec", str(path), "--seed", "6")
+    code, out, err = run(capsys, *argv, "--cross-check")
+    assert code == 0 and len(out.splitlines()) == 41
+    assert err == "warning: cross-check: 1 point(s) disagree with the ODE oracle\n"
+    code, out, err = run(capsys, *argv, "--cross-check", "--format", "json")
+    assert [(v["index"], v["quantity"], v["oracle"])
+            for v in json.loads(out)["cross_check_violations"]] == [
+                (12, "n_as", None), (12, "minvar_a", None)]
+    code, out, err = run(capsys, *argv, "--strict")
+    assert code == 4 and out == ""
+    assert err == "error: strict cross-check failed at 1 point(s)\n"
+
+
 def test_config_holding_an_array_exits_2(capsys, tmp_path):
     cfg = tmp_path / "p.json"
     cfg.write_text("[3.0, 1.0]")

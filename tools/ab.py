@@ -54,7 +54,9 @@ host's speed reaches every tree alike.
     of tools/outputs.py, `solve_point` with solver="averaged" at the README
     point, `photon_numbers` of the general point's matrix, and
     `single_mode_min_variance(m, "a")` and `observables_summary` of the
-    README point's matrix; one value is the mean of REPEATS calls.
+    README point's matrix.  One value of these two tables is the fastest of
+    five batches of REPEATS // 5 calls, each batch's mean per call, so that
+    a burst of the host's load in one batch does not reach it.
 """
 
 import os
@@ -78,7 +80,7 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-REPEATS = 50  # calls per value of the one-matrix and one-point tables
+REPEATS = 50  # calls per value of the one-matrix and one-point tables, in five batches
 
 # the code each point-request interpreter runs: argv is (bench dir, seed, requests)
 CHILD = r'''
@@ -314,35 +316,45 @@ def one_point(pkg) -> dict:
             "observables_summary": lambda: observables.observables_summary(readme_matrix)}
 
 
+def batch_time(fn, calls: int) -> float:
+    """The wall time [s] of calls calls of fn."""
+    start = time.perf_counter()
+    for _ in range(calls):
+        fn()
+    return time.perf_counter() - start
+
+
 def layers(trees: list, rounds: int) -> None:
     """Time the chunk, one-matrix and one-point tables of every tree."""
     packages = [load(tree, f"cascade_t{i}") for i, tree in enumerate(trees)]
-    tables = {}  # title: (calls per value, factor to the unit, {name: [a function per tree]})
-    for title, repeats, factor, make in (
-            ("degenerate chunk [ms]", 1, 1e3,
+    # title: (batches per value, calls per batch, factor to the unit,
+    # {name: [a function per tree]}); a value is its fastest batch
+    tables = {}
+    batch = REPEATS // 5
+    for title, batches, repeats, factor, make in (
+            ("degenerate chunk [ms]", 1, 1, 1e3,
              lambda p: chunk(p, p.scan.degenerate_diagram_spec(count=41))),
-            ("four-mode chunk [ms]", 1, 1e3,
+            ("four-mode chunk [ms]", 1, 1, 1e3,
              lambda p: chunk(p, p.scan.four_mode_diagram_spec(count=41))),
-            ("one matrix, README point [us]", REPEATS, 1e6 / REPEATS, one_matrix),
-            ("one point [us]", REPEATS, 1e6 / REPEATS, one_point)):
+            ("one matrix, README point [us]", 5, batch, 1e6 / batch, one_matrix),
+            ("one point [us]", 5, batch, 1e6 / batch, one_point)):
         made = [make(p) for p in packages]
-        tables[title] = repeats, factor, {name: [fns[name] for fns in made] for name in made[0]}
+        tables[title] = (batches, repeats, factor,
+                         {name: [fns[name] for fns in made] for name in made[0]})
     times = {(title, name): [[] for _ in trees]
-             for title, (_, _, fns) in tables.items() for name in fns}
+             for title, (*_, fns) in tables.items() for name in fns}
     with np.errstate(all="ignore"):  # as the engine runs them
-        for _, _, fns in tables.values():
+        for *_, fns in tables.values():
             for per_tree in fns.values():
                 for fn in per_tree:
                     fn()  # warm up
         for k in range(rounds):
-            for title, (repeats, factor, fns) in tables.items():
+            for title, (batches, repeats, factor, fns) in tables.items():
                 for name, per_tree in fns.items():
                     for i in order(len(trees), k):
-                        start = time.perf_counter()
-                        for _ in range(repeats):
-                            per_tree[i]()
-                        times[title, name][i].append(factor * (time.perf_counter() - start))
-    for title, (_, _, fns) in tables.items():
+                        times[title, name][i].append(factor * min(
+                            batch_time(per_tree[i], repeats) for _ in range(batches)))
+    for title, (*_, fns) in tables.items():
         rows = {name: times[title, name] for name in fns}
         if "chunk" in title:
             *parts, whole = rows
