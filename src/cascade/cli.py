@@ -10,10 +10,13 @@ that `sweep-gain` tabulates over the parametric gain.
 
 Exit codes: 0 success; 2 a failure the package names, by its class: an
 OverflowError (a solution that leaves double precision), a ValueError
-(invalid input, a `solve --z` outside the crystal, a malformed JSON file, a
-quartic with a coefficient that is not finite), an OSError, or another
-ArithmeticError (a collective phase search that does not converge, an
-ODE-oracle solve whose steps stall); 4 a strict-mode cross-check failure.
+(invalid input, a `solve --z` outside the crystal, a malformed JSON file or
+one with a key it does not know, a quartic with a coefficient that is not
+finite), an OSError, another ArithmeticError (a collective phase search that
+does not converge, an ODE-oracle solve whose steps stall), or a RuntimeError
+(a worker process of the pool that dies); 4 only `scan --strict` whose
+cross-check finds a point that disagrees with the ODE oracle, decided here:
+:func:`cascade.scan.run_scan` reports disagreements and raises none.
 """
 
 from __future__ import annotations
@@ -94,26 +97,30 @@ def _write(args: argparse.Namespace, payload: bytes) -> None:
         sys.stdout.write(payload.decode())
 
 
-def _cmd_solve(args) -> int:
-    params = _build_params(args)
+def _point_command(document):
+    """The command that builds the point's parameters and writes them with
+    document(params, args) as one JSON document."""
+
+    def command(args) -> int:
+        params = _build_params(args)
+        _write(args, json_bytes({"params": params_to_dict(params),
+                                 **document(params, args)}))
+        return 0
+
+    return command
+
+
+def _solve(params: ModelParams, args) -> dict:
     m = solve_point(params, z=args.z, solver=args.solver)
-    doc = {
-        "params": params_to_dict(params),
-        "regime": classify(params).label.value,
-        "matrix": m.to_dict(),
-        "observables": observables_summary(m),
-    }
-    _write(args, json_bytes(doc))
-    return 0
+    return {"regime": classify(params).label.value, "matrix": m.to_dict(),
+            "observables": observables_summary(m)}
 
 
-def _cmd_classify(args) -> int:
-    params = _build_params(args)
+def _classify(params: ModelParams, args) -> dict:
     d = derive(params)
     regime = classify(params)
     roots = solve_quartic(d)
-    doc = {
-        "params": params_to_dict(params),
+    return {
         "coefficients": {"P": d.p_coef, "Q": d.q_coef, "R": d.r_coef},
         "cascaded_mismatches": {"phi_s": d.phi_cas_s, "phi_i": d.phi_cas_i,
                                 "phi_si": d.phi_cas_si},
@@ -122,22 +129,19 @@ def _cmd_classify(args) -> int:
         "roots": roots_to_json(roots),
         "near_multiple": roots.near_multiple,
     }
-    _write(args, json_bytes(doc))
-    return 0
 
 
 def _cmd_scan(args) -> int:
     with open(args.spec, encoding="utf-8") as fh:
         spec = ScanSpec.from_dict(json.load(fh))
-    try:
-        result = run_scan(spec, workers=args.threads, strict=args.strict,
-                          cross_check=args.cross_check, seed=args.seed)
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    result = run_scan(spec, workers=args.threads, seed=args.seed,
+                      cross_check=args.cross_check or args.strict)
+    points = len({v["index"] for v in result.cross_check_violations})
+    if args.strict and points:
+        print(f"error: strict cross-check failed at {points} point(s)", file=sys.stderr)
         return 4
     _write(args, emit(result, args.format))
-    if result.cross_check_violations:
-        points = len({v["index"] for v in result.cross_check_violations})
+    if points:
         print(f"warning: cross-check: {points} point(s) disagree with the ODE "
               "oracle", file=sys.stderr)
     return 0
@@ -146,13 +150,6 @@ def _cmd_scan(args) -> int:
 def _cmd_sweep_gain(args) -> int:
     result = sweep_gain(args.delta_s_l, args.ratio, args.gamma_max, args.points)
     _write(args, emit(result, args.format))
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    params = _build_params(args)
-    doc = {"params": params_to_dict(params), **compare_point(params)}
-    _write(args, json_bytes(doc))
     return 0
 
 
@@ -174,12 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluation position [cm] in [0, length] (default: length)")
     p.add_argument("--solver", choices=SOLVERS,
                    default="analytic", help="solution method [dimensionless]")
-    p.set_defaults(func=_cmd_solve)
+    p.set_defaults(func=_point_command(_solve))
 
     p = sub.add_parser("classify", parents=[common_out],
                        help="characteristic roots and generation regime")
     _add_param_flags(p)
-    p.set_defaults(func=_cmd_classify)
+    p.set_defaults(func=_point_command(_classify))
 
     p = sub.add_parser("scan", parents=[common_out],
                        help="evaluate a parameter grid")
@@ -217,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", parents=[common_out],
                        help="exact vs averaged vs plain-PDC at one point")
     _add_param_flags(p)
-    p.set_defaults(func=_cmd_compare)
+    p.set_defaults(func=_point_command(lambda params, args: compare_point(params)))
 
     return parser
 
@@ -229,7 +226,7 @@ def main(argv=None) -> int:
     except OverflowError as exc:  # an ArithmeticError: before the classes below
         print(f"error: solution leaves double precision: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, ArithmeticError) as exc:
+    except (ValueError, OSError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -85,10 +85,11 @@ def integrate(params: ModelParams, z_grid=None,
         raise ValueError("z grid exceeds the crystal length")
 
     degenerate = is_degenerate(params)
+    zs = tuple(z_grid.tolist())
 
-    if z_grid[-1] == 0.0:
-        mats = tuple(BogoliubovMatrix.identity(0.0, degenerate) for _ in z_grid)
-        return Trajectory(z_grid=tuple(z_grid), matrices=mats, estimated_error=0.0)
+    if zs[-1] == 0.0:
+        mats = tuple(BogoliubovMatrix.identity(0.0, degenerate) for _ in zs)
+        return Trajectory(z_grid=zs, matrices=mats, estimated_error=0.0)
 
     # imported here so that importing the package does not load scipy
     from scipy.integrate import solve_ivp
@@ -96,19 +97,18 @@ def integrate(params: ModelParams, z_grid=None,
     # with no events the status is 0, or -1 where the steps stall; an
     # entry beyond double precision stalls them without numpy warnings
     with np.errstate(all="ignore"):
-        sol = solve_ivp(_rhs(params), (0.0, float(z_grid[-1])),
+        sol = solve_ivp(_rhs(params), (0.0, zs[-1]),
                         np.identity(4, dtype=complex).ravel(),
                         method="DOP853", t_eval=z_grid, rtol=rtol, atol=atol)
     if sol.status != 0:
         raise StepSizeUnderflow(sol.message)
 
-    mats = tuple(BogoliubovMatrix(float(z_grid[j]), sol.y[:, j].reshape(4, 4), degenerate)
-                 for j in range(len(z_grid)))
+    mats = tuple(BogoliubovMatrix(z, sol.y[:, j].reshape(4, 4), degenerate)
+                 for j, z in enumerate(zs))
     peak = max(m.max_abs() for m in mats)
     resid = max(max(canonical_residuals(m)) for m in mats)
     est = max(resid, rtol * max(1.0, peak))
-    return Trajectory(z_grid=tuple(float(t) for t in z_grid), matrices=mats,
-                      estimated_error=float(est))
+    return Trajectory(z_grid=zs, matrices=mats, estimated_error=float(est))
 
 
 def matrix_at(params: ModelParams, z: float,

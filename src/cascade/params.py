@@ -248,11 +248,20 @@ def params_to_dict(params: ModelParams) -> dict:
             for name, v in values.items()}
 
 
-def _entry(data, key: str, what: str):
-    """data[key] of a decoded JSON object; ValueError naming the key when
-    data is not an object or lacks it."""
+def _object(data, keys, what: str) -> dict:
+    """data, a decoded JSON object whose keys are all among keys; ValueError
+    when data is not an object, or naming the first key it does not know."""
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"{what}: unknown key {key!r}")
+    return data
+
+
+def _entry(data: dict, key: str, what: str):
+    """data[key] of a decoded JSON object; ValueError naming the key when
+    data lacks it."""
     if key not in data:
         raise ValueError(f"{what}: missing key {key!r}")
     return data[key]
@@ -270,8 +279,9 @@ def _convert(kind, value, key: str):
 
 
 def params_from_dict(data: dict) -> ModelParams:
-    """ModelParams from the JSON wire format; ValueError naming a missing
-    or malformed key."""
+    """ModelParams from the JSON wire format; ValueError naming a missing,
+    malformed or unknown key."""
+    _object(data, FIELDS, "parameters")
     return validate(ModelParams(**{
         name: _convert(complex if name in COUPLINGS else float,
                        _entry(data, name, "parameters"), name)

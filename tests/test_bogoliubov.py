@@ -50,6 +50,8 @@ def test_matrix_is_read_only():
         m.U_s = 2.0
     with pytest.raises(AttributeError):
         m.X_s
+    with pytest.raises(ValueError, match="4x4"):
+        BogoliubovMatrix(0.0, np.identity(3))
 
 
 @pytest.mark.parametrize("name", ENTRY_NAMES)

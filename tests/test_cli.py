@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -399,6 +401,44 @@ def test_scan_strict_disagreement_exits_4(capsys, monkeypatch, tmp_path):
     assert re.fullmatch(r"error: strict cross-check failed at [1-9][0-9]* point\(s\)\n", err)
 
 
+def test_strict_failure_counts_points_not_quantities(capsys, monkeypatch, tmp_path):
+    # a point where both quantities disagree counts once, in the error of
+    # --strict as in the warning of --cross-check
+    monkeypatch.setattr(scan, "CROSS_CHECK_RTOL", 1e-18)
+    base = dataclasses.replace(degenerate_diagram_spec().base,
+                               eta_s=1 + 0j, eta_i=1 + 0j)
+    spec = ScanSpec(base=base, axis1=AxisSpec("delta_s", -20.0, 20.0, 30),
+                    quantities=("n_as", "n_bs"), degenerate=True)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec.to_dict()))
+    code, out, err = run(capsys, "scan", "--spec", str(path), "--cross-check",
+                         "--format", "json")
+    found = json.loads(out)["cross_check_violations"]
+    points = len({v["index"] for v in found})
+    assert code == 0 and 0 < points < len(found)
+    assert err == f"warning: cross-check: {points} point(s) disagree with the ODE oracle\n"
+    code, out, err = run(capsys, "scan", "--spec", str(path), "--strict")
+    assert code == 4 and out == ""
+    assert err == f"error: strict cross-check failed at {points} point(s)\n"
+
+
+def test_broken_worker_pool_exits_2_with_one_line(capsys, monkeypatch, tmp_path):
+    # a worker process that dies is a RuntimeError of the pool, not a
+    # strict verdict: exit 2 with its one error line, with no --strict
+    def broken(points, workers=1):
+        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+    monkeypatch.setattr(scan, "_oracle_matrices", broken)
+    spec = ScanSpec(base=degenerate_params(3, 1, 0, 0, 2),
+                    axis1=AxisSpec("delta_s", 0.0, 10.0, 3),
+                    quantities=("n_as",), solver="oracle", degenerate=True)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec.to_dict()))
+    code, out, err = run(capsys, "scan", "--spec", str(path), "--threads", "2")
+    assert code == 2 and out == ""
+    assert err == "error: A process in the process pool was terminated abruptly\n"
+
+
 def test_cross_check_counts_a_failed_oracle_point_as_a_disagreement(capsys, tmp_path):
     # the sampled point at |kappa| 153.08 reads minvar_a 1.2e-266, but its
     # ODE re-solve overflows: that point disagrees, in every quantity, and
@@ -427,6 +467,15 @@ def test_config_holding_an_array_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "solve", "--config", str(cfg))
     assert code == 2 and out == ""
     assert err == "error: --config must hold a JSON object\n"
+
+
+def test_config_with_an_unknown_key_exits_2_naming_it(capsys, tmp_path):
+    # a misspelt key used to be ignored: "kapa" ran at kappa = 0
+    cfg = tmp_path / "p.json"
+    cfg.write_text(json.dumps({"kapa": [3, 0], "length": 2}))
+    code, out, err = run(capsys, "classify", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "error: parameters: unknown key 'kapa'\n"
 
 
 def test_bad_cascade_threads_fails_scan_only(capsys, monkeypatch, tmp_path):
@@ -512,14 +561,15 @@ def test_squeezing_needs_exact_degeneracy_at_any_gain(capsys, tmp_path, kappa, e
     # gamma = |kappa| L cannot be negative; the rows of -gamma would be the
     # rows of +gamma under another label
     ("--gamma-max", "-5", "gamma_max must be nonnegative, got -5.0"),
+    ("--points", "1", "points must be >= 2"),
 ])
 def test_sweep_gain_bad_input_exits_2_with_one_line(capsys, flag, value, message):
     # the inputs are checked before any point is built, so no numpy
     # warning precedes the error line
-    argv = {"--delta-s-l": "3", "--ratio": "0.5", "--gamma-max": "4", flag: value}
+    argv = {"--delta-s-l": "3", "--ratio": "0.5", "--gamma-max": "4", "--points": "5",
+            flag: value}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, err = run(capsys, "sweep-gain", *(f"{k}={v}" for k, v in argv.items()),
-                             "--points", "5")
+        code, out, err = run(capsys, "sweep-gain", *(f"{k}={v}" for k, v in argv.items()))
     assert code == 2 and out == "" and not caught
     assert err == f"error: {message}\n"

@@ -241,6 +241,7 @@ def test_invalid_points_fail_like_validate():
     rows = evaluate_points([good, bad, good], ("n_as",), "analytic")
     assert rows[0] == rows[2]
     assert isinstance(rows[1], ValueError) and "length" in str(rows[1])
+    assert evaluate_points([], ("n_as",), "analytic") == []
 
 
 def _observables(p: ModelParams) -> None:
@@ -440,16 +441,22 @@ def spec_documents(draw):
     ("axis2", "name", "eta_i_abs"),
     ("axis2", "name", "delta_s"),
     (None, "axis2", {}),
+    ("axis1", "count", 0),
+    (None, "quantity", ["n_as"]),
+    ("base", "kapa", [3.0, 0.0]),
+    ("axis2", "cnt", 3),
 ], ids=["degenerate-string", "fractional-count", "repeated-quantity",
         "degenerate-idler-axis1", "degenerate-idler-axis2", "repeated-axis",
-        "empty-axis2"])
+        "empty-axis2", "zero-count", "unknown-spec-key", "unknown-base-key",
+        "unknown-axis-key"])
 def test_malformed_value_exits_2_naming_key(tmp_path, capsys, axis, key, value):
     # each of these used to run: "false" as degenerate, 2.7 as 2 points,
     # one CSV column for two quantities; in the degenerate spec an idler
     # axis, which the lock overwrites, as one printed row (axis1) or as
     # mislabelled rows (axis2); a repeated axis as pairs of identical rows
     # under one column holding axis2's values; an empty axis2 as a one-axis
-    # scan
+    # scan; a misspelt key as a spec without it ("quantity" scanned the
+    # regime only)
     doc = _valid_spec()
     (doc[axis] if axis else doc)[key] = value
     path = tmp_path / "spec.json"

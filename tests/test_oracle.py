@@ -44,6 +44,15 @@ def test_grid_validation():
         integrate(p, np.array([0.5, 1.0]))
     with pytest.raises(ValueError):
         integrate(p, np.array([0.0, 2.0]))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        integrate(p, np.array([0.0, 0.5, 0.5]))
+
+
+@pytest.mark.parametrize("length", [0.0, 1.0])
+def test_grid_is_python_floats_at_every_length(length):
+    # the zero-length crystal returns its grid as the positive ones do
+    traj = integrate(degenerate_params(3, 1, 0, 10, length))
+    assert all(type(z) is float for z in traj.z_grid)
 
 
 def test_pdc_only_photon_number():

@@ -68,6 +68,8 @@ class TestGridMechanics:
     def test_unknown_axis_and_quantity_rejected(self):
         with pytest.raises(ValueError):
             AxisSpec("bogus", 0, 1, 2).values()
+        with pytest.raises(ValueError, match="count"):
+            AxisSpec("delta_s", 0, 1, 0)
         with pytest.raises(ValueError):
             ScanSpec.from_dict({"base": params_to_dict(deg_spec().base),
                                 "axis1": {"name": "delta_s", "min": 0,
@@ -79,6 +81,8 @@ class TestGridMechanics:
             deg_spec(quantities=("nope",))
         with pytest.raises(ValueError, match="solver"):
             deg_spec(solver="nope")
+        with pytest.raises(ValueError, match="solver"):
+            solve_point(deg_spec().base, solver="nope")
 
     def test_reference_points_regimes(self):
         spec = deg_spec(axis1=AxisSpec("delta_s", 0.0, 10.0, 2),
@@ -144,7 +148,7 @@ class TestDeterminismAndParallel:
     def test_cross_check_clean(self):
         spec = deg_spec(axis1=AxisSpec("delta_s", 2.0, 12.0, 40), axis2=None,
                         quantities=("n_as", "minvar_a"))
-        res = run_scan(spec, strict=True, seed=3)
+        res = run_scan(spec, cross_check=True, seed=3)
         assert res.cross_check_violations == []
 
     def test_cross_check_violations_reported(self, monkeypatch):
@@ -157,22 +161,6 @@ class TestDeterminismAndParallel:
         two = run_scan(spec, workers=2, cross_check=True,
                        seed=3).cross_check_violations
         assert one and one == two
-        with pytest.raises(RuntimeError):
-            run_scan(spec, strict=True, seed=3)
-
-    def test_strict_failure_counts_points_not_quantities(self, monkeypatch):
-        # a point where both quantities disagree counts once, as in the
-        # warning of `cascade scan --cross-check`
-        monkeypatch.setattr(scan, "CROSS_CHECK_RTOL", 1e-18)
-        base = dataclasses.replace(degenerate_diagram_spec().base,
-                                   eta_s=1 + 0j, eta_i=1 + 0j)
-        spec = ScanSpec(base=base, axis1=AxisSpec("delta_s", -20.0, 20.0, 30),
-                        quantities=("n_as", "n_bs"), degenerate=True)
-        found = run_scan(spec, cross_check=True).cross_check_violations
-        points = len({v["index"] for v in found})
-        assert 0 < points < len(found)
-        with pytest.raises(RuntimeError, match=f"failed at {points} point"):
-            run_scan(spec, strict=True)
 
     @pytest.mark.parametrize("solver", ["analytic", "averaged"])
     def test_scan_without_solves_starts_no_processes(self, monkeypatch, solver):
@@ -204,10 +192,12 @@ class TestEmit:
         spec = deg_spec(axis1=AxisSpec("delta_s", 0.0, 10.0, 2),
                         axis2=AxisSpec("eta_s_abs", 1.0, 4.0, 2),
                         quantities=("n_as",))
-        payload = emit(run_scan(spec), "csv").decode()
-        lines = payload.strip().split("\n")
+        res = run_scan(spec)
+        lines = emit(res, "csv").decode().strip().split("\n")
         assert lines[0] == "delta_s,eta_s_abs,n_as"
         assert len(lines) == 5
+        with pytest.raises(ValueError, match="format"):
+            emit(res, "xml")
 
     def test_axes_only(self):
         spec = deg_spec(axis1=AxisSpec("delta_s", 0.0, 10.0, 3), axis2=None,
